@@ -2,6 +2,8 @@
 structure of Latin square graphs, with exhaustive certified search engines
 and executable constructions."""
 
+import logging
+
 from .core import (
     Isotopy,
     LatinRectangle,
@@ -66,3 +68,5 @@ from .constructions import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -54,7 +54,7 @@ def _emit_json(obj, out_path: str | None) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", default=None, help="write output to this path")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     parser.add_argument("--seed", type=int, default=0)
 
 

@@ -14,9 +14,9 @@ uncertified answer.
 from __future__ import annotations
 
 import itertools
+import logging
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .core import MAX_EXHAUSTIVE_ORDER, LatinSquare
@@ -26,6 +26,8 @@ from .errors import (
     InvalidPlexError,
     OrderTooLargeError,
 )
+
+log = logging.getLogger(__name__)
 
 KIND_TRANSVERSAL = "transversal"
 KIND_PARTIAL = "partial-transversal"
@@ -251,8 +253,7 @@ class PlexCensus:
         }
 
 
-def _dfs_count_collect(grid, n: int, cap: int, first_col: int | None = None,
-                       stop_at_cap: bool = False):
+def _dfs_count_collect(grid, n: int, cap: int, stop_at_cap: bool = False):
     """Row-by-row backtracking over columns with column/symbol bitmasks.
 
     Returns (count, list of column tuples).  Witnesses are emitted in
@@ -283,48 +284,59 @@ def _dfs_count_collect(grid, n: int, cap: int, first_col: int | None = None,
                 return True
         return False
 
-    if first_col is None:
-        rec(0, 0, 0)
-    else:
-        bit = 1 << first_col
-        path[0] = first_col
-        rec(1, bit, 1 << grid[0][first_col])
+    rec(0, 0, 0)
     return count, found
 
 
-def _mitm_count(grid, n: int) -> int:
-    """Meet-in-the-middle exact count: top and bottom half-row tables joined
-    on complementary column and symbol masks."""
-    full = (1 << n) - 1
-    h = n // 2
+def _column_orbit_maps(grid, n: int) -> list[list[int]]:
+    """Column maps of all row-fixing autotopisms, one per image of column 0.
 
-    def table(rows):
-        out: dict[tuple[int, int], int] = {}
+    Mapping column 0 to column j forces the symbol map beta(L[r][0]) = L[r][j]
+    and the column map alpha(c) = the row-0 column holding beta(L[0][c]), so
+    j is in the orbit of column 0 iff (id, alpha, beta) preserves the grid.
+    """
+    where0 = {s: c for c, s in enumerate(grid[0])}
+    maps = []
+    for j in range(n):
+        beta = {row[0]: row[j] for row in grid}
+        alpha = [where0[beta[s]] for s in grid[0]]
+        if all([row[a] for a in alpha] == [beta[s] for s in row] for row in grid):
+            maps.append(alpha)
+    return maps
 
-        def rec(i: int, colmask: int, symmask: int):
-            if i == len(rows):
-                key = (colmask, symmask)
-                out[key] = out.get(key, 0) + 1
-                return
-            grow = grid[rows[i]]
-            for c in range(n):
-                bit = 1 << c
-                if colmask & bit:
-                    continue
-                sbit = 1 << grow[c]
-                if symmask & sbit:
-                    continue
-                rec(i + 1, colmask | bit, symmask | sbit)
 
-        rec(0, 0, 0)
-        return out
+def _half_table(grid, n: int, rows, start: int) -> dict[int, int]:
+    """Count the partial transversals over `rows` extending `start` by the
+    (colmask, symmask) they use, packed as colmask | symmask << n."""
+    table = {start: 1}
+    for r in rows:
+        cells = [1 << c | 1 << (n + s) for c, s in enumerate(grid[r])]
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, mult in table.items():
+            for b in cells:
+                if not key & b:
+                    nxt[key | b] = get(key | b, 0) + mult
+        table = nxt
+    return table
 
-    top = table(range(h))
-    total = 0
-    bottom = table(range(h, n))
-    for (cm, sm), mult in bottom.items():
-        total += mult * top.get((full ^ cm, full ^ sm), 0)
-    return total
+
+def _count_transversals(grid, n: int) -> int:
+    """Sum over the orbits of row-0 cells of the orbit size times the count
+    through the orbit's first cell: the top half-table (rows 0..h-1 from
+    that cell) joined with the bottom one (rows h..n-1) on complementary masks."""
+    maps = _column_orbit_maps(grid, n)
+    orbit_sizes = Counter(min(alpha[c] for alpha in maps) for c in range(n))
+    log.debug("transversal count: column 1 orbit %d of %d, %d per-column counts",
+              len(maps), n, len(orbit_sizes))
+    h = min(n, (n + 1) // 2 + 1)
+    full = (1 << 2 * n) - 1
+    bottom = _half_table(grid, n, range(h, n), 0)
+    count = 0
+    for c, size in orbit_sizes.items():
+        top = _half_table(grid, n, range(1, h), 1 << c | 1 << (n + grid[0][c]))
+        count += size * sum(m * bottom.get(full ^ key, 0) for key, m in top.items())
+    return count
 
 
 def _cols_to_cellset(order: int, cols: tuple[int, ...]) -> CellSet:
@@ -334,26 +346,18 @@ def _cols_to_cellset(order: int, cols: tuple[int, ...]) -> CellSet:
 def enumerate_transversals(square: LatinSquare, cap: int = 10, threads: int = 1) -> PlexCensus:
     """Exact transversal count with the first `cap` witnesses in lex order.
 
-    The count is certified by exhaustion: plain backtracking by default,
-    with a meet-in-the-middle join at orders 10..12 where it is an order of
-    magnitude faster; orders above MAX_EXHAUSTIVE_ORDER are refused.
+    The count is certified by exhaustion with one meet-in-the-middle join
+    per orbit of row-1 cells under the row-fixing autotopisms of the grid:
+    one join for any isotope of a group table, n with no symmetry.
+    Witnesses come from backtracking, run only when the count is positive.
+    `threads` is ignored.  Orders above MAX_EXHAUSTIVE_ORDER are refused.
     """
     n = square.order
     if n > MAX_EXHAUSTIVE_ORDER:
         raise OrderTooLargeError(f"order {n} exceeds exhaustive limit {MAX_EXHAUSTIVE_ORDER}")
     grid = square.cells0
-    if 10 <= n <= 12:  # join tables stay small here; beyond, DFS avoids the memory
-        count = _mitm_count(grid, n)
-        found: list[tuple[int, ...]] = []
-        if count and cap:
-            _, found = _dfs_count_collect(grid, n, cap, stop_at_cap=True)
-    elif threads > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, n)) as pool:
-            parts = list(pool.map(lambda c: _dfs_count_collect(grid, n, cap, first_col=c), range(n)))
-        count = sum(p[0] for p in parts)
-        found = [w for p in parts for w in p[1]][:cap]
-    else:
-        count, found = _dfs_count_collect(grid, n, cap)
+    count = _count_transversals(grid, n)
+    found = _dfs_count_collect(grid, n, cap, stop_at_cap=True)[1] if count and cap else []
     witnesses = tuple(_cols_to_cellset(n, w) for w in found)
     return PlexCensus(n, KIND_TRANSVERSAL, count, witnesses, truncated=count > len(witnesses))
 
@@ -471,15 +475,16 @@ def complement_plex(square: LatinSquare, plex: CellSet) -> CellSet:
 # disjoint-transversal packing, orthogonal mates
 
 
-def _transversal_masks(square: LatinSquare) -> list[tuple[int, ...]]:
-    """All transversals as column tuples, lex sorted."""
+def _transversal_masks(square: LatinSquare) -> list[tuple[int, tuple[int, ...]]]:
+    """All transversals as (cell bitmask, column tuple), lex sorted."""
     n = square.order
     census = enumerate_transversals(square, cap=MAX_PACKING_LIST + 1)
     if census.count > MAX_PACKING_LIST:
         raise OrderTooLargeError(
             f"{census.count} transversals exceed the packing limit {MAX_PACKING_LIST}"
         )
-    return sorted(tuple(c - 1 for _, c in w.cells) for w in census.witnesses)
+    perms = sorted(tuple(c - 1 for _, c in w.cells) for w in census.witnesses)
+    return [(sum(1 << (r * n + c) for r, c in enumerate(p)), p) for p in perms]
 
 
 def max_disjoint_transversals(square: LatinSquare) -> tuple[int, tuple[CellSet, ...]]:
@@ -492,12 +497,8 @@ def max_disjoint_transversals(square: LatinSquare) -> tuple[int, tuple[CellSet, 
     n = square.order
     if n > 8:
         raise OrderTooLargeError(f"exact tau packing supports order <= 8, got {n}")
-    perms = _transversal_masks(square)
     by_col: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
-    for p in perms:
-        mask = 0
-        for r, c in enumerate(p):
-            mask |= 1 << (r * n + c)
+    for mask, p in _transversal_masks(square):
         by_col[p[0]].append((mask, p))
     best_size = 0
     best: list[tuple[int, ...]] = []
@@ -534,15 +535,9 @@ def find_orthogonal_mate(square: LatinSquare) -> LatinSquare | None:
         raise OrderTooLargeError(f"mate search supports order <= 8, got {n}")
     if n == 1:
         return LatinSquare([[1]])
-    perms = _transversal_masks(square)
-    if len(perms) < n:
+    masks = _transversal_masks(square)
+    if len(masks) < n:
         return None
-    masks = []
-    for p in perms:
-        mask = 0
-        for r, c in enumerate(p):
-            mask |= 1 << (r * n + c)
-        masks.append((mask, p))
     full = (1 << (n * n)) - 1
     chosen: list[tuple[int, ...]] = []
 

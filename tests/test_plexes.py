@@ -1,8 +1,18 @@
+import gc
+import logging
 import random
 
 import pytest
 
-from latinplex.core import gen_cyclic, gen_qstep, gen_two_step_pow2, validate
+from latinplex.core import (
+    Isotopy,
+    LatinSquare,
+    apply_isotopy,
+    gen_cyclic,
+    gen_qstep,
+    gen_two_step_pow2,
+    validate,
+)
 from latinplex.errors import (
     InvalidCellSetError,
     InvalidPartialError,
@@ -200,12 +210,54 @@ class TestEnumeration:
             assert check_transversal(gen_cyclic(7), w)[0]
 
     def test_mitm_agrees_with_dfs(self):
-        # orders >= 10 switch to the meet-in-the-middle counter
-        from latinplex.plexes import _dfs_count_collect, _mitm_count
+        # the per-orbit meet-in-the-middle counter against plain backtracking
+        from latinplex.plexes import _count_transversals, _dfs_count_collect
 
-        for sq in (gen_cyclic(9), gen_two_step_pow2(3), gen_qstep(3, 3)):
+        rng = random.Random(11)
+        squares = [gen_cyclic(9), gen_two_step_pow2(3), gen_qstep(3, 3)]
+        squares += [apply_isotopy(sq, Isotopy.random(sq.order, rng))
+                    for sq in (gen_cyclic(7), gen_cyclic(8), gen_cyclic(9), gen_two_step_pow2(3))]
+        for sq in squares:
             grid = sq.cells0
-            assert _mitm_count(grid, sq.order) == _dfs_count_collect(grid, sq.order, 0)[0]
+            assert _count_transversals(grid, sq.order) == _dfs_count_collect(grid, sq.order, 0)[0]
+
+    @pytest.mark.parametrize("orbit", [2, 1])
+    def test_non_group_squares_count_several_orbits(self, orbit):
+        # no group table: column 1 has a proper orbit, so several orbits are
+        # counted.  Orbit 2 is cyclic(6) with the intercalate at rows/columns
+        # {1,4} switched; orbit 1 is a square with no row-fixing autotopism.
+        from latinplex.plexes import _column_orbit_maps, _count_transversals, _dfs_count_collect
+
+        if orbit == 2:
+            rows = gen_cyclic(6).rows()
+            for r, c in ((0, 0), (0, 3), (3, 0), (3, 3)):
+                rows[r][c] = 4 if rows[r][c] == 1 else 1
+        else:
+            rows = [[3, 6, 5, 1, 4, 2], [4, 5, 6, 2, 1, 3], [5, 2, 1, 6, 3, 4],
+                    [2, 1, 4, 3, 5, 6], [1, 3, 2, 4, 6, 5], [6, 4, 3, 5, 2, 1]]
+        sq = LatinSquare(rows)
+        assert len(_column_orbit_maps(sq.cells0, 6)) == orbit
+        count = _count_transversals(sq.cells0, 6)
+        assert count == _dfs_count_collect(sq.cells0, 6, 0)[0] == permutation_diagonal_count(sq)
+        assert enumerate_transversals(sq, cap=0).count == count
+
+    def test_cyclic_13_published_count(self):
+        # OEIS A006717: transversals of the cyclic square of order 13
+        assert enumerate_transversals(gen_cyclic(13), cap=0).count == 1_030_367
+
+    def test_count_leaves_no_reference_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_transversals(gen_cyclic(11), cap=0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_count_logs_orbits_at_debug(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            enumerate_transversals(gen_cyclic(7), cap=0)
+        assert "column 1 orbit 7 of 7, 1 per-column counts" in caplog.text
 
     def test_threads_match_sequential(self):
         for sq in (gen_cyclic(5), gen_two_step_pow2(3)):
