@@ -116,6 +116,8 @@ def cmd_search(args) -> int:
         w = find_quasi_transversal(square)
         payload = _witness_payload("quasi-transversal", w)
     elif args.what == "kplex":
+        if not 1 <= args.k <= n:
+            raise ValueError(f"k must be in 1..{n}")
         w = find_kplex(square, args.k)
         payload = _witness_payload(f"{args.k}-plex", w)
     elif args.what == "mate":

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .core import LatinSquare, gen_cyclic, gen_qstep, gen_two_step_pow2
 from .errors import (
+    FormatError,
     NoWitnessFoundError,
     NotConstructibleError,
     StructureMismatchError,
@@ -87,21 +88,25 @@ class WitnessCertificate:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "WitnessCertificate":
-        sq = square_from_descriptor(obj["square"])
-        n = sq.order
-        raw = obj["witness"]
-        if isinstance(raw, dict):
-            wit: CellSet | tuple[CellSet, ...] = CellSet.from_json_dict(n, raw)
-        else:
-            wit = tuple(CellSet.from_json_dict(n, w) for w in raw)
-        return cls(
-            obj["claim"],
-            obj["square"],
-            wit,
-            obj["provenance"],
-            bool(obj["verdict"]),
-            tuple(obj.get("notes", ())),
-        )
+        """Parse a certificate; a missing key or a wrong type is a FormatError."""
+        try:
+            sq = square_from_descriptor(obj["square"])
+            n = sq.order
+            raw = obj["witness"]
+            if isinstance(raw, dict):
+                wit: CellSet | tuple[CellSet, ...] = CellSet.from_json_dict(n, raw)
+            else:
+                wit = tuple(CellSet.from_json_dict(n, w) for w in raw)
+            return cls(
+                obj["claim"],
+                obj["square"],
+                wit,
+                obj["provenance"],
+                bool(obj["verdict"]),
+                tuple(obj.get("notes", ())),
+            )
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise FormatError(f"malformed certificate: {type(exc).__name__}: {exc}") from None
 
 
 def square_descriptor(generator: str, **params) -> dict:

@@ -231,6 +231,134 @@ def quasi_profile(square: LatinSquare, cells) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
+# row-search kernels: every witness search walks the rows in order, through
+# one of these two, and stops as soon as visit(path) returns True
+
+
+def _stop(path) -> bool:
+    return True
+
+
+def _partial_search(grid, rows, visit, skips: int = 0, colmask: int = 0,
+                    symmask: int = 0, forbidden=frozenset()) -> list[int] | None:
+    """Extend a partial transversal over `rows`, one cell per row, in order.
+
+    Columns and symbols are used at most once (bitmasks, seeded by colmask
+    and symmask); forbidden holds 1-based cells.  Each row tries its columns
+    in increasing order and then, while `skips` remain, stays empty.  visit
+    runs at every leaf that spent all skips, with path[i] the column of
+    rows[i] (-1 if empty); if it returns True the search stops and the
+    kernel returns a copy of that path, else it returns None.
+    """
+    depth = len(rows)
+    path = [-1] * depth
+
+    def rec(i: int, cm: int, sm: int, skips: int) -> bool:
+        if i == depth:
+            return not skips and visit(path)
+        r = rows[i]
+        for c, s in enumerate(grid[r]):
+            bit = 1 << c
+            if cm & bit:
+                continue
+            sbit = 1 << s
+            if sm & sbit or forbidden and (r + 1, c + 1) in forbidden:
+                continue
+            path[i] = c
+            if rec(i + 1, cm | bit, sm | sbit, skips):
+                return True
+        if skips:
+            path[i] = -1
+            return rec(i + 1, cm, sm, skips - 1)
+        return False
+
+    return path[:] if rec(0, colmask, symmask, skips) else None
+
+
+def _counted_search(grid, sizes, lo: int, hi: int, visit,
+                    cols=None) -> list[tuple[int, ...]] | None:
+    """Choose sizes[r] cells of each row r so that every column and symbol
+    ends with a count in lo..hi.
+
+    Rows go in order, each through the combinations of its allowed columns
+    (cols[r], default all) in lexicographic order.  Cuts, each removing only
+    dead branches: no count passes hi; the counts still missing below lo,
+    over the columns and over the symbols, fit in the cells left; and when
+    lo == hi, each short symbol (column) has enough later rows whose cell
+    for it lies in a column (has a symbol) below hi.  visit runs at every
+    leaf with chosen[r] the columns of row r; if it returns True the search
+    stops and the kernel returns a copy of chosen, else it returns None.
+    """
+    n = len(grid)
+    cols = cols or [range(n)] * n
+    col_cnt = [0] * n
+    sym_cnt = [0] * n
+    cells_after = [sum(sizes[r + 1:]) for r in range(n)]
+    if lo == hi:  # line[x][r]: the cell of row r in symbol / column x
+        sym_col = list(zip(*(sorted(range(n), key=row.__getitem__) for row in grid)))
+        lines = ((sym_cnt, col_cnt, sym_col), (col_cnt, sym_cnt, list(zip(*grid))))
+    chosen: list[tuple[int, ...]] = []
+
+    def supplies_hold(row: int) -> bool:
+        later = range(row + 1, n)
+        for cnt, other, line in lines:
+            for x in range(n):
+                need = lo - cnt[x]
+                if need > n - row - 1:
+                    return False
+                if need > 0:
+                    cells = line[x]
+                    avail = 0
+                    for r in later:
+                        if other[cells[r]] < hi:
+                            avail += 1
+                            if avail == need:
+                                break
+                    if avail < need:
+                        return False
+        return True
+
+    def rec(row: int, col_short: int, sym_short: int) -> bool:
+        if row == n:
+            return visit(chosen)
+        grow = grid[row]
+        left = cells_after[row]
+        for combo in itertools.combinations(cols[row], sizes[row]):
+            for c in combo:
+                if col_cnt[c] >= hi or sym_cnt[grow[c]] >= hi:
+                    break
+            else:
+                cs, ss = col_short, sym_short
+                for c in combo:
+                    s = grow[c]
+                    cs -= col_cnt[c] < lo
+                    ss -= sym_cnt[s] < lo
+                    col_cnt[c] += 1
+                    sym_cnt[s] += 1
+                if cs <= left and ss <= left and (lo < hi or supplies_hold(row)):
+                    chosen.append(combo)
+                    if rec(row + 1, cs, ss):
+                        return True
+                    chosen.pop()
+                for c in combo:
+                    col_cnt[c] -= 1
+                    sym_cnt[grow[c]] -= 1
+        return False
+
+    return chosen[:] if rec(0, n * lo, n * lo) else None
+
+
+def _chosen_cells(chosen) -> tuple[tuple[int, int], ...]:
+    return tuple((r + 1, c + 1) for r, combo in enumerate(chosen) for c in combo)
+
+
+def _cell_mask(cells) -> int:
+    """Bitmask of a CellSet's cells, bit (r-1)*n + (c-1) for cell (r, c)."""
+    n = cells.square_order
+    return sum(1 << ((r - 1) * n + c - 1) for r, c in cells.cells)
+
+
+# ---------------------------------------------------------------------------
 # transversal enumeration
 
 
@@ -251,41 +379,6 @@ class PlexCensus:
             "truncated": self.truncated,
             "witnesses": [w.to_json_dict() for w in self.witnesses],
         }
-
-
-def _dfs_count_collect(grid, n: int, cap: int, stop_at_cap: bool = False):
-    """Row-by-row backtracking over columns with column/symbol bitmasks.
-
-    Returns (count, list of column tuples).  Witnesses are emitted in
-    lexicographic order of the column sequence; counting is exhaustive
-    unless stop_at_cap asks for the first `cap` witnesses only.
-    """
-    count = 0
-    found: list[tuple[int, ...]] = []
-    path = [0] * n
-
-    def rec(row: int, colmask: int, symmask: int) -> bool:
-        nonlocal count
-        if row == n:
-            count += 1
-            if len(found) < cap:
-                found.append(tuple(path))
-            return stop_at_cap and cap > 0 and len(found) >= cap
-        grow = grid[row]
-        for c in range(n):
-            bit = 1 << c
-            if colmask & bit:
-                continue
-            sbit = 1 << grow[c]
-            if symmask & sbit:
-                continue
-            path[row] = c
-            if rec(row + 1, colmask | bit, symmask | sbit):
-                return True
-        return False
-
-    rec(0, 0, 0)
-    return count, found
 
 
 def _column_orbit_maps(grid, n: int) -> list[list[int]]:
@@ -357,7 +450,14 @@ def enumerate_transversals(square: LatinSquare, cap: int = 10, threads: int = 1)
         raise OrderTooLargeError(f"order {n} exceeds exhaustive limit {MAX_EXHAUSTIVE_ORDER}")
     grid = square.cells0
     count = _count_transversals(grid, n)
-    found = _dfs_count_collect(grid, n, cap, stop_at_cap=True)[1] if count and cap else []
+    found: list[tuple[int, ...]] = []
+
+    def collect(path) -> bool:
+        found.append(tuple(path))
+        return len(found) >= cap
+
+    if count and cap:
+        _partial_search(grid, range(n), collect)
     witnesses = tuple(_cols_to_cellset(n, w) for w in found)
     return PlexCensus(n, KIND_TRANSVERSAL, count, witnesses, truncated=count > len(witnesses))
 
@@ -369,8 +469,8 @@ def enumerate_transversals(square: LatinSquare, cap: int = 10, threads: int = 1)
 def find_kplex(square: LatinSquare, k: int) -> CellSet | None:
     """Lexicographically least k-plex, or None certified by exhaustion.
 
-    Rows are processed in order, each choosing k columns.  Pruning: basic
-    per-column and per-symbol quotas, plus a supply check that every
+    Rows are processed in order, each choosing k columns, by the counted
+    kernel with every count exactly k: quotas plus a supply check that every
     deficient symbol still has enough remaining rows whose cell for it sits
     in a non-full column (and dually for columns).  Pruning only removes
     provably dead branches, so the first solution stays the lex least.
@@ -380,73 +480,10 @@ def find_kplex(square: LatinSquare, k: int) -> CellSet | None:
         raise OrderTooLargeError(f"k-plex engine is exhaustive only up to order 12, got {n}")
     if not 1 <= k <= n:
         raise InvalidPlexError(f"k must be in 1..{n}")
-    grid = square.cells0
-    sym_col = [[0] * n for _ in range(n)]  # column of symbol s in row r
-    for r in range(n):
-        for c in range(n):
-            sym_col[grid[r][c]][r] = c
-    col_cnt = [0] * n
-    sym_cnt = [0] * n
-    chosen: list[tuple[int, ...]] = []
-
-    def supplies_hold(row: int, left: int) -> bool:
-        for s in range(n):
-            need = k - sym_cnt[s]
-            if need > left:
-                return False
-            if need > 0:
-                cols_of_s = sym_col[s]
-                avail = 0
-                for r in range(row + 1, n):
-                    if col_cnt[cols_of_s[r]] < k:
-                        avail += 1
-                        if avail == need:
-                            break
-                if avail < need:
-                    return False
-        for c in range(n):
-            need = k - col_cnt[c]
-            if need > left:
-                return False
-            if need > 0:
-                avail = 0
-                for r in range(row + 1, n):
-                    if sym_cnt[grid[r][c]] < k:
-                        avail += 1
-                        if avail == need:
-                            break
-                if avail < need:
-                    return False
-        return True
-
-    def rec(row: int) -> bool:
-        if row == n:
-            return True
-        left = n - row - 1
-        for combo in itertools.combinations(range(n), k):
-            ok = True
-            for c in combo:
-                if col_cnt[c] >= k or sym_cnt[grid[row][c]] >= k:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for c in combo:
-                col_cnt[c] += 1
-                sym_cnt[grid[row][c]] += 1
-            if supplies_hold(row, left):
-                chosen.append(combo)
-                if rec(row + 1):
-                    return True
-                chosen.pop()
-            for c in combo:
-                col_cnt[c] -= 1
-                sym_cnt[grid[row][c]] -= 1
-        return False
-
-    if not rec(0):
+    chosen = _counted_search(square.cells0, [k] * n, k, k, _stop)
+    if chosen is None:
         return None
-    cells = tuple((i + 1, c + 1) for i, combo in enumerate(chosen) for c in combo)
+    cells = _chosen_cells(chosen)
     kind = KIND_TRANSVERSAL if k == 1 else KIND_KPLEX
     return CellSet(n, cells, kind, None if k == 1 else k)
 
@@ -477,14 +514,12 @@ def complement_plex(square: LatinSquare, plex: CellSet) -> CellSet:
 
 def _transversal_masks(square: LatinSquare) -> list[tuple[int, tuple[int, ...]]]:
     """All transversals as (cell bitmask, column tuple), lex sorted."""
-    n = square.order
     census = enumerate_transversals(square, cap=MAX_PACKING_LIST + 1)
     if census.count > MAX_PACKING_LIST:
         raise OrderTooLargeError(
             f"{census.count} transversals exceed the packing limit {MAX_PACKING_LIST}"
         )
-    perms = sorted(tuple(c - 1 for _, c in w.cells) for w in census.witnesses)
-    return [(sum(1 << (r * n + c) for r, c in enumerate(p)), p) for p in perms]
+    return [(_cell_mask(w), tuple(c - 1 for _, c in w.cells)) for w in census.witnesses]
 
 
 def max_disjoint_transversals(square: LatinSquare) -> tuple[int, tuple[CellSet, ...]]:
@@ -585,29 +620,10 @@ def extendibility_report(square: LatinSquare, partial) -> str:
         raise InvalidPartialError(why)
     grid = square.cells0
     used_rows = {r - 1 for r, _ in cs}
-    colmask = 0
-    symmask = 0
-    for r, c in cs:
-        colmask |= 1 << (c - 1)
-        symmask |= 1 << grid[r - 1][c - 1]
+    colmask = sum(1 << (c - 1) for _, c in cs)  # columns and symbols are distinct
+    symmask = sum(1 << grid[r - 1][c - 1] for r, c in cs)
     free_rows = [i for i in range(n) if i not in used_rows]
-
-    def complete(idx: int, cm: int, sm: int) -> bool:
-        if idx == len(free_rows):
-            return True
-        grow = grid[free_rows[idx]]
-        for c in range(n):
-            bit = 1 << c
-            if cm & bit:
-                continue
-            sbit = 1 << grow[c]
-            if sm & sbit:
-                continue
-            if complete(idx + 1, cm | bit, sm | sbit):
-                return True
-        return False
-
-    if complete(0, colmask, symmask):
+    if _partial_search(grid, free_rows, _stop, colmask=colmask, symmask=symmask) is not None:
         return COMPLETABLE
     for i in free_rows:
         for c in range(n):
@@ -632,40 +648,18 @@ def find_near_transversal(
     n = square.order
     if n > MAX_EXHAUSTIVE_ORDER:
         raise OrderTooLargeError(f"order {n} exceeds exhaustive limit {MAX_EXHAUSTIVE_ORDER}")
-    if n < 1:
+    rows = [r for r in range(n) if r + 1 != missing_row]
+    if missing_row is not None and len(rows) == n:
+        return None  # no such row to leave empty
+    path = _partial_search(
+        square.cells0, rows, _stop, skips=len(rows) - (n - 1),
+        colmask=0 if missing_col is None else 1 << (missing_col - 1),
+        symmask=0 if missing_symbol is None else 1 << (missing_symbol - 1),
+        forbidden=forbidden,
+    )
+    if path is None:
         return None
-    grid = square.cells0
-    colmask0 = 0 if missing_col is None else 1 << (missing_col - 1)
-    symmask0 = 0 if missing_symbol is None else 1 << (missing_symbol - 1)
-    out: list[tuple[int, int]] = []
-
-    def rec(row: int, skipped: bool, cm: int, sm: int) -> bool:
-        if row == n:
-            return skipped or n == 0
-        must_skip = missing_row is not None and row == missing_row - 1
-        if not must_skip:
-            grow = grid[row]
-            for c in range(n):
-                bit = 1 << c
-                if cm & bit:
-                    continue
-                sbit = 1 << grow[c]
-                if sm & sbit:
-                    continue
-                if (row + 1, c + 1) in forbidden:
-                    continue
-                out.append((row + 1, c + 1))
-                if rec(row + 1, skipped, cm | bit, sm | sbit):
-                    return True
-                out.pop()
-        if not skipped and (must_skip or missing_row is None):
-            if rec(row + 1, True, cm, sm):
-                return True
-        return False
-
-    if not rec(0, False, colmask0, symmask0):
-        return None
-    return CellSet(n, tuple(out), KIND_NEAR)
+    return CellSet(n, tuple((r + 1, c + 1) for r, c in zip(rows, path) if c >= 0), KIND_NEAR)
 
 
 def find_quasi_transversal(
@@ -689,53 +683,16 @@ def find_quasi_transversal(
             raise OrderTooLargeError(f"exhaustive quasi search supports order <= 12, got {n}")
         return _quasi_randomized(square, forbidden, rng, restarts)
     grid = square.cells0
-    out: list[tuple[int, int]] = []
-
-    def rec(row: int, doubled_row: int, col_cnt, sym_cnt, col2: bool, sym2: bool) -> bool:
-        if row == n:
-            return col2 and sym2
-        take = 2 if row == doubled_row else 1
-        for combo in itertools.combinations(range(n), take):
-            new_col2, new_sym2 = col2, sym2
-            ok = True
-            syms = []
-            for c in combo:
-                s = grid[row][c]
-                if (row + 1, c + 1) in forbidden or col_cnt[c] >= 2 or sym_cnt[s] >= 2:
-                    ok = False
-                    break
-                syms.append(s)
-            if not ok or len(set(syms)) != len(syms):
-                continue
-            for c, s in zip(combo, syms):
-                col_cnt[c] += 1
-                sym_cnt[s] += 1
-                if col_cnt[c] == 2:
-                    if new_col2:
-                        ok = False
-                    new_col2 = True
-                if sym_cnt[s] == 2:
-                    if new_sym2:
-                        ok = False
-                    new_sym2 = True
-            if ok:
-                out.extend((row + 1, c + 1) for c in combo)
-                if rec(row + 1, doubled_row, col_cnt, sym_cnt, new_col2, new_sym2):
-                    return True
-                del out[-take:]
-            for c, s in zip(combo, syms):
-                col_cnt[c] -= 1
-                sym_cnt[s] -= 1
-        return False
-
+    cols = [[c for c in range(n) if (r + 1, c + 1) not in forbidden] for r in range(n)]
     for doubled_row in range(n):
-        if rec(0, doubled_row, [0] * n, [0] * n, False, False):
-            cs = CellSet(n, tuple(out), KIND_QUASI)
+        sizes = [1 + (r == doubled_row) for r in range(n)]
+        chosen = _counted_search(grid, sizes, 1, 2, _stop, cols)
+        if chosen is not None:
+            cs = CellSet(n, _chosen_cells(chosen), KIND_QUASI)
             ok, why = check_quasi_transversal(square, cs)
             if not ok:  # defensive; search invariants should guarantee this
                 raise InvalidCellSetError(f"search produced an invalid quasi: {why}")
             return cs
-        out.clear()
     return None
 
 
@@ -755,24 +712,18 @@ def _quasi_randomized(square, forbidden, rng: random.Random, restarts: int) -> C
             cols = list(range(n))
             rng.shuffle(cols)
             placed = 0
-            row_syms = set()
             for c in cols:
                 if placed == take:
                     break
                 s = grid[row][c]
-                if (row + 1, c + 1) in forbidden or s in row_syms:
+                if (row + 1, c + 1) in forbidden:
                     continue
-                if col_cnt[c] >= 2 or sym_cnt[s] >= 2:
-                    continue
-                if col_cnt[c] == 1 and col2:
-                    continue
-                if sym_cnt[s] == 1 and sym2:
+                if col_cnt[c] and col2 or sym_cnt[s] and sym2:  # at most one doubled column and symbol
                     continue
                 col_cnt[c] += 1
                 sym_cnt[s] += 1
                 col2 = col2 or col_cnt[c] == 2
                 sym2 = sym2 or sym_cnt[s] == 2
-                row_syms.add(s)
                 cells.append((row + 1, c + 1))
                 placed += 1
             if placed != take:
@@ -813,12 +764,7 @@ def max_disjoint_quasi_transversals(square: LatinSquare) -> tuple[int, tuple[Cel
             return ceiling, tuple(greedy)
 
     quasis = _all_quasi_cellsets(square)
-    masks = []
-    for q in quasis:
-        m = 0
-        for r, c in q.cells:
-            m |= 1 << ((r - 1) * n + (c - 1))
-        masks.append(m)
+    masks = [_cell_mask(q) for q in quasis]
 
     def seek(target: int) -> list[int] | None:
         result: list[int] | None = None
@@ -852,48 +798,15 @@ def max_disjoint_quasi_transversals(square: LatinSquare) -> tuple[int, tuple[Cel
 def _all_quasi_cellsets(square: LatinSquare) -> list[CellSet]:
     """Every quasi-transversal, by scanning doubled-row choices exhaustively."""
     n = square.order
-    grid = square.cells0
     out: list[CellSet] = []
 
-    def rec(row, doubled_row, col_cnt, sym_cnt, col2, sym2, acc):
-        if row == n:
-            if col2 and sym2:
-                out.append(CellSet(n, tuple(acc), KIND_QUASI))
-            return
-        take = 2 if row == doubled_row else 1
-        for combo in itertools.combinations(range(n), take):
-            syms = [grid[row][c] for c in combo]
-            if len(set(syms)) != len(syms):
-                continue
-            nc2, ns2 = col2, sym2
-            ok = True
-            for c, s in zip(combo, syms):
-                if col_cnt[c] >= 2 or sym_cnt[s] >= 2:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for c, s in zip(combo, syms):
-                col_cnt[c] += 1
-                sym_cnt[s] += 1
-                if col_cnt[c] == 2:
-                    if nc2:
-                        ok = False
-                    nc2 = True
-                if sym_cnt[s] == 2:
-                    if ns2:
-                        ok = False
-                    ns2 = True
-            if ok:
-                acc.extend((row + 1, c + 1) for c in combo)
-                rec(row + 1, doubled_row, col_cnt, sym_cnt, nc2, ns2, acc)
-                del acc[-take:]
-            for c, s in zip(combo, syms):
-                col_cnt[c] -= 1
-                sym_cnt[s] -= 1
+    def collect(chosen) -> bool:
+        out.append(CellSet(n, _chosen_cells(chosen), KIND_QUASI))
+        return False
 
     for doubled_row in range(n):
-        rec(0, doubled_row, [0] * n, [0] * n, False, False, [])
+        sizes = [1 + (r == doubled_row) for r in range(n)]
+        _counted_search(square.cells0, sizes, 1, 2, collect)
     return out
 
 

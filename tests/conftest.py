@@ -3,6 +3,7 @@ import random
 import pytest
 
 from latinplex.core import Isotopy, apply_isotopy, gen_cyclic, gen_qstep, gen_two_step_pow2
+from latinplex.plexes import _partial_search
 
 #: nontrivial q-step factorizations with order <= 12
 QSTEP_PARAMS = [
@@ -27,6 +28,13 @@ def build_corpus() -> list[tuple[str, object]]:
 
 
 CORPUS = build_corpus()
+
+
+def backtrack_count(grid, n: int) -> int:
+    """Transversals counted one by one by the partial-transversal kernel."""
+    leaves = []
+    _partial_search(grid, range(n), leaves.append)
+    return len(leaves)
 
 
 def corpus_up_to(max_order: int):

@@ -117,3 +117,60 @@ def brute_max_disjoint_transversals(square) -> int:
                 best = max(best, size)
                 break
     return best
+
+
+# Search-order oracles.  itertools.product walks the per-row choices in
+# lexicographic order, so the first valid candidate is the least one in
+# the order the search engines promise.
+
+
+def brute_first_near(square, missing_row=None, missing_col=None, missing_symbol=None,
+                     forbidden=frozenset()):
+    """Least near-transversal with rows read top to bottom, each by its
+    column, an empty row ranking after every column; None if there is none."""
+    n = square.order
+    for choice in itertools.product([*range(1, n + 1), None], repeat=n):
+        empty = [r for r in range(1, n + 1) if choice[r - 1] is None]
+        if len(empty) != 1 or missing_row not in (None, empty[0]):
+            continue
+        cells = [(r, c) for r, c in zip(range(1, n + 1), choice) if c is not None]
+        cols = {c for _, c in cells}
+        syms = {square.symbol(r, c) for r, c in cells}
+        if (len(cols) == len(syms) == n - 1 and missing_col not in cols
+                and missing_symbol not in syms and not forbidden & set(cells)):
+            return tuple(cells)
+    return None
+
+
+def brute_quasis(square, forbidden=frozenset()):
+    """Every quasi-transversal avoiding `forbidden`, ordered by doubled row,
+    then by the rows' column tuples read top to bottom."""
+    n = square.order
+    out = []
+    for doubled in range(1, n + 1):
+        options = [list(itertools.combinations(range(1, n + 1), 2 if r == doubled else 1))
+                   for r in range(1, n + 1)]
+        for choice in itertools.product(*options):
+            cells = [(r, c) for r, cols in zip(range(1, n + 1), choice) for c in cols]
+            # n + 1 cells over n columns (symbols), all present: one is doubled
+            if (len({c for _, c in cells}) == n
+                    and len({square.symbol(r, c) for r, c in cells}) == n
+                    and not forbidden & set(cells)):
+                out.append(tuple(cells))
+    return out
+
+
+def brute_first_kplex(square, k: int):
+    """Lexicographically least k-plex (as a sorted cell tuple), or None."""
+    n = square.order
+    combos = list(itertools.combinations(range(1, n + 1), k))
+    for choice in itertools.product(combos, repeat=n):
+        cells = [(r, c) for r, cols in zip(range(1, n + 1), choice) for c in cols]
+        col_counts = [0] * (n + 1)
+        sym_counts = [0] * (n + 1)
+        for r, c in cells:
+            col_counts[c] += 1
+            sym_counts[square.symbol(r, c)] += 1
+        if max(col_counts) == k and max(sym_counts) == k:
+            return tuple(cells)
+    return None

@@ -98,6 +98,12 @@ class TestSearch:
         assert code == 2
         assert "refused" in err
 
+    def test_kplex_k_out_of_range_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "sq.ls"
+        path.write_text(format_ls(gen_cyclic(2)))
+        assert main(["search", "kplex", str(path), "--k", "5"]) == 2
+        assert "k must be in 1..2" in capsys.readouterr().err
+
     def test_threads_flag_consistent(self, tmp_path):
         path = tmp_path / "sq.ls"
         path.write_text(format_ls(gen_cyclic(7)))
@@ -153,6 +159,26 @@ class TestVerify:
         code, out, err = run_cli(["verify", str(path), "--format", "json"])
         assert code == 1
         assert not json.loads(out)["accepted"]
+
+    @pytest.mark.parametrize("case", ["no-square", "string-param", "witness-without-kind"])
+    def test_malformed_certificate_fails_cleanly(self, case, tmp_path, capsys):
+        cert = {
+            "claim": "3ds-q1",
+            "square": {"generator": "cyclic", "params": {"n": 4}},
+            "provenance": "paper-formula",
+            "witness": {"kind": "cell-set", "cells": [[1, 1]]},
+            "verdict": True,
+        }
+        if case == "no-square":
+            del cert["square"]
+        elif case == "string-param":
+            cert["square"]["params"]["n"] = "5"
+        else:
+            del cert["witness"]["kind"]
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        assert main(["verify", str(path)]) == 1
+        assert "malformed certificate" in capsys.readouterr().err
 
 
 class TestConstruct:

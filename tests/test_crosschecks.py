@@ -17,7 +17,6 @@ from latinplex.core import Isotopy, apply_isotopy, gen_cyclic, gen_qstep, valida
 from latinplex.lsgraph import build_graph, gamma_k_exact, is_k_dominating
 from latinplex.plexes import (
     _count_transversals,
-    _dfs_count_collect,
     check_kplex,
     check_near_transversal,
     check_quasi_transversal,
@@ -25,6 +24,7 @@ from latinplex.plexes import (
     max_disjoint_transversals,
 )
 
+from conftest import backtrack_count
 from oracles import brute_gamma_k, permutation_diagonal_count
 
 
@@ -54,7 +54,7 @@ class TestCounterConsistency:
         for n in (10, 11):
             image = apply_isotopy(gen_cyclic(n), Isotopy.random(n, rng))
             grid = image.cells0
-            assert _count_transversals(grid, n) == _dfs_count_collect(grid, n, 0)[0], n
+            assert _count_transversals(grid, n) == backtrack_count(grid, n), n
 
     def test_even_order_counts_even_through_8(self):
         rng = random.Random(8)

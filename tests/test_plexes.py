@@ -46,8 +46,13 @@ from latinplex.plexes import (
     quasi_profile,
 )
 
-from conftest import corpus_up_to
-from oracles import permutation_diagonal_count
+from conftest import backtrack_count, corpus_up_to
+from oracles import (
+    brute_first_kplex,
+    brute_first_near,
+    brute_quasis,
+    permutation_diagonal_count,
+)
 
 
 class TestCellSet:
@@ -211,7 +216,7 @@ class TestEnumeration:
 
     def test_mitm_agrees_with_dfs(self):
         # the per-orbit meet-in-the-middle counter against plain backtracking
-        from latinplex.plexes import _count_transversals, _dfs_count_collect
+        from latinplex.plexes import _count_transversals
 
         rng = random.Random(11)
         squares = [gen_cyclic(9), gen_two_step_pow2(3), gen_qstep(3, 3)]
@@ -219,14 +224,14 @@ class TestEnumeration:
                     for sq in (gen_cyclic(7), gen_cyclic(8), gen_cyclic(9), gen_two_step_pow2(3))]
         for sq in squares:
             grid = sq.cells0
-            assert _count_transversals(grid, sq.order) == _dfs_count_collect(grid, sq.order, 0)[0]
+            assert _count_transversals(grid, sq.order) == backtrack_count(grid, sq.order)
 
     @pytest.mark.parametrize("orbit", [2, 1])
     def test_non_group_squares_count_several_orbits(self, orbit):
         # no group table: column 1 has a proper orbit, so several orbits are
         # counted.  Orbit 2 is cyclic(6) with the intercalate at rows/columns
         # {1,4} switched; orbit 1 is a square with no row-fixing autotopism.
-        from latinplex.plexes import _column_orbit_maps, _count_transversals, _dfs_count_collect
+        from latinplex.plexes import _column_orbit_maps, _count_transversals
 
         if orbit == 2:
             rows = gen_cyclic(6).rows()
@@ -238,7 +243,7 @@ class TestEnumeration:
         sq = LatinSquare(rows)
         assert len(_column_orbit_maps(sq.cells0, 6)) == orbit
         count = _count_transversals(sq.cells0, 6)
-        assert count == _dfs_count_collect(sq.cells0, 6, 0)[0] == permutation_diagonal_count(sq)
+        assert count == backtrack_count(sq.cells0, 6) == permutation_diagonal_count(sq)
         assert enumerate_transversals(sq, cap=0).count == count
 
     def test_cyclic_13_published_count(self):
@@ -473,6 +478,60 @@ class TestQuasiNearSearch:
     def test_exhaustive_refusal_above_12(self):
         with pytest.raises(OrderTooLargeError):
             find_quasi_transversal(gen_cyclic(14))
+
+
+def _random_constraints(sq, rng):
+    """Seeded missing_* / forbidden arguments for find_near_transversal."""
+    n = sq.order
+    kw = {}
+    for name in ("missing_row", "missing_col", "missing_symbol"):
+        if rng.random() < 0.5:
+            kw[name] = rng.randint(1, n)
+    kw["forbidden"] = frozenset(
+        (rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, n))
+    )
+    return kw
+
+
+def _cells(found):
+    return None if found is None else found.cells
+
+
+NEAR_CASES = corpus_up_to(6)
+QUASI_CASES = [(label, sq) for label, sq in corpus_up_to(5) if sq.order >= 3]
+KPLEX_CASES = [(label, sq) for label, sq in corpus_up_to(5) if sq.order >= 2]
+
+
+class TestSearchOrder:
+    """The witness each engine returns is the least one in its promised
+    order, checked against brute force over every candidate."""
+
+    @pytest.mark.parametrize("label,sq", NEAR_CASES, ids=[label for label, _ in NEAR_CASES])
+    def test_near_is_least_in_skip_last_order(self, label, sq):
+        assert _cells(find_near_transversal(sq)) == brute_first_near(sq)
+        rng = random.Random(label)
+        for _ in range(4):
+            kw = _random_constraints(sq, rng)
+            assert _cells(find_near_transversal(sq, **kw)) == brute_first_near(sq, **kw), kw
+
+    @pytest.mark.parametrize("label,sq", QUASI_CASES, ids=[label for label, _ in QUASI_CASES])
+    def test_quasi_is_least_by_doubled_row_then_rows(self, label, sq):
+        from latinplex.plexes import _all_quasi_cellsets
+
+        every = brute_quasis(sq)
+        assert [q.cells for q in _all_quasi_cellsets(sq)] == every
+        assert find_quasi_transversal(sq).cells == every[0]
+        rng = random.Random(label)
+        n = sq.order
+        for _ in range(4):
+            forbidden = frozenset((rng.randint(1, n), rng.randint(1, n)) for _ in range(n))
+            expected = brute_quasis(sq, forbidden)
+            assert _cells(find_quasi_transversal(sq, forbidden=forbidden)) == (
+                expected[0] if expected else None), forbidden
+
+    @pytest.mark.parametrize("label,sq", KPLEX_CASES, ids=[label for label, _ in KPLEX_CASES])
+    def test_two_plex_is_lex_least(self, label, sq):
+        assert _cells(find_kplex(sq, 2)) == brute_first_kplex(sq, 2)
 
 
 class TestDisjointQuasis:
