@@ -1,9 +1,11 @@
 """Executable constructions: explicit witness formulas with validated output.
 
 Every builder evaluates its index formula first (row/column indices reduced
-mod n into 1..n), runs the definitional validators, and only then falls
-back to search, recording the switch in the certificate notes.  Formula
-defects are surfaced in notes, never silently absorbed.
+mod n into 1..n) and runs its claim's rule on the cells; where a search
+fallback exists it runs only when the rule fails, and its witness must pass
+the same rule.  The switch and the formula's failures are recorded in the
+certificate notes, never silently absorbed.  verify_certificate applies
+exactly the rule the builder applied (see CLAIMS).
 
 Known defect handled here: the cyclic domatic family S_j pins its last
 extra cell at (1, n/2), which always collides with the T-family of
@@ -43,6 +45,9 @@ from .plexes import (
     quasi_profile,
 )
 
+#: plain (row, column) cells, 1-based
+Cells = tuple[tuple[int, int], ...]
+
 PROVENANCE_FORMULA = "paper-formula"
 PROVENANCE_SEARCH = "search-fallback"
 
@@ -62,10 +67,6 @@ class WitnessCertificate:
     provenance: str
     verdict: bool
     notes: tuple[str, ...] = ()
-
-    @property
-    def accepted(self) -> bool:
-        return self.verdict
 
     def witness_list(self) -> tuple[CellSet, ...]:
         if isinstance(self.witness, CellSet):
@@ -105,8 +106,16 @@ class WitnessCertificate:
                 bool(obj["verdict"]),
                 tuple(obj.get("notes", ())),
             )
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError, FormatError) as exc:
             raise FormatError(f"malformed certificate: {type(exc).__name__}: {exc}") from None
+
+
+#: square generator name -> (generator, its parameter names in call order)
+GENERATORS = {
+    "cyclic": (gen_cyclic, ("n",)),
+    "qstep": (gen_qstep, ("m", "q")),
+    "twostep": (gen_two_step_pow2, ("k",)),
+}
 
 
 def square_descriptor(generator: str, **params) -> dict:
@@ -114,26 +123,63 @@ def square_descriptor(generator: str, **params) -> dict:
 
 
 def square_from_descriptor(desc: dict) -> LatinSquare:
-    """Rebuild the square of a certificate from its descriptor."""
+    """Rebuild the square of a certificate from its descriptor.
+
+    The descriptor is untrusted input: it must be an object holding either
+    inline ``rows`` or a known generator with integer parameters.  Orders
+    above MAX_INPUT_ORDER are refused by the generators.
+    """
+    if not isinstance(desc, dict):
+        raise FormatError(f"square descriptor must be an object, got {type(desc).__name__}")
     if "rows" in desc:
         return LatinSquare(desc["rows"])
-    gen = desc.get("generator")
-    params = desc.get("params", {})
-    if gen == "cyclic":
-        return gen_cyclic(params["n"])
-    if gen == "qstep":
-        return gen_qstep(params["m"], params["q"])
-    if gen == "twostep":
-        return gen_two_step_pow2(params["k"])
-    raise StructureMismatchError(f"unknown square descriptor {desc!r}")
+    name = desc.get("generator")
+    if not isinstance(name, str) or name not in GENERATORS:
+        raise StructureMismatchError(f"unknown square descriptor {desc!r}")
+    params = desc.get("params")
+    if not isinstance(params, dict):
+        raise FormatError(f"square generator {name!r} needs a 'params' object")
+    generator, names = GENERATORS[name]
+    for p in names:
+        if type(params.get(p)) is not int:  # refuses bool and None as well
+            raise FormatError(
+                f"square generator {name!r} needs an integer parameter {p!r}, "
+                f"got {params.get(p)!r}"
+            )
+    return generator(*(params[p] for p in names))
 
 
 def _wrap(x: int, n: int) -> int:
     return ((x - 1) % n) + 1
 
 
-def _wrap_cells(cells, n: int) -> tuple[tuple[int, int], ...]:
+def _wrap_cells(cells, n: int) -> Cells:
     return tuple((_wrap(r, n), _wrap(c, n)) for r, c in cells)
+
+
+def _require_rule(claim: str, square: LatinSquare, parts: tuple[Cells, ...], source: str):
+    rule, _, _ = CLAIMS[claim]
+    issues = rule(square, parts)
+    if issues:
+        raise ValidationFailureError(f"{claim}: {source} fails the claim's rule: {issues[0]}")
+
+
+def _formula_else_search(
+    claim: str, square: LatinSquare, desc: dict, parts: tuple[Cells, ...], wrap, search
+) -> WitnessCertificate:
+    """Certify `claim` with the formula's cell tuples when they pass the
+    claim's rule (`wrap(n, parts)` tags them as CellSets); otherwise with
+    `search() -> (witness, notes)`, held to the same rule.  The formula's
+    failures are kept in the notes."""
+    rule, _, _ = CLAIMS[claim]
+    issues = rule(square, parts)
+    if not issues:
+        return WitnessCertificate(claim, desc, wrap(square.order, parts), PROVENANCE_FORMULA, True)
+    witness, found_notes = search()
+    notes = (*issues, "formula cells fail the claim's rule; witness found by search", *found_notes)
+    cert = WitnessCertificate(claim, desc, witness, PROVENANCE_SEARCH, True, notes)
+    _require_rule(claim, square, tuple(w.cells for w in cert.witness_list()), "search witness")
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -213,28 +259,19 @@ def decompose_two_step(square: LatinSquare) -> tuple[CellSet, ...]:
     if n < 4 or n & (n - 1):
         raise StructureMismatchError(f"order {n} is not a power of two >= 4")
     _check_doubling_structure(square.cells0)
-    perms = _decompose_perms(square.cells0)
-    out = []
-    seen: set[tuple[int, int]] = set()
-    for p in perms:
-        cells = tuple((r + 1, c + 1) for r, c in enumerate(p))
-        ok, why = check_transversal(square, cells)
-        if not ok:
-            raise ValidationFailureError(f"lifted set failed the transversal checker: {why}")
-        if seen.intersection(cells):
-            raise ValidationFailureError("lifted transversals are not pairwise disjoint")
-        seen.update(cells)
-        out.append(CellSet(n, cells, KIND_TRANSVERSAL))
-    return tuple(out)
+    parts = tuple(
+        tuple((r + 1, c + 1) for r, c in enumerate(p)) for p in _decompose_perms(square.cells0)
+    )
+    _require_rule("twostep-decomp", square, parts, "lifted decomposition")
+    return tuple(CellSet(n, p, KIND_TRANSVERSAL) for p in parts)
 
 
 def construct_twostep_decomposition(k: int) -> WitnessCertificate:
     square = gen_two_step_pow2(k)
-    witness = decompose_two_step(square)
     return WitnessCertificate(
         claim="twostep-decomp",
         square=square_descriptor("twostep", k=k),
-        witness=witness,
+        witness=decompose_two_step(square),
         provenance=PROVENANCE_FORMULA,
         verdict=True,
         notes=(f"tau = {square.order} disjoint transversals of order {square.order}",),
@@ -276,48 +313,17 @@ def _case2_cells(m: int, q: int) -> tuple[tuple[int, int], ...]:
     return _wrap_cells(cells, n)
 
 
-def _validated_3ds_certificate(
-    claim: str, square: LatinSquare, desc: dict, cells, seed: int = 0
-) -> WitnessCertificate:
-    """Validate formula cells as quasi-transversal + 3DS; search on failure."""
-    n = square.order
-    notes: list[str] = []
-    provenance = PROVENANCE_FORMULA
-    issues = []
-    if len(set(cells)) != n + 1:
-        issues.append(f"formula produced {len(set(cells))} distinct cells, expected {n + 1}")
-    else:
-        ok_q, why_q = check_quasi_transversal(square, cells)
-        if not ok_q:
-            issues.append(f"formula cells fail the quasi-transversal check: {why_q}")
-        graph = build_graph(square, materialize=False)
-        cert = is_k_dominating(graph, cells, 3)
-        if not cert.verdict:
-            issues.append(f"formula cells fail 3-domination at {cert.deficient[0]}")
-    if not issues:
-        witness = CellSet(n, tuple(cells), KIND_QUASI)
-    else:
-        notes.extend(issues)
-        notes.append("falling back to quasi-transversal search")
-        provenance = PROVENANCE_SEARCH
-        rng = random.Random(seed) if n > 12 else None
-        found = find_quasi_transversal(square, rng=rng)
-        if found is None:
-            raise NoWitnessFoundError(
-                f"{claim}: formula failed and no quasi-transversal was found"
-            )
-        graph = build_graph(square, materialize=False)
-        if not is_k_dominating(graph, found.cells, 3).verdict:
-            raise ValidationFailureError(f"{claim}: search witness is not a 3-dominating set")
-        witness = found
-    return WitnessCertificate(
-        claim=claim,
-        square=desc,
-        witness=witness,
-        provenance=provenance,
-        verdict=True,
-        notes=tuple(notes),
-    )
+def _as_quasi(n: int, parts: tuple[Cells, ...]) -> CellSet:
+    return CellSet(n, parts[0], KIND_QUASI)
+
+
+def _search_quasi(square: LatinSquare, seed: int):
+    """A quasi-transversal by search (seeded randomized above order 12)."""
+    rng = random.Random(seed) if square.order > 12 else None
+    found = find_quasi_transversal(square, rng=rng)
+    if found is None:
+        raise NoWitnessFoundError("formula failed and no quasi-transversal was found")
+    return found, ()
 
 
 def build_3ds_q1(n: int) -> WitnessCertificate:
@@ -329,8 +335,9 @@ def build_3ds_q1(n: int) -> WitnessCertificate:
     if n < 4 or n % 2:
         raise ValueError(f"construction needs even n >= 4, got {n}")
     square = gen_cyclic(n)
-    return _validated_3ds_certificate(
-        "3ds-q1", square, square_descriptor("cyclic", n=n), _case1_cells(n)
+    return _formula_else_search(
+        "3ds-q1", square, square_descriptor("cyclic", n=n), (_case1_cells(n),),
+        _as_quasi, lambda: _search_quasi(square, 0),
     )
 
 
@@ -339,8 +346,9 @@ def build_3ds_qgen(m: int, q: int, seed: int = 0) -> WitnessCertificate:
     if m < 2 or m % 2 or q < 3 or q % 2 == 0:
         raise ValueError(f"construction needs even m >= 2 and odd q >= 3, got ({m},{q})")
     square = gen_qstep(m, q)
-    return _validated_3ds_certificate(
-        "3ds-qgen", square, square_descriptor("qstep", m=m, q=q), _case2_cells(m, q), seed
+    return _formula_else_search(
+        "3ds-qgen", square, square_descriptor("qstep", m=m, q=q), (_case2_cells(m, q),),
+        _as_quasi, lambda: _search_quasi(square, seed),
     )
 
 
@@ -380,34 +388,21 @@ def build_domatic_partition_cyclic(n: int) -> WitnessCertificate:
     if n < 4 or n % 2:
         raise ValueError(f"construction needs even n >= 4, got {n}")
     square = gen_cyclic(n)
-    notes = [
+    parts = tuple(domatic_family_cells(n))
+    _require_rule("domatic-cyclic", square, parts, "formula family")
+    notes = (
         "printed extra cell (1, n/2) of the last part collides with the j=n/2 part; "
         "using (1, n), the unique cell completing the partition",
-    ]
-    parts = domatic_family_cells(n)
-    flat = [c for p in parts for c in p]
-    if len(flat) != len(set(flat)) or len(set(flat)) != n * n:
-        raise ValidationFailureError("domatic family is not a partition of the cells")
-    graph = build_graph(square, materialize=False)
-    for idx, p in enumerate(parts):
-        cert = is_k_dominating(graph, p, 3)
-        if not cert.verdict:
-            raise ValidationFailureError(
-                f"part {idx + 1} is not 3-dominating (deficient at {cert.deficient[0]})"
-            )
-    bound = domatic_upper_bound(n, n + 1)
-    notes.append(
-        f"d_3 >= {n - 1} from the family; d_3 <= floor({n * n}/{n + 1}) = {bound}; "
-        f"hence d_3 = {n - 1}"
+        f"d_3 >= {n - 1} from the family; d_3 <= floor({n * n}/{n + 1}) = "
+        f"{domatic_upper_bound(n, n + 1)}; hence d_3 = {n - 1}",
     )
-    witness = tuple(CellSet(n, p, KIND_CELLS) for p in parts)
     return WitnessCertificate(
         claim="domatic-cyclic",
         square=square_descriptor("cyclic", n=n),
-        witness=witness,
+        witness=tuple(CellSet(n, p, KIND_CELLS) for p in parts),
         provenance=PROVENANCE_FORMULA,
         verdict=True,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 
@@ -479,13 +474,23 @@ def _rodney3_cells(m: int, q: int):
     return _wrap_cells(s, n), _wrap_cells(sp, n)
 
 
+def _two_plex_parts(s: Cells, sp: Cells) -> tuple[Cells, Cells, Cells]:
+    """(quasi S, near S', their union) as the 2-plex claims' witness parts."""
+    return s, sp, tuple(sorted(set(s) | set(sp)))
+
+
+def _as_two_plex(n: int, parts: tuple[Cells, ...]) -> tuple[CellSet, CellSet, CellSet]:
+    s, sp, union = parts
+    return CellSet(n, s, KIND_QUASI), CellSet(n, sp, KIND_NEAR), CellSet(n, union, KIND_KPLEX, 2)
+
+
 def _fallback_two_plex(square: LatinSquare, seed: int):
     """Structured search: a quasi-transversal plus a disjoint near-transversal
-    missing exactly the doubled row/column/symbol; bare 2-plex as last resort."""
+    missing exactly the doubled row/column/symbol; bare 2-plex as last resort.
+    Returns (witness, notes)."""
     n = square.order
     rng = random.Random(seed) if n > 12 else None
-    tried = 0
-    while tried < 50:
+    for _ in range(50):
         q = find_quasi_transversal(square, rng=rng)
         if q is None:
             break
@@ -498,76 +503,25 @@ def _fallback_two_plex(square: LatinSquare, seed: int):
             forbidden=frozenset(q.cells),
         )
         if near is not None:
-            return q, near
-        tried += 1
+            return _as_two_plex(n, _two_plex_parts(q.cells, near.cells)), ()
         if rng is None:
             break  # deterministic search has one first answer; no restart value
     bare = find_kplex(square, 2) if n <= 12 else None
     if bare is not None:
-        return None, bare
-    return None, None
-
-
-def _two_plex_certificate(claim: str, square: LatinSquare, desc: dict, s, sp, seed: int = 0):
-    n = square.order
-    notes: list[str] = []
-    provenance = PROVENANCE_FORMULA
-    issues = []
-    union = tuple(sorted(set(s) | set(sp)))
-    ok_q, why_q = check_quasi_transversal(square, s)
-    if not ok_q:
-        issues.append(f"S fails the quasi-transversal check: {why_q}")
-    ok_n, why_n = check_near_transversal(square, sp)
-    if not ok_n:
-        issues.append(f"S' fails the near-transversal check: {why_n}")
-    if set(s) & set(sp):
-        issues.append(f"S and S' intersect at {sorted(set(s) & set(sp))[0]}")
-    ok_u, why_u = check_kplex(square, union, 2)
-    if not ok_u:
-        issues.append(f"S union S' fails the 2-plex check: {why_u}")
-    if not issues:
-        witness = (
-            CellSet(n, tuple(s), KIND_QUASI),
-            CellSet(n, tuple(sp), KIND_NEAR),
-            CellSet(n, union, KIND_KPLEX, 2),
-        )
-    else:
-        notes.extend(issues)
-        notes.append("falling back to structured 2-plex search")
-        provenance = PROVENANCE_SEARCH
-        quasi, other = _fallback_two_plex(square, seed)
-        if quasi is not None:
-            union = tuple(sorted(set(quasi.cells) | set(other.cells)))
-            ok_u, why_u = check_kplex(square, union, 2)
-            if not ok_u:
-                raise ValidationFailureError(f"{claim}: fallback union is not a 2-plex: {why_u}")
-            witness = (quasi, other, CellSet(n, union, KIND_KPLEX, 2))
-        elif other is not None:
-            notes.append("no quasi+near split found; witness is a bare 2-plex")
-            witness = (other,)
-        else:
-            if n > 12:
-                raise NoWitnessFoundError(
-                    f"{claim}: heuristic search found no 2-plex at order {n} (inconclusive)"
-                )
-            raise NoWitnessFoundError(f"{claim}: exhaustive search found no 2-plex")
-    return WitnessCertificate(
-        claim=claim,
-        square=desc,
-        witness=witness,
-        provenance=provenance,
-        verdict=True,
-        notes=tuple(notes),
-    )
+        return (bare,), ("no quasi+near split found; witness is a bare 2-plex",)
+    if n > 12:
+        raise NoWitnessFoundError(f"heuristic search found no 2-plex at order {n} (inconclusive)")
+    raise NoWitnessFoundError("exhaustive search found no 2-plex")
 
 
 def build_2plex_q1(n: int, seed: int = 0) -> WitnessCertificate:
     """2-plex of the cyclic square, n even >= 4, as quasi + disjoint near."""
     if n < 4 or n % 2:
         raise ValueError(f"construction needs even n >= 4, got {n}")
-    s, sp = _rodney1_cells(n)
-    return _two_plex_certificate(
-        "2plex-q1", gen_cyclic(n), square_descriptor("cyclic", n=n), s, sp, seed
+    square = gen_cyclic(n)
+    return _formula_else_search(
+        "2plex-q1", square, square_descriptor("cyclic", n=n), _two_plex_parts(*_rodney1_cells(n)),
+        _as_two_plex, lambda: _fallback_two_plex(square, seed),
     )
 
 
@@ -575,9 +529,10 @@ def build_2plex_m2(q: int, seed: int = 0) -> WitnessCertificate:
     """2-plex of the canonical 2-block-row q-step square, q odd >= 3."""
     if q < 3 or q % 2 == 0:
         raise ValueError(f"construction needs odd q >= 3, got {q}")
-    s, sp = _rodney2_cells(q)
-    return _two_plex_certificate(
-        "2plex-m2", gen_qstep(2, q), square_descriptor("qstep", m=2, q=q), s, sp, seed
+    square = gen_qstep(2, q)
+    return _formula_else_search(
+        "2plex-m2", square, square_descriptor("qstep", m=2, q=q),
+        _two_plex_parts(*_rodney2_cells(q)), _as_two_plex, lambda: _fallback_two_plex(square, seed),
     )
 
 
@@ -585,9 +540,11 @@ def build_2plex_general(m: int, q: int, seed: int = 0) -> WitnessCertificate:
     """2-plex of the canonical q-step square, m even >= 4, q odd >= 3."""
     if m < 4 or m % 2 or q < 3 or q % 2 == 0:
         raise ValueError(f"construction needs even m >= 4 and odd q >= 3, got ({m},{q})")
-    s, sp = _rodney3_cells(m, q)
-    return _two_plex_certificate(
-        "2plex-gen", gen_qstep(m, q), square_descriptor("qstep", m=m, q=q), s, sp, seed
+    square = gen_qstep(m, q)
+    return _formula_else_search(
+        "2plex-gen", square, square_descriptor("qstep", m=m, q=q),
+        _two_plex_parts(*_rodney3_cells(m, q)), _as_two_plex,
+        lambda: _fallback_two_plex(square, seed),
     )
 
 
@@ -705,7 +662,6 @@ def transversal_in_quasi(square: LatinSquare, quasi) -> CellSet | None:
 
 def build_qt_nt_transforms(square: LatinSquare, desc: dict | None = None) -> WitnessCertificate:
     """Round-trip certificate: near -> quasi -> near recovers the start."""
-    n = square.order
     if desc is None:
         desc = {"rows": square.rows()}
     near = find_near_transversal(square)
@@ -723,100 +679,134 @@ def build_qt_nt_transforms(square: LatinSquare, desc: dict | None = None) -> Wit
         notes.append("first near-transversal was completable; quasi seeded from a transversal")
         near = near_from_quasi(square, quasi)
     back = near_from_quasi(square, quasi)
-    verdict = (
-        check_near_transversal(square, near)[0]
-        and check_quasi_transversal(square, quasi)[0]
-        and check_near_transversal(square, back)[0]
-        and set(near.cells) <= set(quasi.cells)
-        and back.cells == near.cells
-    )
+    _require_rule("qt-nt-transforms", square, (near.cells, quasi.cells, back.cells),
+                  "transform output")
     return WitnessCertificate(
         claim="qt-nt-transforms",
         square=desc,
         witness=(near, quasi, back),
         provenance=PROVENANCE_FORMULA,
-        verdict=verdict,
+        verdict=True,
         notes=tuple(notes),
     )
 
 
 # ---------------------------------------------------------------------------
-# certificate re-validation
+# claim rules: what a certificate of each claim must show, over plain cell
+# tuples.  A builder accepts its output only if the rule passes, and
+# verify_certificate re-runs the same rule on the parsed JSON.
+
+
+def _failed(label: str, result: tuple[bool, str | None]) -> list[str]:
+    ok, why = result
+    return [] if ok else [f"{label}: {why}"]
+
+
+def _not_3_dominating(graph, label: str, cells: Cells) -> list[str]:
+    dom = is_k_dominating(graph, cells, 3)
+    return [] if dom.verdict else [f"{label} not 3-dominating at {dom.deficient[:1]}"]
+
+
+def _partition_issues(n: int, parts: tuple[Cells, ...]) -> list[str]:
+    """Parts pairwise disjoint and together covering all n^2 cells."""
+    issues = []
+    seen: set[tuple[int, int]] = set()
+    for idx, cells in enumerate(parts):
+        overlap = seen.intersection(cells)
+        if overlap:
+            issues.append(f"part {idx + 1} overlaps earlier parts at {sorted(overlap)[:1]}")
+        seen.update(cells)
+    if len(seen) != n * n:
+        issues.append("parts do not cover the square")
+    return issues
+
+
+def _twostep_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]:
+    """n transversals partitioning the cells."""
+    n = square.order
+    issues = [] if len(parts) == n else [f"expected {n} transversals, got {len(parts)}"]
+    for idx, cells in enumerate(parts):
+        issues += _failed(f"part {idx + 1}", check_transversal(square, cells))
+    return issues + _partition_issues(n, parts)
+
+
+def _domatic_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]:
+    """n-1 3-dominating sets partitioning the cells."""
+    n = square.order
+    issues = [] if len(parts) == n - 1 else [f"expected {n - 1} parts, got {len(parts)}"]
+    graph = build_graph(square, materialize=False)
+    for idx, cells in enumerate(parts):
+        issues += _not_3_dominating(graph, f"part {idx + 1}", cells)
+    return issues + _partition_issues(n, parts)
+
+
+def _3ds_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]:
+    """One set of n+1 cells that is a quasi-transversal and 3-dominating."""
+    if len(parts) != 1:
+        return ["expected a single witness set"]
+    n = square.order
+    (cells,) = parts
+    issues = [] if len(cells) == n + 1 else [f"expected {n + 1} cells, got {len(cells)}"]
+    issues += _failed("quasi check", check_quasi_transversal(square, cells))
+    return issues + _not_3_dominating(build_graph(square, materialize=False), "set", cells)
+
+
+def _two_plex_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]:
+    """A 2-plex, either bare or as (quasi S, disjoint near S', S union S')."""
+    if len(parts) not in (1, 3):
+        return [f"expected 1 or 3 witness sets, got {len(parts)}"]
+    issues = []
+    if len(parts) == 3:
+        quasi, near, union = parts
+        issues += _failed("quasi sub-witness", check_quasi_transversal(square, quasi))
+        issues += _failed("near sub-witness", check_near_transversal(square, near))
+        if set(quasi) & set(near):
+            issues.append("sub-witnesses intersect")
+        if set(union) != set(quasi) | set(near):
+            issues.append("union witness differs from S union S'")
+    return issues + _failed("2-plex check", check_kplex(square, parts[-1], 2))
+
+
+def _qt_nt_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]:
+    """(near, quasi, near): the quasi extends the near, and the round trip
+    back to a near-transversal recovers the first one."""
+    if len(parts) != 3:
+        return ["expected (near, quasi, near) witnesses"]
+    near, quasi, back = parts
+    issues = _failed("near", check_near_transversal(square, near))
+    issues += _failed("quasi", check_quasi_transversal(square, quasi))
+    issues += _failed("recovered near", check_near_transversal(square, back))
+    if not set(near) <= set(quasi):
+        issues.append("near is not contained in quasi")
+    if set(back) != set(near):
+        issues.append("round trip does not recover the near-transversal")
+    return issues
+
+
+def _qt_nt_on_descriptor(desc: dict) -> WitnessCertificate:
+    return build_qt_nt_transforms(square_from_descriptor(desc), desc)
+
+
+#: claim name -> (rule(square, parts) -> issues, builder, the builder's
+#: parameter names in call order; "square" is a square descriptor)
+CLAIMS = {
+    "twostep-decomp": (_twostep_issues, construct_twostep_decomposition, ("k",)),
+    "3ds-q1": (_3ds_issues, build_3ds_q1, ("n",)),
+    "3ds-qgen": (_3ds_issues, build_3ds_qgen, ("m", "q", "seed")),
+    "domatic-cyclic": (_domatic_issues, build_domatic_partition_cyclic, ("n",)),
+    "2plex-q1": (_two_plex_issues, build_2plex_q1, ("n", "seed")),
+    "2plex-m2": (_two_plex_issues, build_2plex_m2, ("q", "seed")),
+    "2plex-gen": (_two_plex_issues, build_2plex_general, ("m", "q", "seed")),
+    "qt-nt-transforms": (_qt_nt_issues, _qt_nt_on_descriptor, ("square",)),
+}
 
 
 def verify_certificate(cert: WitnessCertificate) -> tuple[bool, list[str]]:
-    """Re-validate a certificate from its serialized content alone."""
+    """Re-validate a certificate from its serialized content alone, with
+    the rule its builder applied."""
     square = square_from_descriptor(cert.square)
-    n = square.order
-    issues: list[str] = []
-    wit = cert.witness_list()
-
-    def expect(cond: bool, msg: str):
-        if not cond:
-            issues.append(msg)
-
-    if cert.claim == "twostep-decomp":
-        expect(len(wit) == n, f"expected {n} transversals, got {len(wit)}")
-        seen: set[tuple[int, int]] = set()
-        for idx, w in enumerate(wit):
-            ok, why = check_transversal(square, w)
-            expect(ok, f"part {idx + 1}: {why}")
-            overlap = seen.intersection(w.cells)
-            expect(not overlap, f"part {idx + 1} overlaps earlier parts at {sorted(overlap)[:1]}")
-            seen.update(w.cells)
-        expect(len(seen) == n * n, "parts do not cover the square")
-    elif cert.claim in ("3ds-q1", "3ds-qgen"):
-        expect(len(wit) == 1, "expected a single witness set")
-        w = wit[0]
-        expect(len(w.cells) == n + 1, f"expected {n + 1} cells, got {len(w.cells)}")
-        ok, why = check_quasi_transversal(square, w)
-        expect(ok, f"quasi check: {why}")
-        graph = build_graph(square, materialize=False)
-        cert3 = is_k_dominating(graph, w.cells, 3)
-        expect(cert3.verdict, f"3-domination fails at {cert3.deficient[:1]}")
-    elif cert.claim == "domatic-cyclic":
-        graph = build_graph(square, materialize=False)
-        seen = set()
-        for idx, w in enumerate(wit):
-            overlap = seen.intersection(w.cells)
-            expect(not overlap, f"part {idx + 1} overlaps at {sorted(overlap)[:1]}")
-            seen.update(w.cells)
-            cert3 = is_k_dominating(graph, w.cells, 3)
-            expect(cert3.verdict, f"part {idx + 1} not 3-dominating: {cert3.deficient[:1]}")
-        expect(len(wit) == n - 1, f"expected {n - 1} parts, got {len(wit)}")
-    elif cert.claim in ("2plex-q1", "2plex-m2", "2plex-gen"):
-        if len(wit) == 3:
-            qw, nw, uw = wit
-            ok, why = check_quasi_transversal(square, qw)
-            expect(ok, f"quasi sub-witness: {why}")
-            ok, why = check_near_transversal(square, nw)
-            expect(ok, f"near sub-witness: {why}")
-            expect(not set(qw.cells) & set(nw.cells), "sub-witnesses intersect")
-            expect(
-                set(uw.cells) == set(qw.cells) | set(nw.cells),
-                "union witness differs from S union S'",
-            )
-            ok, why = check_kplex(square, uw, 2)
-            expect(ok, f"2-plex check: {why}")
-        elif len(wit) == 1:
-            ok, why = check_kplex(square, wit[0], 2)
-            expect(ok, f"2-plex check: {why}")
-        else:
-            expect(False, f"expected 1 or 3 witness sets, got {len(wit)}")
-    elif cert.claim == "qt-nt-transforms":
-        expect(len(wit) == 3, "expected (near, quasi, near) witnesses")
-        if len(wit) == 3:
-            nw, qw, bw = wit
-            ok, why = check_near_transversal(square, nw)
-            expect(ok, f"near: {why}")
-            ok, why = check_quasi_transversal(square, qw)
-            expect(ok, f"quasi: {why}")
-            ok, why = check_near_transversal(square, bw)
-            expect(ok, f"recovered near: {why}")
-            expect(set(nw.cells) <= set(qw.cells), "near is not contained in quasi")
-            expect(bw.cells == nw.cells, "round trip does not recover the near-transversal")
-    else:
-        expect(False, f"unknown claim {cert.claim!r}")
-    ok = not issues
-    expect(cert.verdict == ok or not cert.verdict, "certificate verdict overstates validity")
-    return ok, issues
+    if not isinstance(cert.claim, str) or cert.claim not in CLAIMS:
+        return False, [f"unknown claim {cert.claim!r}"]
+    rule, _, _ = CLAIMS[cert.claim]
+    issues = rule(square, tuple(w.cells for w in cert.witness_list()))
+    return not issues, issues

@@ -4,7 +4,8 @@ Symbols are 1..n at every interface; storage is 0-based.  Every type here
 is immutable after construction, so concurrent read-only use is safe.  All
 exhaustive search engines elsewhere in the package cap the order at
 MAX_EXHAUSTIVE_ORDER so cell sets fit fixed-width bitmasks; the generators
-here are unbounded.
+here refuse orders above MAX_INPUT_ORDER, so a short descriptor cannot ask
+for millions of cells.
 """
 
 from __future__ import annotations
@@ -20,12 +21,17 @@ from .errors import (
     InvalidOAError,
     NotAPermutationError,
     NotSquareError,
+    OrderTooLargeError,
     OrderTooSmallError,
     RowRepeatError,
     SymbolOutOfRangeError,
 )
 
 MAX_EXHAUSTIVE_ORDER = 16
+
+#: largest order a generator builds (the constructions and validators are
+#: exercised to order 256)
+MAX_INPUT_ORDER = 1024
 
 
 class LatinSquare:
@@ -38,7 +44,10 @@ class LatinSquare:
     __slots__ = ("_cells", "_order")
 
     def __init__(self, rows):
-        grid = [list(r) for r in rows]
+        try:
+            grid = [list(r) for r in rows]
+        except TypeError:
+            raise NotSquareError("rows must be a sequence of sequences") from None
         n = len(grid)
         if n == 0 or any(len(r) != n for r in grid):
             raise NotSquareError(f"expected n rows of n entries, got {[len(r) for r in grid]}")
@@ -168,10 +177,16 @@ class StepTypeSpec:
         return self.m * self.q
 
 
+def _refuse_above_input_limit(order: int) -> None:
+    if order > MAX_INPUT_ORDER:
+        raise OrderTooLargeError(f"order {order} exceeds the input limit {MAX_INPUT_ORDER}")
+
+
 def gen_cyclic(n: int) -> LatinSquare:
     """Cayley table of the additive cyclic group: symbol(i,j) = ((i+j-2) mod n) + 1."""
     if n < 1:
         raise OrderTooSmallError("order must be at least 1")
+    _refuse_above_input_limit(n)
     return LatinSquare([[((i + j) % n) + 1 for j in range(n)] for i in range(n)])
 
 
@@ -185,6 +200,7 @@ def gen_qstep(m: int, q: int) -> LatinSquare:
     if m < 1 or q < 1:
         raise OrderTooSmallError("m and q must be positive")
     n = m * q
+    _refuse_above_input_limit(n)
     grid = []
     for r in range(n):
         i, s = divmod(r, q)
@@ -211,6 +227,8 @@ def gen_two_step_pow2(k: int) -> LatinSquare:
     """
     if k < 2:
         raise OrderTooSmallError("doubling construction needs order 2^k >= 4")
+    if k >= MAX_INPUT_ORDER.bit_length():  # exactly when 2^k > MAX_INPUT_ORDER
+        raise OrderTooLargeError(f"order 2^{k} exceeds the input limit {MAX_INPUT_ORDER}")
     grid = [list(r) for r in TWO_STEP_BASE_ROWS]
     for level in range(3, k + 1):
         half = 1 << (level - 1)

@@ -643,14 +643,17 @@ def find_near_transversal(
     """First near-transversal in deterministic search order, or None.
 
     Optional constraints pin which row/column/symbol must stay unused and
-    which cells are off limits (used by the structured 2-plex fallback).
+    which cells are off limits (used by the structured 2-plex fallback); a
+    pinned value outside 1..n raises InvalidCellSetError.
     """
     n = square.order
     if n > MAX_EXHAUSTIVE_ORDER:
         raise OrderTooLargeError(f"order {n} exceeds exhaustive limit {MAX_EXHAUSTIVE_ORDER}")
+    for name, value in (("missing_row", missing_row), ("missing_col", missing_col),
+                        ("missing_symbol", missing_symbol)):
+        if value is not None and not 1 <= value <= n:
+            raise InvalidCellSetError(f"{name}={value} outside 1..{n}")
     rows = [r for r in range(n) if r + 1 != missing_row]
-    if missing_row is not None and len(rows) == n:
-        return None  # no such row to leave empty
     path = _partial_search(
         square.cells0, rows, _stop, skips=len(rows) - (n - 1),
         colmask=0 if missing_col is None else 1 << (missing_col - 1),

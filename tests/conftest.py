@@ -1,7 +1,10 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import latinplex
 from latinplex.core import Isotopy, apply_isotopy, gen_cyclic, gen_qstep, gen_two_step_pow2
 from latinplex.plexes import _partial_search
 
@@ -35,6 +38,16 @@ def backtrack_count(grid, n: int) -> int:
     leaves = []
     _partial_search(grid, range(n), leaves.append)
     return len(leaves)
+
+
+def cli_env() -> dict[str, str]:
+    """Environment for a `python -m latinplex.cli` child process: the
+    directory holding the latinplex package this process imported comes
+    first on PYTHONPATH, so the child runs the same code from a checkout."""
+    paths = [str(Path(latinplex.__file__).resolve().parent.parent)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 def corpus_up_to(max_order: int):

@@ -46,7 +46,7 @@ from latinplex.plexes import (
     max_disjoint_transversals,
 )
 
-from conftest import corpus_up_to
+from conftest import cli_env, corpus_up_to
 from oracles import permutation_diagonal_count
 
 
@@ -248,6 +248,7 @@ def test_criterion_10_determinism_and_serialization():
                     [sys.executable, "-m", "latinplex.cli", *cmd, "--threads", "1"],
                     capture_output=True,
                     timeout=300,
+                    env=cli_env(),
                 )
                 for _ in range(2)
             ]

@@ -5,17 +5,21 @@ import sys
 import pytest
 
 from latinplex.cli import main
-from latinplex.core import format_ls, gen_cyclic, gen_two_step_pow2
+from latinplex.constructions import build_3ds_q1
+from latinplex.core import MAX_INPUT_ORDER, format_ls, gen_cyclic, gen_two_step_pow2
+
+from conftest import cli_env
 
 
 def run_cli(args, stdin_text=None):
-    """Run the CLI in-process via a subprocess for honest exit codes/streams."""
+    """Run the CLI in a subprocess for honest exit codes/streams."""
     proc = subprocess.run(
         [sys.executable, "-m", "latinplex.cli", *args],
         input=stdin_text,
         capture_output=True,
         text=True,
         timeout=300,
+        env=cli_env(),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -104,6 +108,13 @@ class TestSearch:
         assert main(["search", "kplex", str(path), "--k", "5"]) == 2
         assert "k must be in 1..2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", [[5], 5])
+    def test_rows_not_a_grid_fail_cleanly(self, rows, tmp_path, capsys):
+        path = tmp_path / "sq.json"
+        path.write_text(json.dumps({"rows": rows}))
+        assert main(["search", "near", str(path)]) == 1
+        assert "sequence of sequences" in capsys.readouterr().err
+
     def test_threads_flag_consistent(self, tmp_path):
         path = tmp_path / "sq.ls"
         path.write_text(format_ls(gen_cyclic(7)))
@@ -160,7 +171,16 @@ class TestVerify:
         assert code == 1
         assert not json.loads(out)["accepted"]
 
-    @pytest.mark.parametrize("case", ["no-square", "string-param", "witness-without-kind"])
+    def test_non_string_claim_rejected(self, tmp_path, capsys):
+        obj = build_3ds_q1(4).to_json_dict()
+        obj["claim"] = ["3ds-q1"]  # unhashable: no claim-table lookup may raise
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(obj))
+        assert main(["verify", str(path), "--format", "json"]) == 1
+        assert not json.loads(capsys.readouterr().out)["accepted"]
+
+    @pytest.mark.parametrize("case", ["no-square", "string-param", "witness-without-kind",
+                                      "square-not-an-object", "missing-param", "bool-param"])
     def test_malformed_certificate_fails_cleanly(self, case, tmp_path, capsys):
         cert = {
             "claim": "3ds-q1",
@@ -173,12 +193,31 @@ class TestVerify:
             del cert["square"]
         elif case == "string-param":
             cert["square"]["params"]["n"] = "5"
-        else:
+        elif case == "witness-without-kind":
             del cert["witness"]["kind"]
+        elif case == "square-not-an-object":
+            cert["square"] = [[1, 2], [2, 1]]
+        elif case == "missing-param":
+            del cert["square"]["params"]["n"]
+        else:  # a bool is not an order, although bool is an int subclass
+            cert["square"]["params"]["n"] = True
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(cert))
         assert main(["verify", str(path)]) == 1
         assert "malformed certificate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("square", [
+        {"generator": "cyclic", "params": {"n": MAX_INPUT_ORDER + 1}},
+        {"generator": "qstep", "params": {"m": 2, "q": MAX_INPUT_ORDER}},
+        {"generator": "twostep", "params": {"k": MAX_INPUT_ORDER.bit_length()}},
+    ])
+    def test_descriptor_order_above_input_limit_refused(self, square, tmp_path, capsys):
+        cert = build_3ds_q1(4).to_json_dict()
+        cert["square"] = square
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        assert main(["verify", str(path)]) == 2
+        assert "exceeds the input limit" in capsys.readouterr().err
 
 
 class TestConstruct:

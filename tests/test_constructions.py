@@ -1,10 +1,12 @@
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
 from latinplex.constructions import (
     BASE4_DECOMPOSITION,
+    CLAIMS,
     PROVENANCE_FORMULA,
     WitnessCertificate,
     build_2plex_general,
@@ -20,6 +22,7 @@ from latinplex.constructions import (
     near_from_quasi,
     quasi_from_near,
     quasi_from_transversal,
+    square_descriptor,
     square_from_descriptor,
     transversal_in_quasi,
     verify_certificate,
@@ -422,6 +425,40 @@ class TestCertificates:
         ok, issues = verify_certificate(tampered)
         assert not ok
         assert issues
+
+    #: a valid value for every builder parameter name in the claim table
+    SAMPLE_PARAMS = {"n": 6, "m": 4, "q": 3, "k": 3, "seed": 0,
+                     "square": square_descriptor("cyclic", n=6)}
+
+    @pytest.mark.parametrize("claim", sorted(CLAIMS))
+    def test_claim_rule_accepts_built_and_rejects_moved_cell(self, claim):
+        _, build, names = CLAIMS[claim]
+        cert = build(*(self.SAMPLE_PARAMS[p] for p in names))
+        assert cert.claim == claim
+        obj = json.loads(json.dumps(cert.to_json_dict()))
+        assert verify_certificate(WitnessCertificate.from_json_dict(obj)) == (True, [])
+        # move a cell out of a row it holds alone: a cell moved within the
+        # doubled row of a quasi-transversal can leave a valid witness
+        n = square_from_descriptor(obj["square"]).order
+        part = obj["witness"] if isinstance(obj["witness"], dict) else obj["witness"][0]
+        rows = Counter(r for r, _ in part["cells"])
+        idx, (row, _) = next((i, c) for i, c in enumerate(part["cells"]) if rows[c[0]] == 1)
+        taken = {tuple(c) for c in part["cells"]}
+        part["cells"][idx] = next(
+            [i, j] for i in range(1, n + 1) for j in range(1, n + 1)
+            if i != row and (i, j) not in taken
+        )
+        ok, issues = verify_certificate(WitnessCertificate.from_json_dict(obj))
+        assert not ok and issues
+
+    def test_domatic_parts_must_cover_every_cell(self):
+        # without the repaired cell (1, n) every part is still 3-dominating,
+        # but the family no longer partitions the square
+        obj = build_domatic_partition_cyclic(6).to_json_dict()
+        obj["witness"][-1]["cells"].remove([1, 6])
+        ok, issues = verify_certificate(WitnessCertificate.from_json_dict(obj))
+        assert not ok
+        assert issues == ["parts do not cover the square"]
 
     def test_kind_cardinality_mismatch_rejected(self):
         cert = build_2plex_q1(4)

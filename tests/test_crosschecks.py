@@ -9,8 +9,12 @@ import pytest
 
 from latinplex.constructions import (
     PROVENANCE_SEARCH,
-    _two_plex_certificate,
-    _validated_3ds_certificate,
+    _as_quasi,
+    _as_two_plex,
+    _fallback_two_plex,
+    _formula_else_search,
+    _search_quasi,
+    _two_plex_parts,
     square_descriptor,
 )
 from latinplex.core import Isotopy, apply_isotopy, gen_cyclic, gen_qstep, validate
@@ -91,8 +95,9 @@ class TestFallbackPaths:
         # to search, record the discrepancy, and still validate
         sq = gen_cyclic(4)
         bad = tuple((1, j) for j in range(1, 5)) + ((2, 1),)
-        cert = _validated_3ds_certificate(
-            "3ds-q1", sq, square_descriptor("cyclic", n=4), bad
+        cert = _formula_else_search(
+            "3ds-q1", sq, square_descriptor("cyclic", n=4), (bad,),
+            _as_quasi, lambda: _search_quasi(sq, 0),
         )
         assert cert.verdict
         assert cert.provenance == PROVENANCE_SEARCH
@@ -105,8 +110,9 @@ class TestFallbackPaths:
         sq = gen_cyclic(6)
         bad_s = tuple((1, j) for j in range(1, 8))  # seven cells in one row
         bad_sp = tuple((2, j) for j in range(1, 6))
-        cert = _two_plex_certificate(
-            "2plex-q1", sq, square_descriptor("cyclic", n=6), bad_s, bad_sp
+        cert = _formula_else_search(
+            "2plex-q1", sq, square_descriptor("cyclic", n=6), _two_plex_parts(bad_s, bad_sp),
+            _as_two_plex, lambda: _fallback_two_plex(sq, 0),
         )
         assert cert.verdict
         assert cert.provenance == PROVENANCE_SEARCH
@@ -118,11 +124,10 @@ class TestFallbackPaths:
     def test_fallback_pairing_respects_profile(self):
         # the structured fallback pairs a quasi with a near missing exactly
         # the doubled row/column/symbol, so their union is a 2-plex
-        from latinplex.constructions import _fallback_two_plex
         from latinplex.plexes import quasi_profile
 
         sq = gen_qstep(2, 5)
-        quasi, near = _fallback_two_plex(sq, seed=0)
+        (quasi, near, _), _ = _fallback_two_plex(sq, seed=0)
         assert quasi is not None and near is not None
         dr, dc, ds = quasi_profile(sq, quasi)
         rows = {r for r, _ in near.cells}

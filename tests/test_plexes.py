@@ -453,6 +453,13 @@ class TestQuasiNearSearch:
         )
         assert near is None
 
+    @pytest.mark.parametrize("value", [0, 5])
+    @pytest.mark.parametrize("name", ["missing_row", "missing_col", "missing_symbol"])
+    def test_pinned_value_outside_order_raises(self, name, value):
+        # None would read as a certified not-found; an ignored pin as a constraint met
+        with pytest.raises(InvalidCellSetError, match=name):
+            find_near_transversal(gen_cyclic(4), **{name: value})
+
     def test_forbidden_cells_respected(self):
         sq = gen_cyclic(5)
         first = find_near_transversal(sq)
