@@ -13,7 +13,7 @@ import sys
 
 from . import constructions as cons
 from .core import LatinSquare, format_ls, load_square_text, square_to_json_dict
-from .errors import LatinSquareError, OrderTooLargeError
+from .errors import LatinSquareError, OrderTooLargeError, OrderTooSmallError
 from .plexes import (
     CellSet,
     conjecture_sweep,
@@ -61,9 +61,12 @@ def _load_square(args) -> LatinSquare:
 
 def cmd_gen(args) -> int:
     _, names = cons.GENERATORS[args.kind]
-    square = cons.square_from_descriptor(
-        cons.square_descriptor(args.kind, **{name: getattr(args, name) for name in names})
-    )
+    try:
+        square = cons.square_from_descriptor(
+            cons.square_descriptor(args.kind, **{name: getattr(args, name) for name in names})
+        )
+    except OrderTooSmallError as exc:  # an out-of-range argument, not an invalid input
+        raise ValueError(str(exc)) from None
     if args.format == "json":
         _emit_json(square_to_json_dict(square), args.out)
     else:
@@ -270,7 +273,7 @@ def main(argv=None) -> int:
     except LatinSquareError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -10,6 +10,7 @@ in either mode.
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass
 
 from .core import MAX_EXHAUSTIVE_ORDER, LatinSquare
@@ -25,6 +26,8 @@ from .plexes import (
     check_transversal,
     find_orthogonal_mate,
 )
+
+log = logging.getLogger(__name__)
 
 
 class LatinSquareGraph:
@@ -213,18 +216,21 @@ def gamma_k_exact(
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Exact gamma_k by branch-and-bound, orders up to 6 (36 vertices).
 
-    Vertices are explored in row-major order with include/exclude branching;
-    pruning uses the remaining-deficit bound ceil(D/(k+Delta)) seeded by the
-    degree lower bound, plus per-vertex infeasibility.  hint_cells, if
-    given, must be a validated k-dominating set and seeds the incumbent.
+    Each node branches on the first vertex outside the set that still has
+    fewer than k neighbours in it: either that vertex joins the set or one
+    of its undecided neighbours does, tried in order, each marked out once
+    tried.  A node is cut when its size plus ceil(D / R) reaches the
+    incumbent, D being the total deficit and R the largest deficit one
+    undecided vertex can still remove, and the search stops as soon as the
+    incumbent meets gamma_k_lower_bound.  The greedy set seeds the
+    incumbent; hint_cells, if given, must be a validated k-dominating set
+    and replaces it when smaller.
     """
     n = graph.n
     if n > 6:
         raise OrderTooLargeError(f"exact gamma_k supports order <= 6, got {n}")
     N = graph.num_vertices
     adj = graph.adj if graph.adj is not None else LatinSquareGraph(graph.square).adj
-    deg = 3 * (n - 1)
-    denom = k + deg
     lower = gamma_k_lower_bound(n, k)
 
     neighbors = [tuple(u for u in range(N) if (adj[v] >> u) & 1) for v in range(N)]
@@ -268,33 +274,51 @@ def gamma_k_exact(
         best_size = upper_hint + 1
 
     best_mask = incumbent_mask
+    full = (1 << N) - 1
+    counts = [0] * N
+    nodes = 0
 
-    def rec(idx: int, S: int, size: int, counts: list[int], D: int):
-        nonlocal best_size, best_mask
-        if size + (D + denom - 1) // denom >= best_size:
-            return
-        if D == 0:
+    def rec(S: int, out: int, short: int, size: int, D: int) -> bool:
+        """short: the vertices outside S with fewer than k neighbours in S;
+        D: their total deficit.  Returns True once the lower bound is met."""
+        nonlocal best_size, best_mask, nodes
+        nodes += 1
+        if not short:
             best_size, best_mask = size, S
-            return
-        if idx == N:
-            return
-        v = idx
-        # include v
-        delta = (k - counts[v]) if counts[v] < k else 0
-        new_counts = counts[:]
-        for u in neighbors[v]:
-            if not (S >> u) & 1:
-                if new_counts[u] < k:
-                    delta += 1
-                new_counts[u] += 1
-        rec(idx + 1, S | (1 << v), size + 1, new_counts, D - delta)
-        # exclude v: it must still be reachable from undecided neighbors
-        remaining = sum(1 for u in neighbors[v] if u > idx)
-        if counts[v] >= k or counts[v] + remaining >= k:
-            rec(idx + 1, S, size, counts, D)
+            return size <= lower
+        free = full & ~(S | out)
+        reach, rest = 0, free
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            gain = (adj[u] & short).bit_count() + (k - counts[u] if short >> u & 1 else 0)
+            reach = max(reach, gain)
+        if not reach or size + -(-D // reach) >= best_size:
+            return False
+        v = (short & -short).bit_length() - 1
+        cands = (adj[v] | 1 << v) & free
+        while cands:
+            bit = cands & -cands
+            cands ^= bit
+            c = bit.bit_length() - 1
+            gain = (adj[c] & short).bit_count() + (k - counts[c] if short & bit else 0)
+            left = short & ~bit
+            for u in neighbors[c]:
+                counts[u] += 1
+                if counts[u] == k:
+                    left &= ~(1 << u)
+            stop = rec(S | bit, out, left, size + 1, D - gain)
+            for u in neighbors[c]:
+                counts[u] -= 1
+            if stop:
+                return True
+            out |= bit
+        return False
 
     if best_size > lower:
-        rec(0, 0, 0, [0] * N, k * N)
+        rec(0, 0, full, 0, k * N)
+    log.debug("gamma_%d: %d nodes, stopped at size %d, lower bound %d",
+              k, nodes, best_size, lower)
     cells = tuple(sorted(graph.cell_of(v) for v in range(N) if (best_mask >> v) & 1))
     if len(cells) != best_size:
         # only reachable when upper_hint understated gamma_k without a witness

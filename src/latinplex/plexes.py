@@ -473,13 +473,16 @@ def find_kplex(square: LatinSquare, k: int) -> CellSet | None:
     kernel with every count exactly k: quotas plus a supply check that every
     deficient symbol still has enough remaining rows whose cell for it sits
     in a non-full column (and dually for columns).  Pruning only removes
-    provably dead branches, so the first solution stays the lex least.
+    provably dead branches, so the first solution stays the lex least.  For
+    k = 1 the transversal count runs first and a zero returns None at once.
     """
     n = square.order
     if n > 12:
         raise OrderTooLargeError(f"k-plex engine is exhaustive only up to order 12, got {n}")
     if not 1 <= k <= n:
         raise InvalidPlexError(f"k must be in 1..{n}")
+    if k == 1 and not _count_transversals(square.cells0, n):
+        return None
     chosen = _counted_search(square.cells0, [k] * n, k, k, _stop)
     if chosen is None:
         return None
@@ -745,9 +748,12 @@ def max_disjoint_quasi_transversals(square: LatinSquare) -> tuple[int, tuple[Cel
 
     Greedy lexicographic packing provides the incumbent; if it reaches the
     pigeonhole ceiling floor(n^2/(n+1)) the answer is exact already.
-    Otherwise target sizes descend from the ceiling, each sought by a
-    depth-first packing over the full quasi enumeration; the first size
-    attained is the maximum.  Supported for order <= 6.
+    Otherwise target sizes descend from the ceiling; the first one attained
+    is the maximum.  Each target t is sought over the full quasi enumeration
+    by a packing search that may leave n^2 - t(n+1) cells uncovered (one at
+    the ceiling): every node branches on the free cell lying in the fewest
+    quasis that still fit, either one of them covers it or it stays
+    uncovered.  Supported for order <= 6.
     """
     n = square.order
     if n > 6:
@@ -755,47 +761,53 @@ def max_disjoint_quasi_transversals(square: LatinSquare) -> tuple[int, tuple[Cel
     if n < 3:
         return 0, ()
     ceiling = (n * n) // (n + 1)
-    greedy: list[CellSet] = []
+    best: list[CellSet] = []
     used: set[tuple[int, int]] = set()
-    while True:
+    while len(best) < ceiling:
         nxt = find_quasi_transversal(square, forbidden=frozenset(used))
         if nxt is None:
             break
-        greedy.append(nxt)
+        best.append(nxt)
         used.update(nxt.cells)
-        if len(greedy) == ceiling:
-            return ceiling, tuple(greedy)
+    nodes = 0
+    if len(best) < ceiling:
+        quasis = _all_quasi_cellsets(square)
+        masks = [_cell_mask(q) for q in quasis]
+        holders = [0] * (n * n)  # holders[b]: bitmask of the quasis covering cell b
+        for i, q in enumerate(quasis):
+            for r, c in q.cells:
+                holders[(r - 1) * n + c - 1] |= 1 << i
 
-    quasis = _all_quasi_cellsets(square)
-    masks = [_cell_mask(q) for q in quasis]
+        def pack(free: int, live: int, todo: int, holes: int) -> list[int] | None:
+            """Pick todo disjoint quasis of live (those inside free), leaving
+            at most holes cells of free uncovered."""
+            nonlocal nodes
+            nodes += 1
+            if not todo:
+                return []
+            cell = min((b for b in range(n * n) if free >> b & 1),
+                       key=lambda b: (holders[b] & live).bit_count())
+            options = holders[cell] & live
+            while options:
+                i = (options & -options).bit_length() - 1
+                options &= options - 1
+                rest = live
+                for r, c in quasis[i].cells:
+                    rest &= ~holders[(r - 1) * n + c - 1]
+                fam = pack(free & ~masks[i], rest, todo - 1, holes)
+                if fam is not None:
+                    return [i, *fam]
+            if holes:
+                return pack(free & ~(1 << cell), live & ~holders[cell], todo, holes - 1)
+            return None
 
-    def seek(target: int) -> list[int] | None:
-        result: list[int] | None = None
-
-        def rec(start: int, used_mask: int, chosen: list[int]) -> bool:
-            if len(chosen) == target:
-                nonlocal result
-                result = list(chosen)
-                return True
-            free = n * n - bin(used_mask).count("1")
-            if len(chosen) + free // (n + 1) < target:
-                return False
-            for i in range(start, len(masks)):
-                if not masks[i] & used_mask:
-                    chosen.append(i)
-                    if rec(i + 1, used_mask | masks[i], chosen):
-                        return True
-                    chosen.pop()
-            return False
-
-        rec(0, 0, [])
-        return result
-
-    for target in range(ceiling, len(greedy), -1):
-        fam = seek(target)
-        if fam is not None:
-            return target, tuple(quasis[i] for i in fam)
-    return len(greedy), tuple(greedy)
+        for target in range(ceiling, len(best), -1):
+            fam = pack((1 << n * n) - 1, (1 << len(quasis)) - 1, target, n * n - target * (n + 1))
+            if fam is not None:
+                best = [quasis[i] for i in sorted(fam)]
+                break
+    log.debug("quasi packing: %d nodes, stopped at %d of ceiling %d", nodes, len(best), ceiling)
+    return len(best), tuple(best)
 
 
 def _all_quasi_cellsets(square: LatinSquare) -> list[CellSet]:

@@ -47,6 +47,12 @@ class TestGen:
         code, out, err = run_cli(["gen", "qstep"])
         assert code != 0
 
+    @pytest.mark.parametrize("args", [["cyclic", "-3"], ["qstep", "--m", "0", "--q", "3"],
+                                      ["twostep", "--k", "1"]])
+    def test_out_of_range_is_usage_error(self, args, capsys):
+        assert main(["gen", *args]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+
     def test_out_file(self, tmp_path):
         path = tmp_path / "sq.ls"
         code, out, err = run_cli(["gen", "cyclic", "4", "--out", str(path)])
@@ -114,6 +120,10 @@ class TestSearch:
         path.write_text(json.dumps({"rows": rows}))
         assert main(["search", "near", str(path)]) == 1
         assert "sequence of sequences" in capsys.readouterr().err
+
+    def test_directory_as_square_fails_cleanly(self, tmp_path, capsys):
+        assert main(["search", "near", str(tmp_path)]) == 1  # IsADirectoryError is an OSError
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_threads_flag_consistent(self, tmp_path):
         path = tmp_path / "sq.ls"
@@ -205,6 +215,16 @@ class TestVerify:
         path.write_text(json.dumps(cert))
         assert main(["verify", str(path)]) == 1
         assert "malformed certificate" in capsys.readouterr().err
+
+    def test_descriptor_order_below_range_is_invalid(self, tmp_path, capsys):
+        # the value `gen cyclic -3` refuses as a usage error is, inside a
+        # certificate, a validation failure
+        cert = build_3ds_q1(4).to_json_dict()
+        cert["square"] = {"generator": "cyclic", "params": {"n": -3}}
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        assert main(["verify", str(path)]) == 1
+        assert "usage error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("square", [
         {"generator": "cyclic", "params": {"n": MAX_INPUT_ORDER + 1}},

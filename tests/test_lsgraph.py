@@ -1,4 +1,6 @@
+import logging
 import random
+import re
 
 import pytest
 
@@ -206,9 +208,30 @@ class TestGammaExact:
     def test_matches_brute_force_tiny(self):
         from oracles import brute_gamma_k
 
-        for sq in (gen_cyclic(2), gen_cyclic(3)):
+        for _, sq in corpus_up_to(4):  # with two seeded full isotopes of cyclic(3), (4)
             g = build_graph(sq)
-            assert gamma_k_exact(g, 1)[0] == brute_gamma_k(sq, 1)
+            for k in (1, 2, 3):
+                value, witness = gamma_k_exact(g, k)
+                assert value == len(witness) == brute_gamma_k(sq, k)
+                assert is_k_dominating(g, witness, k).verdict
+
+    @pytest.mark.parametrize("sq, gammas", [
+        (gen_cyclic(5), (3, 5, 5)),
+        (gen_cyclic(6), (3, 6, 7)),
+        (gen_qstep(2, 3), (3, 6, 7)),
+        (gen_qstep(3, 2), (3, 6, 7)),
+    ], ids=["cyclic(5)", "cyclic(6)", "qstep(2,3)", "qstep(3,2)"])
+    def test_gamma_1_2_3_orders_5_6(self, sq, gammas):
+        g = build_graph(sq)
+        for k, want in zip((1, 2, 3), gammas):
+            value, witness = gamma_k_exact(g, k)
+            assert value == len(witness) == want
+            assert is_k_dominating(g, witness, k).verdict
+
+    def test_logs_nodes_at_debug(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            gamma_k_exact(build_graph(gen_cyclic(4)), 3)
+        assert re.search(r"gamma_3: \d+ nodes, stopped at size 5, lower bound 4", caplog.text)
 
     def test_hint_cells_accepted(self):
         sq = gen_cyclic(4)

@@ -1,6 +1,7 @@
 import gc
 import logging
 import random
+import re
 
 import pytest
 
@@ -301,6 +302,10 @@ class TestKPlexSearch:
         assert plex == again
         assert plex.cells[0] == (1, 1)
 
+    def test_cyclic12_transversal_not_found(self):
+        # even cyclic order: no transversal, certified by the count alone
+        assert find_kplex(gen_cyclic(12), 1) is None
+
     def test_refuses_large_order(self):
         with pytest.raises(OrderTooLargeError):
             find_kplex(gen_cyclic(13), 2)
@@ -540,6 +545,10 @@ class TestSearchOrder:
     def test_two_plex_is_lex_least(self, label, sq):
         assert _cells(find_kplex(sq, 2)) == brute_first_kplex(sq, 2)
 
+    @pytest.mark.parametrize("label,sq", KPLEX_CASES, ids=[label for label, _ in KPLEX_CASES])
+    def test_transversal_is_lex_least(self, label, sq):
+        assert _cells(find_kplex(sq, 1)) == brute_first_kplex(sq, 1)
+
 
 class TestDisjointQuasis:
     def test_cyclic4_reaches_pigeonhole_bound(self):
@@ -550,6 +559,22 @@ class TestDisjointQuasis:
             assert check_quasi_transversal(gen_cyclic(4), q)[0]
             assert not used & set(q.cells)
             used |= set(q.cells)
+
+    @pytest.mark.parametrize("sq", [gen_cyclic(6), gen_qstep(2, 3), gen_qstep(3, 2)],
+                             ids=["cyclic(6)", "qstep(2,3)", "qstep(3,2)"])
+    def test_order6_reaches_ceiling(self, sq):
+        count, family = max_disjoint_quasi_transversals(sq)
+        assert count == len(family) == 5  # floor(36/7)
+        used = set()
+        for q in family:
+            assert check_quasi_transversal(sq, q)[0]
+            assert not used & set(q.cells)
+            used |= set(q.cells)
+
+    def test_logs_nodes_at_debug(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            max_disjoint_quasi_transversals(gen_cyclic(6))
+        assert re.search(r"quasi packing: \d+ nodes, stopped at 5 of ceiling 5", caplog.text)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_never_exceeds_bound(self, n):
