@@ -15,6 +15,7 @@ from . import constructions as cons
 from .core import LatinSquare, format_ls, load_square_text, square_to_json_dict
 from .errors import LatinSquareError, OrderTooLargeError, OrderTooSmallError
 from .plexes import (
+    SWEEP_GENERATORS,
     CellSet,
     conjecture_sweep,
     enumerate_transversals,
@@ -86,6 +87,8 @@ def cmd_search(args) -> int:
     square = _load_square(args)
     n = square.order
     if args.what == "transversal":
+        if args.cap < 0:
+            raise ValueError(f"--cap must be at least 0, got {args.cap}")
         census = enumerate_transversals(square, cap=0 if args.count else args.cap,
                                         threads=args.threads)
         if args.format == "json":
@@ -174,6 +177,12 @@ def _require(args, name: str):
 
 def cmd_sweep(args) -> int:
     generators = tuple(args.generators.split(","))
+    unknown = [g for g in generators if g not in SWEEP_GENERATORS]
+    if unknown:
+        choices = ",".join(SWEEP_GENERATORS)
+        raise ValueError(f"unknown generator {unknown[0]!r}; choose from {choices}")
+    if args.min_order < 1:
+        raise ValueError(f"--min-order must be at least 1, got {args.min_order}")
     if args.max_order < args.min_order:
         report_obj = {"rows": [], "counterexample": None}
         if args.format == "json":
@@ -251,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--min-order", type=int, default=2)
     p_sweep.add_argument("--max-order", type=int, default=7)
     p_sweep.add_argument(
-        "--generators", default="cyclic,qstep,isotopes", help="comma list: cyclic,qstep,isotopes"
+        "--generators", default=",".join(SWEEP_GENERATORS),
+        help="comma list: " + ",".join(SWEEP_GENERATORS),
     )
     p_sweep.add_argument("--isotopes", type=int, default=0, help="random isotopes per order")
     _add_common(p_sweep)

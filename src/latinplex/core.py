@@ -4,8 +4,8 @@ Symbols are 1..n at every interface; storage is 0-based.  Every type here
 is immutable after construction, so concurrent read-only use is safe.  All
 exhaustive search engines elsewhere in the package cap the order at
 MAX_EXHAUSTIVE_ORDER so cell sets fit fixed-width bitmasks; the generators
-here refuse orders above MAX_INPUT_ORDER, so a short descriptor cannot ask
-for millions of cells.
+and LatinSquare refuse orders above MAX_INPUT_ORDER, so neither a short
+descriptor nor a parsed grid can ask for millions of cells.
 """
 
 from __future__ import annotations
@@ -29,15 +29,16 @@ from .errors import (
 
 MAX_EXHAUSTIVE_ORDER = 16
 
-#: largest order a generator builds (the constructions and validators are
-#: exercised to order 256)
+#: largest order a generator builds or LatinSquare accepts (the
+#: constructions and validators are exercised to order 256)
 MAX_INPUT_ORDER = 1024
 
 
 class LatinSquare:
     """An order-n Latin square over symbols 1..n.
 
-    Construction validates the defining property and reports the first
+    Construction refuses more than MAX_INPUT_ORDER rows before it looks at
+    any entry, then validates the defining property and reports the first
     offending row or column.  Instances are immutable and hashable.
     """
 
@@ -49,6 +50,7 @@ class LatinSquare:
         except TypeError:
             raise NotSquareError("rows must be a sequence of sequences") from None
         n = len(grid)
+        _refuse_above_input_limit(n)
         if n == 0 or any(len(r) != n for r in grid):
             raise NotSquareError(f"expected n rows of n entries, got {[len(r) for r in grid]}")
         for r in grid:

@@ -440,8 +440,6 @@ def has_mate_coloring(square: LatinSquare) -> tuple[bool, dict[tuple[int, int], 
     orthogonal mate exists, whose symbol classes are the color classes.
     """
     n = square.order
-    if n == 1:
-        return True, {(1, 1): 1}
     mate = find_orthogonal_mate(square)
     if mate is None:
         return False, None

@@ -38,9 +38,6 @@ KIND_CELLS = "cell-set"  # unconstrained cardinality; used for domination sets
 
 _KINDS = (KIND_TRANSVERSAL, KIND_PARTIAL, KIND_NEAR, KIND_QUASI, KIND_KPLEX, KIND_CELLS)
 
-#: transversal-list ceiling for the exact set-packing engine
-MAX_PACKING_LIST = 100_000
-
 
 @dataclass(frozen=True)
 class CellSet:
@@ -352,12 +349,6 @@ def _chosen_cells(chosen) -> tuple[tuple[int, int], ...]:
     return tuple((r + 1, c + 1) for r, combo in enumerate(chosen) for c in combo)
 
 
-def _cell_mask(cells) -> int:
-    """Bitmask of a CellSet's cells, bit (r-1)*n + (c-1) for cell (r, c)."""
-    n = cells.square_order
-    return sum(1 << ((r - 1) * n + c - 1) for r, c in cells.cells)
-
-
 # ---------------------------------------------------------------------------
 # transversal enumeration
 
@@ -512,90 +503,144 @@ def complement_plex(square: LatinSquare, plex: CellSet) -> CellSet:
 
 
 # ---------------------------------------------------------------------------
-# disjoint-transversal packing, orthogonal mates
+# disjoint packing: tau, orthogonal mates, quasi-transversal packing
+
+
+def _max_packing(what: str, n: int, masks: list[int], size: int, ceiling: int,
+                 floor: int) -> list[int] | None:
+    """Ascending indices of a largest family (at most `ceiling`) of pairwise
+    disjoint masks, or None when none has more than `floor` members.
+
+    Each mask has bit r*n + c for 0-based cell (r, c), holds `size` cells
+    and meets every row.  First fit in list order seeds the incumbent; one
+    branch-and-bound pass then seeks goal = incumbent + 1 masks, raising
+    the goal at each find.  A node branches on the free cell in the fewest
+    live masks (those inside the free cells): one of them covers it, or it
+    becomes a hole.  It is cut when fewer live masks remain than are still
+    needed, when a row has fewer free cells than that, or when it has more
+    holes than the n*n - goal*size cells a goal-family leaves uncovered.
+    """
+    cells = n * n
+    holders = [0] * cells  # holders[b]: bitmask of the masks covering cell b
+    for i, mask in enumerate(masks):
+        while mask:
+            low = mask & -mask
+            holders[low.bit_length() - 1] |= 1 << i
+            mask ^= low
+    best: list[int] = []
+    used = 0
+    for i, mask in enumerate(masks):
+        if len(best) < ceiling and not mask & used:
+            best.append(i)
+            used |= mask
+    goal = max(len(best), floor) + 1
+    row_masks = [((1 << n) - 1) << (r * n) for r in range(n)]
+    chosen: list[int] = []
+    nodes = 0
+
+    def rec(free: int, live: int, holes: int) -> bool:
+        """Extend chosen inside free from live; True once goal passes ceiling."""
+        nonlocal best, goal, nodes
+        nodes += 1
+        if len(chosen) == goal:
+            best = sorted(chosen)
+            goal += 1
+            if goal > ceiling:
+                return True
+        need = goal - len(chosen)
+        if live.bit_count() < need or holes > cells - goal * size:
+            return False
+        for row in row_masks:
+            if (free & row).bit_count() < need:
+                return False
+        cell, options, fewest = -1, 0, len(masks) + 1
+        rest = free
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            b = low.bit_length() - 1
+            held = holders[b] & live
+            count = held.bit_count()
+            if count < fewest:
+                cell, options, fewest = b, held, count
+                if count <= 1:
+                    break
+        while options:
+            low = options & -options
+            options ^= low
+            i = low.bit_length() - 1
+            left, mask = live, masks[i]
+            while mask:
+                bit = mask & -mask
+                left &= ~holders[bit.bit_length() - 1]
+                mask ^= bit
+            chosen.append(i)
+            if rec(free & ~masks[i], left, holes):
+                return True
+            chosen.pop()
+        return rec(free & ~(1 << cell), live & ~holders[cell], holes + 1)
+
+    if len(best) < ceiling:
+        rec((1 << cells) - 1, (1 << len(masks)) - 1, 0)
+    if len(best) <= floor:
+        best = []
+    log.debug("%s packing: %d nodes, stopped at %d of ceiling %d", what, nodes, len(best), ceiling)
+    return best or None
 
 
 def _transversal_masks(square: LatinSquare) -> list[tuple[int, tuple[int, ...]]]:
-    """All transversals as (cell bitmask, column tuple), lex sorted."""
-    census = enumerate_transversals(square, cap=MAX_PACKING_LIST + 1)
-    if census.count > MAX_PACKING_LIST:
-        raise OrderTooLargeError(
-            f"{census.count} transversals exceed the packing limit {MAX_PACKING_LIST}"
-        )
-    return [(_cell_mask(w), tuple(c - 1 for _, c in w.cells)) for w in census.witnesses]
+    """All transversals as (cell bitmask, column tuple), lex sorted.
+
+    The meet-in-the-middle count answers the empty case before any
+    backtracking.  Only orders <= 8 come here, and no Latin square of order
+    <= 8 has more than 384 transversals (McKay, McLeod & Wanless 2006).
+    """
+    n = square.order
+    grid = square.cells0
+    found: list[tuple[int, tuple[int, ...]]] = []
+
+    def collect(path) -> bool:
+        found.append((sum(1 << (r * n + c) for r, c in enumerate(path)), tuple(path)))
+        return False
+
+    if _count_transversals(grid, n):
+        _partial_search(grid, range(n), collect)
+    return found
 
 
 def max_disjoint_transversals(square: LatinSquare) -> tuple[int, tuple[CellSet, ...]]:
     """Exact maximum family of pairwise-disjoint transversals (tau).
 
-    Branch-and-bound over the full transversal list grouped by the row-1
-    column; deterministic first-optimum witness.  Orders above 8 are
-    refused.
+    The packing kernel runs over the full transversal list, seeded by first
+    fit in lex order; deterministic first-optimum witness, listed in lex
+    order.  Orders above 8 are refused.
     """
     n = square.order
     if n > 8:
         raise OrderTooLargeError(f"exact tau packing supports order <= 8, got {n}")
-    by_col: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(n)]
-    for mask, p in _transversal_masks(square):
-        by_col[p[0]].append((mask, p))
-    best_size = 0
-    best: list[tuple[int, ...]] = []
-
-    def rec(col: int, used: int, chosen: list[tuple[int, ...]]):
-        nonlocal best_size, best
-        if len(chosen) + (n - col) <= best_size:
-            return
-        if col == n:
-            if len(chosen) > best_size:
-                best_size = len(chosen)
-                best = list(chosen)
-            return
-        for mask, p in by_col[col]:
-            if not (mask & used):
-                chosen.append(p)
-                rec(col + 1, used | mask, chosen)
-                chosen.pop()
-        rec(col + 1, used, chosen)
-
-    rec(0, 0, [])
-    return best_size, tuple(_cols_to_cellset(n, p) for p in best)
+    found = _transversal_masks(square)
+    family = _max_packing("transversal", n, [m for m, _ in found], n, n, 0) or []
+    return len(family), tuple(_cols_to_cellset(n, found[i][1]) for i in family)
 
 
 def find_orthogonal_mate(square: LatinSquare) -> LatinSquare | None:
     """Mate via a full decomposition into n disjoint transversals.
 
-    Symbol k of the mate marks the cells of the k-th transversal of the
-    decomposition (lex-first exact cover).  None certifies that no
-    decomposition exists.
+    The packing kernel looks for n disjoint transversals, that is an exact
+    cover of the cells; symbol k of the mate marks the k-th of them in lex
+    order.  None certifies that no decomposition exists.  Orders above 8
+    are refused.
     """
     n = square.order
     if n > 8:
         raise OrderTooLargeError(f"mate search supports order <= 8, got {n}")
-    if n == 1:
-        return LatinSquare([[1]])
-    masks = _transversal_masks(square)
-    if len(masks) < n:
-        return None
-    full = (1 << (n * n)) - 1
-    chosen: list[tuple[int, ...]] = []
-
-    def rec(used: int) -> bool:
-        if used == full:
-            return True
-        v = (~used & (used + 1)).bit_length() - 1  # lowest free cell: deterministic cover order
-        for mask, p in masks:
-            if (mask >> v) & 1 and not (mask & used):
-                chosen.append(p)
-                if rec(used | mask):
-                    return True
-                chosen.pop()
-        return False
-
-    if not rec(0):
+    found = _transversal_masks(square)
+    family = _max_packing("mate", n, [m for m, _ in found], n, n, n - 1)
+    if family is None:
         return None
     grid = [[0] * n for _ in range(n)]
-    for idx, p in enumerate(sorted(chosen)):
-        for r, c in enumerate(p):
+    for idx, i in enumerate(family):
+        for r, c in enumerate(found[i][1]):
             grid[r][c] = idx + 1
     mate = LatinSquare(grid)
     pairs = {(square.cells0[i][j], mate.cells0[i][j]) for i in range(n) for j in range(n)}
@@ -746,68 +791,20 @@ def _quasi_randomized(square, forbidden, rng: random.Random, restarts: int) -> C
 def max_disjoint_quasi_transversals(square: LatinSquare) -> tuple[int, tuple[CellSet, ...]]:
     """Exact maximum family of pairwise-disjoint quasi-transversals.
 
-    Greedy lexicographic packing provides the incumbent; if it reaches the
-    pigeonhole ceiling floor(n^2/(n+1)) the answer is exact already.
-    Otherwise target sizes descend from the ceiling; the first one attained
-    is the maximum.  Each target t is sought over the full quasi enumeration
-    by a packing search that may leave n^2 - t(n+1) cells uncovered (one at
-    the ceiling): every node branches on the free cell lying in the fewest
-    quasis that still fit, either one of them covers it or it stays
-    uncovered.  Supported for order <= 6.
+    The packing kernel runs over the full quasi enumeration up to the
+    pigeonhole ceiling floor(n^2/(n+1)), seeded by first fit in enumeration
+    order, which is greedy packing with find_quasi_transversal; the family
+    is listed in enumeration order.  Supported for order <= 6.
     """
     n = square.order
     if n > 6:
         raise OrderTooLargeError(f"exact quasi packing supports order <= 6, got {n}")
     if n < 3:
         return 0, ()
-    ceiling = (n * n) // (n + 1)
-    best: list[CellSet] = []
-    used: set[tuple[int, int]] = set()
-    while len(best) < ceiling:
-        nxt = find_quasi_transversal(square, forbidden=frozenset(used))
-        if nxt is None:
-            break
-        best.append(nxt)
-        used.update(nxt.cells)
-    nodes = 0
-    if len(best) < ceiling:
-        quasis = _all_quasi_cellsets(square)
-        masks = [_cell_mask(q) for q in quasis]
-        holders = [0] * (n * n)  # holders[b]: bitmask of the quasis covering cell b
-        for i, q in enumerate(quasis):
-            for r, c in q.cells:
-                holders[(r - 1) * n + c - 1] |= 1 << i
-
-        def pack(free: int, live: int, todo: int, holes: int) -> list[int] | None:
-            """Pick todo disjoint quasis of live (those inside free), leaving
-            at most holes cells of free uncovered."""
-            nonlocal nodes
-            nodes += 1
-            if not todo:
-                return []
-            cell = min((b for b in range(n * n) if free >> b & 1),
-                       key=lambda b: (holders[b] & live).bit_count())
-            options = holders[cell] & live
-            while options:
-                i = (options & -options).bit_length() - 1
-                options &= options - 1
-                rest = live
-                for r, c in quasis[i].cells:
-                    rest &= ~holders[(r - 1) * n + c - 1]
-                fam = pack(free & ~masks[i], rest, todo - 1, holes)
-                if fam is not None:
-                    return [i, *fam]
-            if holes:
-                return pack(free & ~(1 << cell), live & ~holders[cell], todo, holes - 1)
-            return None
-
-        for target in range(ceiling, len(best), -1):
-            fam = pack((1 << n * n) - 1, (1 << len(quasis)) - 1, target, n * n - target * (n + 1))
-            if fam is not None:
-                best = [quasis[i] for i in sorted(fam)]
-                break
-    log.debug("quasi packing: %d nodes, stopped at %d of ceiling %d", nodes, len(best), ceiling)
-    return len(best), tuple(best)
+    quasis = _all_quasi_cellsets(square)
+    masks = [sum(1 << ((r - 1) * n + c - 1) for r, c in q.cells) for q in quasis]
+    family = _max_packing("quasi", n, masks, n + 1, n * n // (n + 1), 0) or []
+    return len(family), tuple(quasis[i] for i in family)
 
 
 def _all_quasi_cellsets(square: LatinSquare) -> list[CellSet]:
@@ -866,6 +863,10 @@ class SweepReport:
         return out
 
 
+#: the square families sweep_squares knows, by name
+SWEEP_GENERATORS = ("cyclic", "qstep", "isotopes")
+
+
 def sweep_squares(min_order: int, max_order: int, generators, isotopes: int, seed: int):
     """Yield (label, square) for the sweep corpus, deterministically."""
     from .core import Isotopy, apply_isotopy, gen_cyclic, gen_qstep
@@ -888,7 +889,7 @@ def sweep_squares(min_order: int, max_order: int, generators, isotopes: int, see
 def conjecture_sweep(
     min_order: int = 2,
     max_order: int = 7,
-    generators: tuple[str, ...] = ("cyclic", "qstep", "isotopes"),
+    generators: tuple[str, ...] = SWEEP_GENERATORS,
     isotopes: int = 0,
     seed: int = 0,
 ) -> SweepReport:

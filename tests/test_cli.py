@@ -121,6 +121,22 @@ class TestSearch:
         assert main(["search", "near", str(path)]) == 1
         assert "sequence of sequences" in capsys.readouterr().err
 
+    def test_negative_cap_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "sq.ls"
+        path.write_text(format_ls(gen_cyclic(5)))
+        assert main(["search", "transversal", str(path), "--cap", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--cap" in captured.err
+
+    def test_order_above_input_limit_refused(self, tmp_path, capsys):
+        # all ones: refused for its size before any entry is checked
+        n = MAX_INPUT_ORDER + 1
+        path = tmp_path / "big.ls"
+        path.write_text(f"{n}\n" + ("1 " * n + "\n") * n)
+        assert main(["search", "near", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "input limit" in captured.err
+
     def test_directory_as_square_fails_cleanly(self, tmp_path, capsys):
         assert main(["search", "near", str(tmp_path)]) == 1  # IsADirectoryError is an OSError
         assert capsys.readouterr().err.startswith("error: ")
@@ -311,6 +327,16 @@ class TestSweep:
                                   "--format", "json"])
         assert code == 0
         assert json.loads(out)["rows"] == []
+
+    @pytest.mark.parametrize("args", [
+        ["--generators", "foo"],
+        ["--generators", "cyclic,bogus", "--max-order", "3"],
+        ["--min-order", "0", "--max-order", "2"],
+    ], ids=["unknown", "one-unknown", "min-order-0"])
+    def test_bad_arguments_are_usage_errors(self, args, capsys):
+        assert main(["sweep", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error: ")
 
     def test_text_table(self):
         code, out, err = run_cli(["sweep", "--min-order", "2", "--max-order", "4"])

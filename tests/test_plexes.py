@@ -51,6 +51,7 @@ from conftest import backtrack_count, corpus_up_to
 from oracles import (
     brute_first_kplex,
     brute_first_near,
+    brute_max_disjoint_transversals,
     brute_quasis,
     permutation_diagonal_count,
 )
@@ -367,6 +368,29 @@ class TestPacking:
             assert 0 <= tau <= sq.order, label
             mate = find_orthogonal_mate(sq)
             assert (mate is not None) == (tau == sq.order), label
+
+    @pytest.mark.parametrize("rows, want", [
+        ([[3, 1, 4, 5, 2], [4, 3, 1, 2, 5], [5, 4, 2, 3, 1], [2, 5, 3, 1, 4], [1, 2, 5, 4, 3]], 1),
+        ([[3, 6, 5, 4, 1, 2], [1, 4, 6, 2, 5, 3], [2, 1, 3, 6, 4, 5], [5, 2, 1, 3, 6, 4],
+          [4, 5, 2, 1, 3, 6], [6, 3, 4, 5, 2, 1]], 2),
+        ([[4, 3, 6, 1, 5, 2], [3, 5, 2, 4, 1, 6], [2, 6, 3, 5, 4, 1], [1, 2, 4, 6, 3, 5],
+          [6, 1, 5, 3, 2, 4], [5, 4, 1, 2, 6, 3]], 4),
+    ], ids=["tau1", "tau2", "tau4"])
+    def test_tau_strictly_between_0_and_n(self, rows, want):
+        sq = LatinSquare(rows)
+        tau, family = max_disjoint_transversals(sq)
+        assert tau == len(family) == brute_max_disjoint_transversals(sq) == want
+        used = set()
+        for t in family:
+            assert check_transversal(sq, t)[0]
+            assert not used & set(t.cells)
+            used |= set(t.cells)
+        assert find_orthogonal_mate(sq) is None
+
+    def test_logs_nodes_at_debug(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            max_disjoint_transversals(gen_cyclic(7))
+        assert re.search(r"transversal packing: \d+ nodes, stopped at 7 of ceiling 7", caplog.text)
 
     def test_refusal_above_8(self):
         with pytest.raises(OrderTooLargeError):
