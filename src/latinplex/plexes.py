@@ -272,29 +272,79 @@ def _partial_search(grid, rows, visit, skips: int = 0, colmask: int = 0,
     return path[:] if rec(0, colmask, symmask, skips) else None
 
 
+#: most keys the k-plex dead-state memo stores; once full it takes no more
+_DEAD_STATES_MAX = 1 << 15
+
+
 def _counted_search(grid, sizes, lo: int, hi: int, visit,
-                    cols=None) -> list[tuple[int, ...]] | None:
+                    cols=None) -> tuple[list[tuple[int, ...]] | None, int, int]:
     """Choose sizes[r] cells of each row r so that every column and symbol
     ends with a count in lo..hi.
 
     Rows go in order, each through the combinations of its allowed columns
     (cols[r], default all) in lexicographic order.  Cuts, each removing only
     dead branches: no count passes hi; the counts still missing below lo,
-    over the columns and over the symbols, fit in the cells left; and when
-    lo == hi, each short symbol (column) has enough later rows whose cell
-    for it lies in a column (has a symbol) below hi.  visit runs at every
-    leaf with chosen[r] the columns of row r; if it returns True the search
-    stops and the kernel returns a copy of chosen, else it returns None.
+    over the columns and over the symbols, fit in the cells left.  When
+    lo < hi, a slack cap: once the columns (symbols) short of lo are as
+    many as the cells left, a row may use only those, so its cap drops to
+    lo.  When lo == hi, each short symbol (column) needs enough later rows
+    whose cell for it lies in a column (has a symbol) below hi; and since
+    the counts then fix the row reached, a dead-state memo keeps the count
+    states whose subtree held no leaf (up to _DEAD_STATES_MAX) and never
+    enters them again.  visit runs at every leaf with chosen[r] the columns
+    of row r; if it returns True the search stops.  Returns a copy of chosen
+    at that leaf (or None), the nodes visited and the dead states kept.
     """
     n = len(grid)
     cols = cols or [range(n)] * n
     col_cnt = [0] * n
     sym_cnt = [0] * n
     cells_after = [sum(sizes[r + 1:]) for r in range(n)]
-    if lo == hi:  # line[x][r]: the cell of row r in symbol / column x
-        sym_col = list(zip(*(sorted(range(n), key=row.__getitem__) for row in grid)))
-        lines = ((sym_cnt, col_cnt, sym_col), (col_cnt, sym_cnt, list(zip(*grid))))
     chosen: list[tuple[int, ...]] = []
+    nodes = leaves = 0
+
+    def rec_range(row: int, col_short: int, sym_short: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if row == n:
+            return visit(chosen)
+        grow = grid[row]
+        left = cells_after[row]
+        todo = left + sizes[row]
+        col_cap = lo if col_short == todo else hi
+        sym_cap = lo if sym_short == todo else hi
+        allowed = [c for c in cols[row] if col_cnt[c] < col_cap and sym_cnt[grow[c]] < sym_cap]
+        for combo in itertools.combinations(allowed, sizes[row]):
+            cs, ss = col_short, sym_short
+            for c in combo:
+                s = grow[c]
+                cs -= col_cnt[c] < lo
+                ss -= sym_cnt[s] < lo
+                col_cnt[c] += 1
+                sym_cnt[s] += 1
+            if cs <= left and ss <= left:
+                chosen.append(combo)
+                if rec_range(row + 1, cs, ss):
+                    return True
+                chosen.pop()
+            for c in combo:
+                col_cnt[c] -= 1
+                sym_cnt[grow[c]] -= 1
+        return False
+
+    if lo < hi:
+        found = rec_range(0, n * lo, n * lo)
+        return (chosen[:] if found else None), nodes, 0
+
+    # with every count exactly lo, each cell fills a short column and symbol,
+    # so the shortfalls always equal the cells left and only the supplies cut
+    # bites.  line[x][r]: the cell of row r in symbol / column x
+    sym_col = list(zip(*(sorted(range(n), key=row.__getitem__) for row in grid)))
+    lines = ((sym_cnt, col_cnt, sym_col), (col_cnt, sym_cnt, list(zip(*grid))))
+    # a state key packs each count in `width` bits: column c, then symbol s
+    width = hi.bit_length()
+    unit = [1 << width * i for i in range(2 * n)]
+    dead: set[int] = set()
 
     def supplies_hold(row: int) -> bool:
         later = range(row + 1, n)
@@ -315,34 +365,38 @@ def _counted_search(grid, sizes, lo: int, hi: int, visit,
                         return False
         return True
 
-    def rec(row: int, col_short: int, sym_short: int) -> bool:
+    def rec_exact(row: int, key: int) -> bool:
+        nonlocal nodes, leaves
+        nodes += 1
         if row == n:
+            leaves += 1
             return visit(chosen)
         grow = grid[row]
-        left = cells_after[row]
-        for combo in itertools.combinations(cols[row], sizes[row]):
+        allowed = [c for c in cols[row] if col_cnt[c] < hi and sym_cnt[grow[c]] < hi]
+        for combo in itertools.combinations(allowed, sizes[row]):
+            after = key
             for c in combo:
-                if col_cnt[c] >= hi or sym_cnt[grow[c]] >= hi:
-                    break
-            else:
-                cs, ss = col_short, sym_short
-                for c in combo:
-                    s = grow[c]
-                    cs -= col_cnt[c] < lo
-                    ss -= sym_cnt[s] < lo
-                    col_cnt[c] += 1
-                    sym_cnt[s] += 1
-                if cs <= left and ss <= left and (lo < hi or supplies_hold(row)):
-                    chosen.append(combo)
-                    if rec(row + 1, cs, ss):
-                        return True
-                    chosen.pop()
-                for c in combo:
-                    col_cnt[c] -= 1
-                    sym_cnt[grow[c]] -= 1
+                after += unit[c] + unit[n + grow[c]]
+            if after in dead:
+                continue
+            for c in combo:
+                col_cnt[c] += 1
+                sym_cnt[grow[c]] += 1
+            if supplies_hold(row):
+                chosen.append(combo)
+                before = leaves
+                if rec_exact(row + 1, after):
+                    return True
+                chosen.pop()
+                if leaves == before and len(dead) < _DEAD_STATES_MAX:
+                    dead.add(after)
+            for c in combo:
+                col_cnt[c] -= 1
+                sym_cnt[grow[c]] -= 1
         return False
 
-    return chosen[:] if rec(0, n * lo, n * lo) else None
+    found = rec_exact(0, 0)
+    return (chosen[:] if found else None), nodes, len(dead)
 
 
 def _chosen_cells(chosen) -> tuple[tuple[int, int], ...]:
@@ -461,10 +515,11 @@ def find_kplex(square: LatinSquare, k: int) -> CellSet | None:
     """Lexicographically least k-plex, or None certified by exhaustion.
 
     Rows are processed in order, each choosing k columns, by the counted
-    kernel with every count exactly k: quotas plus a supply check that every
+    kernel with every count exactly k: quotas, a supply check that every
     deficient symbol still has enough remaining rows whose cell for it sits
-    in a non-full column (and dually for columns).  Pruning only removes
-    provably dead branches, so the first solution stays the lex least.  For
+    in a non-full column (and dually for columns), and a bounded memo of the
+    count states already searched in vain.  Pruning only removes provably
+    dead branches, so the first solution stays the lex least.  For
     k = 1 the transversal count runs first and a zero returns None at once.
     """
     n = square.order
@@ -473,8 +528,10 @@ def find_kplex(square: LatinSquare, k: int) -> CellSet | None:
     if not 1 <= k <= n:
         raise InvalidPlexError(f"k must be in 1..{n}")
     if k == 1 and not _count_transversals(square.cells0, n):
+        log.debug("1-plex search: skipped, no transversal")
         return None
-    chosen = _counted_search(square.cells0, [k] * n, k, k, _stop)
+    chosen, nodes, dead = _counted_search(square.cells0, [k] * n, k, k, _stop)
+    log.debug("%d-plex search: %d nodes, %d dead states", k, nodes, dead)
     if chosen is None:
         return None
     cells = _chosen_cells(chosen)
@@ -733,18 +790,31 @@ def find_quasi_transversal(
         if rng is None:
             raise OrderTooLargeError(f"exhaustive quasi search supports order <= 12, got {n}")
         return _quasi_randomized(square, forbidden, rng, restarts)
-    grid = square.cells0
     cols = [[c for c in range(n) if (r + 1, c + 1) not in forbidden] for r in range(n)]
+    chosen = _quasi_search(square.cells0, _stop, cols)
+    if chosen is None:
+        return None
+    cs = CellSet(n, _chosen_cells(chosen), KIND_QUASI)
+    ok, why = check_quasi_transversal(square, cs)
+    if not ok:  # defensive; search invariants should guarantee this
+        raise InvalidCellSetError(f"search produced an invalid quasi: {why}")
+    return cs
+
+
+def _quasi_search(grid, visit, cols=None) -> list[tuple[int, ...]] | None:
+    """The counted kernel over quasi-transversals: doubled row 0, 1, ... in
+    turn, each in row order.  Returns the chosen columns at the leaf where
+    visit returned True, else None, and logs the nodes visited."""
+    n = len(grid)
+    total = 0
     for doubled_row in range(n):
         sizes = [1 + (r == doubled_row) for r in range(n)]
-        chosen = _counted_search(grid, sizes, 1, 2, _stop, cols)
+        chosen, nodes, _ = _counted_search(grid, sizes, 1, 2, visit, cols)
+        total += nodes
         if chosen is not None:
-            cs = CellSet(n, _chosen_cells(chosen), KIND_QUASI)
-            ok, why = check_quasi_transversal(square, cs)
-            if not ok:  # defensive; search invariants should guarantee this
-                raise InvalidCellSetError(f"search produced an invalid quasi: {why}")
-            return cs
-    return None
+            break
+    log.debug("quasi search: %d nodes", total)
+    return chosen
 
 
 def _quasi_randomized(square, forbidden, rng: random.Random, restarts: int) -> CellSet | None:
@@ -801,25 +871,29 @@ def max_disjoint_quasi_transversals(square: LatinSquare) -> tuple[int, tuple[Cel
         raise OrderTooLargeError(f"exact quasi packing supports order <= 6, got {n}")
     if n < 3:
         return 0, ()
-    quasis = _all_quasi_cellsets(square)
-    masks = [sum(1 << ((r - 1) * n + c - 1) for r, c in q.cells) for q in quasis]
+    quasis = _all_quasis(square)
+    masks = [sum(1 << (r * n + c) for r, combo in enumerate(q) for c in combo) for q in quasis]
     family = _max_packing("quasi", n, masks, n + 1, n * n // (n + 1), 0) or []
-    return len(family), tuple(quasis[i] for i in family)
+    return len(family), tuple(CellSet(n, _chosen_cells(quasis[i]), KIND_QUASI) for i in family)
+
+
+def _all_quasis(square: LatinSquare) -> list[tuple[tuple[int, ...], ...]]:
+    """Every quasi-transversal as its rows' 0-based column tuples, in the
+    order find_quasi_transversal meets them."""
+    found: list[tuple[tuple[int, ...], ...]] = []
+
+    def collect(chosen) -> bool:
+        found.append(tuple(chosen))
+        return False
+
+    _quasi_search(square.cells0, collect)
+    return found
 
 
 def _all_quasi_cellsets(square: LatinSquare) -> list[CellSet]:
-    """Every quasi-transversal, by scanning doubled-row choices exhaustively."""
+    """Every quasi-transversal as a validated CellSet, in enumeration order."""
     n = square.order
-    out: list[CellSet] = []
-
-    def collect(chosen) -> bool:
-        out.append(CellSet(n, _chosen_cells(chosen), KIND_QUASI))
-        return False
-
-    for doubled_row in range(n):
-        sizes = [1 + (r == doubled_row) for r in range(n)]
-        _counted_search(square.cells0, sizes, 1, 2, collect)
-    return out
+    return [CellSet(n, _chosen_cells(q), KIND_QUASI) for q in _all_quasis(square)]
 
 
 # ---------------------------------------------------------------------------
@@ -899,8 +973,16 @@ def conjecture_sweep(
     counterexample row (none is expected; this probes the Brualdi-Stein-
     Ryser and Rodney conjectures on the generated corpus).  Orders up to 12
     are accepted, the ceiling of the exhaustive quasi and 2-plex engines;
-    sweeps above order 8 trade speed for coverage.
+    sweeps above order 8 trade speed for coverage.  An unknown generator
+    name, or an order range that yields no square, raises ValueError: an
+    empty report is returned only for an empty range (max_order < min_order).
     """
+    unknown = [g for g in generators if g not in SWEEP_GENERATORS]
+    if unknown:
+        choices = ",".join(SWEEP_GENERATORS)
+        raise ValueError(f"unknown generator {unknown[0]!r}; choose from {choices}")
+    if max_order < min_order:
+        return SweepReport(())
     if max_order > 12:
         raise OrderTooLargeError("sweep engines are exhaustive only up to order 12")
     rows: list[SweepRow] = []
@@ -916,4 +998,7 @@ def conjecture_sweep(
         if n >= 3 and not (near and quasi and two):
             counterexample = row
             break
+    if not rows:
+        raise ValueError(f"no square to sweep: {','.join(generators)} at orders "
+                         f"{min_order}..{max_order}, {isotopes} isotopes per order")
     return SweepReport(tuple(rows), counterexample)

@@ -328,11 +328,19 @@ class TestSweep:
         assert code == 0
         assert json.loads(out)["rows"] == []
 
+    def test_empty_range_text(self, capsys):
+        assert main(["sweep", "--min-order", "5", "--max-order", "4"]) == 0
+        assert capsys.readouterr().out == "empty sweep\n"
+
     @pytest.mark.parametrize("args", [
         ["--generators", "foo"],
         ["--generators", "cyclic,bogus", "--max-order", "3"],
         ["--min-order", "0", "--max-order", "2"],
-    ], ids=["unknown", "one-unknown", "min-order-0"])
+        ["--generators", "foo", "--min-order", "5", "--max-order", "4"],
+        ["--generators", "isotopes"],
+        ["--generators", "qstep", "--min-order", "5", "--max-order", "5"],
+    ], ids=["unknown", "one-unknown", "min-order-0", "unknown-empty-range",
+            "isotopes-zero", "qstep-prime-order"])
     def test_bad_arguments_are_usage_errors(self, args, capsys):
         assert main(["sweep", *args]) == 2
         captured = capsys.readouterr()

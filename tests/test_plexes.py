@@ -297,6 +297,17 @@ class TestKPlexSearch:
         # odd q, odd k, even m: no k-transversal
         assert find_kplex(gen_qstep(2, 3), 3) is None
 
+    def test_cyclic6_three_plex_not_found(self):
+        # Euler's parity argument: the cells of a k-plex of the cyclic square
+        # have (row + column) summing to k*n(n-1) = 0 mod n, so their symbols
+        # would too, but they sum to k*n(n-1)/2 = n/2 mod n for n even, k odd
+        assert find_kplex(gen_cyclic(6), 3) is None
+
+    def test_logs_nodes_and_dead_states_at_debug(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            find_kplex(gen_cyclic(6), 3)
+        assert re.search(r"3-plex search: \d+ nodes, [1-9]\d* dead states", caplog.text)
+
     def test_lexicographically_least(self):
         plex = find_kplex(gen_cyclic(4), 2)
         again = find_kplex(gen_cyclic(4), 2)
@@ -504,6 +515,11 @@ class TestQuasiNearSearch:
         b = find_quasi_transversal(gen_cyclic(6))
         assert a == b
 
+    def test_quasi_logs_nodes_at_debug(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            find_quasi_transversal(gen_qstep(3, 4))
+        assert len(re.findall(r"quasi search: \d+ nodes", caplog.text)) == 1
+
     def test_randomized_quasi_large_order(self):
         sq = gen_qstep(2, 7)
         rng = random.Random(0)
@@ -536,6 +552,7 @@ def _cells(found):
 NEAR_CASES = corpus_up_to(6)
 QUASI_CASES = [(label, sq) for label, sq in corpus_up_to(5) if sq.order >= 3]
 KPLEX_CASES = [(label, sq) for label, sq in corpus_up_to(5) if sq.order >= 2]
+THREE_PLEX_CASES = [(label, sq) for label, sq in KPLEX_CASES if sq.order >= 3]
 
 
 class TestSearchOrder:
@@ -572,6 +589,11 @@ class TestSearchOrder:
     @pytest.mark.parametrize("label,sq", KPLEX_CASES, ids=[label for label, _ in KPLEX_CASES])
     def test_transversal_is_lex_least(self, label, sq):
         assert _cells(find_kplex(sq, 1)) == brute_first_kplex(sq, 1)
+
+    @pytest.mark.parametrize("label,sq", THREE_PLEX_CASES,
+                             ids=[label for label, _ in THREE_PLEX_CASES])
+    def test_three_plex_is_lex_least(self, label, sq):
+        assert _cells(find_kplex(sq, 3)) == brute_first_kplex(sq, 3)
 
 
 class TestDisjointQuasis:
@@ -637,6 +659,15 @@ class TestSweep:
     def test_sweep_refusal_above_12(self):
         with pytest.raises(OrderTooLargeError):
             conjecture_sweep(13, 13)
+
+    @pytest.mark.parametrize("generators", [("foo",), ("isotopes",)],
+                             ids=["unknown", "isotopes-zero"])
+    def test_sweep_without_squares_is_refused(self, generators):
+        with pytest.raises(ValueError):
+            conjecture_sweep(generators=generators)
+
+    def test_empty_range_is_an_empty_report(self):
+        assert conjecture_sweep(5, 4).rows == ()
 
     def test_isotopes_of_cyclic7(self):
         report = conjecture_sweep(7, 7, generators=("isotopes",), isotopes=20, seed=0)
