@@ -94,16 +94,21 @@ class WitnessCertificate:
             sq = square_from_descriptor(obj["square"])
             n = sq.order
             raw = obj["witness"]
+            parts = [raw] if isinstance(raw, dict) else raw
+            if any(type(r) is not int or type(c) is not int for w in parts for r, c in w["cells"]):
+                raise TypeError("cell coordinates must be JSON integers")
             if isinstance(raw, dict):
                 wit: CellSet | tuple[CellSet, ...] = CellSet.from_json_dict(n, raw)
             else:
                 wit = tuple(CellSet.from_json_dict(n, w) for w in raw)
+            if not isinstance(obj["verdict"], bool):
+                raise TypeError(f"verdict must be a JSON boolean, got {obj['verdict']!r}")
             return cls(
                 obj["claim"],
                 obj["square"],
                 wit,
                 obj["provenance"],
-                bool(obj["verdict"]),
+                obj["verdict"],
                 tuple(obj.get("notes", ())),
             )
         except (KeyError, TypeError, AttributeError, ValueError, FormatError) as exc:

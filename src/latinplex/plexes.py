@@ -229,7 +229,7 @@ def quasi_profile(square: LatinSquare, cells) -> tuple[int, int, int]:
 
 # ---------------------------------------------------------------------------
 # row-search kernels: every witness search walks the rows in order, through
-# one of these two, and stops as soon as visit(path) returns True
+# one of these two or _quasi_search, and stops at the first leaf it accepts
 
 
 def _stop(path) -> bool:
@@ -272,77 +272,28 @@ def _partial_search(grid, rows, visit, skips: int = 0, colmask: int = 0,
     return path[:] if rec(0, colmask, symmask, skips) else None
 
 
-#: most keys the k-plex dead-state memo stores; once full it takes no more
+#: most keys a dead-state memo of the row searches stores; once full it takes no more
 _DEAD_STATES_MAX = 1 << 15
 
 
-def _counted_search(grid, sizes, lo: int, hi: int, visit,
-                    cols=None) -> tuple[list[tuple[int, ...]] | None, int, int]:
-    """Choose sizes[r] cells of each row r so that every column and symbol
-    ends with a count in lo..hi.
-
-    Rows go in order, each through the combinations of its allowed columns
-    (cols[r], default all) in lexicographic order.  Cuts, each removing only
-    dead branches: no count passes hi; the counts still missing below lo,
-    over the columns and over the symbols, fit in the cells left.  When
-    lo < hi, a slack cap: once the columns (symbols) short of lo are as
-    many as the cells left, a row may use only those, so its cap drops to
-    lo.  When lo == hi, each short symbol (column) needs enough later rows
-    whose cell for it lies in a column (has a symbol) below hi; and since
-    the counts then fix the row reached, a dead-state memo keeps the count
-    states whose subtree held no leaf (up to _DEAD_STATES_MAX) and never
-    enters them again.  visit runs at every leaf with chosen[r] the columns
-    of row r; if it returns True the search stops.  Returns a copy of chosen
-    at that leaf (or None), the nodes visited and the dead states kept.
-    """
+def _counted_search(grid, k: int) -> tuple[list[tuple[int, ...]] | None, int, int]:
+    """The first choice of k cells per row that uses every column and symbol
+    exactly k times, rows in order, each through the combinations of its
+    usable columns in lexicographic order.  Each short symbol (column) needs
+    enough later rows whose cell for it lies in a column (has a symbol)
+    below k; a memo keeps up to _DEAD_STATES_MAX count states (they fix the
+    row reached) whose subtree held no leaf.  Returns chosen (chosen[r] the
+    columns of row r) or None, the nodes visited and the dead states kept."""
     n = len(grid)
-    cols = cols or [range(n)] * n
     col_cnt = [0] * n
     sym_cnt = [0] * n
-    cells_after = [sum(sizes[r + 1:]) for r in range(n)]
     chosen: list[tuple[int, ...]] = []
-    nodes = leaves = 0
-
-    def rec_range(row: int, col_short: int, sym_short: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if row == n:
-            return visit(chosen)
-        grow = grid[row]
-        left = cells_after[row]
-        todo = left + sizes[row]
-        col_cap = lo if col_short == todo else hi
-        sym_cap = lo if sym_short == todo else hi
-        allowed = [c for c in cols[row] if col_cnt[c] < col_cap and sym_cnt[grow[c]] < sym_cap]
-        for combo in itertools.combinations(allowed, sizes[row]):
-            cs, ss = col_short, sym_short
-            for c in combo:
-                s = grow[c]
-                cs -= col_cnt[c] < lo
-                ss -= sym_cnt[s] < lo
-                col_cnt[c] += 1
-                sym_cnt[s] += 1
-            if cs <= left and ss <= left:
-                chosen.append(combo)
-                if rec_range(row + 1, cs, ss):
-                    return True
-                chosen.pop()
-            for c in combo:
-                col_cnt[c] -= 1
-                sym_cnt[grow[c]] -= 1
-        return False
-
-    if lo < hi:
-        found = rec_range(0, n * lo, n * lo)
-        return (chosen[:] if found else None), nodes, 0
-
-    # with every count exactly lo, each cell fills a short column and symbol,
-    # so the shortfalls always equal the cells left and only the supplies cut
-    # bites.  line[x][r]: the cell of row r in symbol / column x
+    nodes = 0
+    # line[x][r]: the cell of row r in symbol / column x
     sym_col = list(zip(*(sorted(range(n), key=row.__getitem__) for row in grid)))
     lines = ((sym_cnt, col_cnt, sym_col), (col_cnt, sym_cnt, list(zip(*grid))))
     # a state key packs each count in `width` bits: column c, then symbol s
-    width = hi.bit_length()
+    width = k.bit_length()
     unit = [1 << width * i for i in range(2 * n)]
     dead: set[int] = set()
 
@@ -350,14 +301,14 @@ def _counted_search(grid, sizes, lo: int, hi: int, visit,
         later = range(row + 1, n)
         for cnt, other, line in lines:
             for x in range(n):
-                need = lo - cnt[x]
+                need = k - cnt[x]
                 if need > n - row - 1:
                     return False
                 if need > 0:
                     cells = line[x]
                     avail = 0
                     for r in later:
-                        if other[cells[r]] < hi:
+                        if other[cells[r]] < k:
                             avail += 1
                             if avail == need:
                                 break
@@ -365,15 +316,14 @@ def _counted_search(grid, sizes, lo: int, hi: int, visit,
                         return False
         return True
 
-    def rec_exact(row: int, key: int) -> bool:
-        nonlocal nodes, leaves
+    def rec(row: int, key: int) -> bool:
+        nonlocal nodes
         nodes += 1
         if row == n:
-            leaves += 1
-            return visit(chosen)
+            return True
         grow = grid[row]
-        allowed = [c for c in cols[row] if col_cnt[c] < hi and sym_cnt[grow[c]] < hi]
-        for combo in itertools.combinations(allowed, sizes[row]):
+        allowed = [c for c in range(n) if col_cnt[c] < k and sym_cnt[grow[c]] < k]
+        for combo in itertools.combinations(allowed, k):
             after = key
             for c in combo:
                 after += unit[c] + unit[n + grow[c]]
@@ -384,19 +334,19 @@ def _counted_search(grid, sizes, lo: int, hi: int, visit,
                 sym_cnt[grow[c]] += 1
             if supplies_hold(row):
                 chosen.append(combo)
-                before = leaves
-                if rec_exact(row + 1, after):
+                if rec(row + 1, after):
                     return True
                 chosen.pop()
-                if leaves == before and len(dead) < _DEAD_STATES_MAX:
+                if len(dead) < _DEAD_STATES_MAX:
                     dead.add(after)
             for c in combo:
                 col_cnt[c] -= 1
                 sym_cnt[grow[c]] -= 1
         return False
 
-    found = rec_exact(0, 0)
-    return (chosen[:] if found else None), nodes, len(dead)
+    found = rec(0, 0)
+    del rec  # rec refers to itself: free its memo now, not at the next full collection
+    return (chosen if found else None), nodes, len(dead)
 
 
 def _chosen_cells(chosen) -> tuple[tuple[int, int], ...]:
@@ -530,7 +480,7 @@ def find_kplex(square: LatinSquare, k: int) -> CellSet | None:
     if k == 1 and not _count_transversals(square.cells0, n):
         log.debug("1-plex search: skipped, no transversal")
         return None
-    chosen, nodes, dead = _counted_search(square.cells0, [k] * n, k, k, _stop)
+    chosen, nodes, dead = _counted_search(square.cells0, k)
     log.debug("%d-plex search: %d nodes, %d dead states", k, nodes, dead)
     if chosen is None:
         return None
@@ -790,8 +740,7 @@ def find_quasi_transversal(
         if rng is None:
             raise OrderTooLargeError(f"exhaustive quasi search supports order <= 12, got {n}")
         return _quasi_randomized(square, forbidden, rng, restarts)
-    cols = [[c for c in range(n) if (r + 1, c + 1) not in forbidden] for r in range(n)]
-    chosen = _quasi_search(square.cells0, _stop, cols)
+    chosen = _quasi_search(square.cells0, _stop, forbidden)
     if chosen is None:
         return None
     cs = CellSet(n, _chosen_cells(chosen), KIND_QUASI)
@@ -801,27 +750,95 @@ def find_quasi_transversal(
     return cs
 
 
-def _quasi_search(grid, visit, cols=None) -> list[tuple[int, ...]] | None:
-    """The counted kernel over quasi-transversals: doubled row 0, 1, ... in
-    turn, each in row order.  Returns the chosen columns at the leaf where
-    visit returned True, else None, and logs the nodes visited."""
+def _quasi_search(grid, visit, forbidden=frozenset()) -> list[tuple[int, ...]] | None:
+    """Walk the quasi-transversals avoiding `forbidden` (1-based cells): for
+    doubled row d = 0, 1, ..., one cell per entry of rows 0..d, d, d+1..n-1,
+    the second cell of row d right of its first.  mask holds the columns and
+    symbols (bits n..) used; each may repeat once, and rep marks the repeats
+    spent (bit 0 column, bit 1 symbol).  visit runs at every leaf with
+    chosen[r] the columns of row r; if it returns True the search stops and
+    returns chosen, else None.  A missing column needs a later cell whose
+    symbol it may still take (any while the symbol repeat is open, else an
+    unused one), and dually; a memo keeps up to _DEAD_STATES_MAX states per
+    doubled row (mask, rep and, inside row d, its first column) whose
+    subtree held no leaf."""
     n = len(grid)
-    total = 0
-    for doubled_row in range(n):
-        sizes = [1 + (r == doubled_row) for r in range(n)]
-        chosen, nodes, _ = _counted_search(grid, sizes, 1, 2, visit, cols)
-        total += nodes
-        if chosen is not None:
+    shift = 2 * n
+    cells = [[(c, 1 << c, 1 << n + s) for c, s in enumerate(row)
+              if not (forbidden and (r + 1, c + 1) in forbidden)]
+             for r, row in enumerate(grid)] + [[]]
+    # sups[r][x]: the symbols of column x, or the columns of symbol x - n, in rows r..
+    sups = [[0] * shift]
+    for r in range(n - 1, -1, -1):
+        sups.insert(0, sups[0][:])
+        for c, cb, sb in cells[r]:
+            sups[0][c] |= sb
+            sups[0][n + grid[r][c]] |= cb
+    # unspent[rep]: the bits of the side(s) whose repeat is still open
+    unspent = [(1 << shift) - 1, (1 << shift) - (1 << n), (1 << n) - 1, 0]
+    path = [0] * (n + 1)
+    nodes = leaves = kept = 0
+
+    def chosen() -> list[tuple[int, ...]]:
+        return [(c,) for c in path[:d]] + [(path[d], path[d + 1])] + [(c,) for c in path[d + 2:]]
+
+    def rec(i: int, mask: int, rep: int, todo) -> bool:
+        nonlocal nodes, leaves
+        nodes += 1
+        if i > n:
+            leaves += 1
+            return visit(chosen())
+        sup, nxt = sups[rows[i + 1]], cells[rows[i + 1]]
+        for j, (c, cb, sb) in enumerate(todo):
+            after = rep
+            if mask & cb:
+                if rep & 1:
+                    continue
+                after |= 1
+            if mask & sb:
+                if rep & 2:
+                    continue
+                after |= 2
+            key = mask | cb | sb | after << shift
+            if i == d:
+                key |= c + 1 << shift + 2
+                nxt = todo[j + 1:]
+            if key in dead:
+                continue
+            miss = (mask | cb | sb) ^ unspent[0]
+            free = miss | unspent[after]
+            while miss:  # every missing column and symbol keeps a supply
+                low = miss & -miss
+                if not sup[low.bit_length() - 1] & free:
+                    break
+                miss ^= low
+            if miss:
+                continue
+            path[i] = c
+            before = leaves
+            if rec(i + 1, mask | cb | sb, after, nxt):
+                return True
+            if leaves == before and len(dead) < _DEAD_STATES_MAX:
+                dead.add(key)
+        return False
+
+    for d in range(n):  # rows[i]: the row of entry i; n past the last, with no cell
+        rows = [*range(d + 1), *range(d, n + 1)]
+        dead: set[int] = set()
+        found = rec(0, 0, 0, cells[0])
+        kept += len(dead)
+        if found:
             break
-    log.debug("quasi search: %d nodes", total)
-    return chosen
+    del rec  # rec refers to itself: free its memo now, not at the next full collection
+    log.debug("quasi search: %d nodes, %d dead states", nodes, kept)
+    return chosen() if found else None
 
 
 def _quasi_randomized(square, forbidden, rng: random.Random, restarts: int) -> CellSet | None:
     """Randomized-restart quasi search for large orders; inconclusive on miss."""
     n = square.order
     grid = square.cells0
-    for _ in range(restarts):
+    for tried in range(1, restarts + 1):
         doubled_row = rng.randrange(n)
         col_cnt = [0] * n
         sym_cnt = [0] * n
@@ -854,7 +871,9 @@ def _quasi_randomized(square, forbidden, rng: random.Random, restarts: int) -> C
             cs = CellSet(n, tuple(cells), KIND_QUASI)
             valid, _ = check_quasi_transversal(square, cs)
             if valid:
+                log.debug("randomized quasi search: found after %d of %d restarts", tried, restarts)
                 return cs
+    log.debug("randomized quasi search: none in %d restarts, inconclusive", restarts)
     return None
 
 

@@ -1,12 +1,28 @@
+import copy
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latinplex.cli import main
-from latinplex.constructions import build_3ds_q1
-from latinplex.core import MAX_INPUT_ORDER, format_ls, gen_cyclic, gen_two_step_pow2
+from latinplex.constructions import (
+    build_2plex_m2,
+    build_2plex_q1,
+    build_3ds_q1,
+    build_domatic_partition_cyclic,
+)
+from latinplex.core import (
+    MAX_INPUT_ORDER,
+    format_ls,
+    gen_cyclic,
+    gen_qstep,
+    gen_two_step_pow2,
+    square_to_json_dict,
+)
 
 from conftest import cli_env
 
@@ -206,7 +222,8 @@ class TestVerify:
         assert not json.loads(capsys.readouterr().out)["accepted"]
 
     @pytest.mark.parametrize("case", ["no-square", "string-param", "witness-without-kind",
-                                      "square-not-an-object", "missing-param", "bool-param"])
+                                      "square-not-an-object", "missing-param", "bool-param",
+                                      "string-verdict"])
     def test_malformed_certificate_fails_cleanly(self, case, tmp_path, capsys):
         cert = {
             "claim": "3ds-q1",
@@ -225,6 +242,9 @@ class TestVerify:
             cert["square"] = [[1, 2], [2, 1]]
         elif case == "missing-param":
             del cert["square"]["params"]["n"]
+        elif case == "string-verdict":  # "false" is truthy: only a JSON boolean is a verdict
+            cert = build_2plex_q1(4).to_json_dict()
+            cert["verdict"] = "false"
         else:  # a bool is not an order, although bool is an int subclass
             cert["square"]["params"]["n"] = True
         path = tmp_path / "cert.json"
@@ -375,3 +395,73 @@ class TestDeterminism:
         assert rc == 0
         _, out, _ = run_cli(["gen", "cyclic", "4", "--format", "json"])
         assert captured.out == out
+
+
+def main_on_stdin(args, text):
+    """main(args) in-process with `text` on stdin: (exit code, stdout)."""
+    out, stdin = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(args)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue()
+
+
+def _leaf_paths(obj, path=()):
+    if isinstance(obj, dict):
+        return [p for k, v in obj.items() for p in _leaf_paths(v, path + (k,))] or [path]
+    if isinstance(obj, list):
+        return [p for i, v in enumerate(obj) for p in _leaf_paths(v, path + (i,))] or [path]
+    return [path]
+
+
+#: valid certificates of order <= 6, whose descriptors stay small when one integer changes
+FUZZ_CERTS = [build_3ds_q1(4).to_json_dict(), build_2plex_q1(4).to_json_dict(),
+              build_2plex_m2(3).to_json_dict(), build_domatic_partition_cyclic(6).to_json_dict()]
+FUZZ_SQUARES = [format_ls(gen_cyclic(4)), format_ls(gen_qstep(2, 3)),
+                json.dumps(square_to_json_dict(gen_cyclic(5)))]
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 6), st.floats(allow_nan=True),
+    st.text(max_size=4), st.lists(st.integers(-1, 6), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "cells", "k", "n"]), st.integers(0, 6), max_size=2),
+)
+
+
+class TestFuzz:
+    """Untrusted input through main(): every outcome is an exit code of the
+    contract, never an escaping exception."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_certificate_with_one_leaf_replaced(self, data):
+        cert = copy.deepcopy(data.draw(st.sampled_from(FUZZ_CERTS)))
+        path = data.draw(st.one_of(st.just(("verdict",)), st.sampled_from(_leaf_paths(cert))))
+        parent = cert
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(JSON_VALUES)
+        code, out = main_on_stdin(["verify", "--stdin", "--format", "json"], json.dumps(cert))
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            assert json.loads(out)["accepted"] and cert["verdict"] is True
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(FUZZ_SQUARES),
+           st.lists(st.tuples(st.integers(0, 200), st.sampled_from(["delete", "insert", "replace"]),
+                              st.sampled_from(list('0123456789 \n-.,[]{}":rowsx'))),
+                    min_size=1, max_size=4),
+           st.sampled_from([["search", "quasi"], ["search", "near"], ["search", "kplex"],
+                            ["search", "transversal"], ["search", "tau"]]))
+    def test_mutated_square_text(self, text, edits, command):
+        for pos, op, ch in edits:
+            pos %= len(text) + 1
+            if op == "delete":
+                text = text[:pos] + text[pos + 1:]
+            elif op == "insert":
+                text = text[:pos] + ch + text[pos:]
+            else:
+                text = text[:pos] + ch + text[pos + 1:]
+        code, _ = main_on_stdin([*command, "--stdin"], text)
+        assert code in (0, 1, 2, 3)

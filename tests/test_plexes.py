@@ -520,6 +520,52 @@ class TestQuasiNearSearch:
             find_quasi_transversal(gen_qstep(3, 4))
         assert len(re.findall(r"quasi search: \d+ nodes", caplog.text)) == 1
 
+    @pytest.mark.parametrize("seed", [None, 11])
+    def test_cyclic6_quasi_count(self, seed):
+        # an isotopy maps quasi-transversals onto quasi-transversals
+        from latinplex.plexes import _all_quasis
+
+        sq = gen_cyclic(6)
+        if seed is not None:
+            sq = apply_isotopy(sq, Isotopy.random(6, random.Random(seed)))
+        assert len(_all_quasis(sq)) == 1872
+
+    @pytest.mark.parametrize("search", [lambda: find_quasi_transversal(gen_qstep(3, 4)),
+                                        lambda: find_kplex(gen_cyclic(6), 3)],
+                             ids=["quasi", "kplex"])
+    def test_search_leaves_no_reference_cycles(self, search):
+        # a memo left in a cycle lives until a full collection
+        gc.collect()
+        gc.disable()
+        try:
+            search()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_fully_forbidden_row_has_no_quasi(self):
+        forbidden = frozenset((3, c) for c in range(1, 7))
+        assert find_quasi_transversal(gen_cyclic(6), forbidden=forbidden) is None
+
+    def test_quasi_logs_dead_states_at_debug(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            find_quasi_transversal(gen_qstep(3, 4))
+        nodes, dead = map(int, re.search(r"quasi search: (\d+) nodes, (\d+) dead states",
+                                         caplog.text).groups())
+        assert 0 < dead < nodes
+
+    @pytest.mark.parametrize("forbidden,line", [
+        (frozenset(), r"randomized quasi search: found after \d+ of 40 restarts"),
+        (frozenset((1, c) for c in range(1, 14)),
+         r"randomized quasi search: none in 40 restarts, inconclusive"),
+    ])
+    def test_randomized_quasi_logs_restarts(self, forbidden, line, caplog, capfd):
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            find_quasi_transversal(gen_cyclic(13), forbidden=forbidden,
+                                   rng=random.Random(0), restarts=40)
+        assert len(re.findall(line, caplog.text)) == 1
+        assert capfd.readouterr().err == ""
+
     def test_randomized_quasi_large_order(self):
         sq = gen_qstep(2, 7)
         rng = random.Random(0)
@@ -581,6 +627,17 @@ class TestSearchOrder:
             expected = brute_quasis(sq, forbidden)
             assert _cells(find_quasi_transversal(sq, forbidden=forbidden)) == (
                 expected[0] if expected else None), forbidden
+
+    @pytest.mark.parametrize("label,sq", QUASI_CASES, ids=[label for label, _ in QUASI_CASES])
+    def test_quasi_with_one_cell_left_in_row_1(self, label, sq):
+        # row 1 cannot be doubled, so the witness comes from a later doubled row
+        n = sq.order
+        forbidden = frozenset((1, c) for c in range(1, n))
+        expected = brute_quasis(sq, forbidden)
+        found = find_quasi_transversal(sq, forbidden=forbidden)
+        assert _cells(found) == (expected[0] if expected else None)
+        if found is not None:
+            assert quasi_profile(sq, found)[0] != 1
 
     @pytest.mark.parametrize("label,sq", KPLEX_CASES, ids=[label for label, _ in KPLEX_CASES])
     def test_two_plex_is_lex_least(self, label, sq):
