@@ -35,6 +35,7 @@ from .plexes import (
     KIND_TRANSVERSAL,
     CellSet,
     _as_cells,
+    _line_counts,
     check_kplex,
     check_near_transversal,
     check_quasi_transversal,
@@ -601,16 +602,8 @@ def near_from_quasi(square: LatinSquare, quasi) -> CellSet:
 
 
 def _missing_parts(square: LatinSquare, near) -> tuple[int, int, int]:
-    n = square.order
-    cells = _as_cells(near)
-    grid = square.cells0
-    rows = {r for r, _ in cells}
-    cols = {c for _, c in cells}
-    syms = {grid[r - 1][c - 1] + 1 for r, c in cells}
-    mr = next(i for i in range(1, n + 1) if i not in rows)
-    mc = next(j for j in range(1, n + 1) if j not in cols)
-    ms = next(s for s in range(1, n + 1) if s not in syms)
-    return mr, mc, ms
+    """(missing row, missing column, missing symbol) of a near-transversal."""
+    return tuple(cnt.index(0, 1) for cnt in _line_counts(square, near))
 
 
 def quasi_from_near(square: LatinSquare, near) -> CellSet:

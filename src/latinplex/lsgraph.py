@@ -22,6 +22,7 @@ from .errors import (
 )
 from .plexes import (
     _as_cells,
+    _line_counts,
     check_quasi_transversal,
     check_transversal,
     find_orthogonal_mate,
@@ -135,54 +136,30 @@ class DominationCertificate:
         return out
 
 
-def _class_counters(square: LatinSquare, cells):
-    n = square.order
-    grid = square.cells0
-    row_cnt = [0] * (n + 1)
-    col_cnt = [0] * (n + 1)
-    sym_cnt = [0] * (n + 1)
-    for r, c in cells:
-        row_cnt[r] += 1
-        col_cnt[c] += 1
-        sym_cnt[grid[r - 1][c - 1] + 1] += 1
-    return row_cnt, col_cnt, sym_cnt
-
-
-def dominating_count(square: LatinSquare, counters, cell: tuple[int, int]) -> int:
-    """|N(v) cap S| for v outside S: a set cell shares exactly one of row,
-    column, symbol with v, so the class counters add up exactly."""
-    row_cnt, col_cnt, sym_cnt = counters
-    r, c = cell
-    s = square.symbol(r, c)
-    return row_cnt[r] + col_cnt[c] + sym_cnt[s]
-
-
 def is_k_dominating(graph: LatinSquareGraph, cells, k: int) -> DominationCertificate:
     """Every vertex outside the set needs at least k neighbors inside."""
-    sq = graph.square
     cs = _as_cells(cells)
     in_set = set(cs)
-    counters = _class_counters(sq, cs)
+    rows, cols, syms = _line_counts(graph.square, cs)
     deficient = []
-    for v in graph.vertices():
-        if v in in_set:
-            continue
-        cnt = dominating_count(sq, counters, v)
-        if cnt < k:
-            deficient.append((v[0], v[1], cnt))
+    # a set cell neighbours a vertex outside the set iff it shares a line
+    # with it, and two distinct cells share at most one line, so the
+    # tallies add up to |N(v) cap S| exactly
+    for i, row in enumerate(graph.square.cells0, 1):
+        for j, s in enumerate(row, 1):
+            cnt = rows[i] + cols[j] + syms[s + 1]
+            if cnt < k and (i, j) not in in_set:
+                deficient.append((i, j, cnt))
     return DominationCertificate(k, None, cs, not deficient, tuple(deficient))
 
 
 def induced_degrees(square: LatinSquare, cells) -> dict[tuple[int, int], int]:
     """Degree of each set cell in the subgraph induced by the set."""
     cs = _as_cells(cells)
-    counters = _class_counters(square, cs)
-    row_cnt, col_cnt, sym_cnt = counters
-    out = {}
-    for r, c in cs:
-        s = square.symbol(r, c)
-        out[(r, c)] = (row_cnt[r] - 1) + (col_cnt[c] - 1) + (sym_cnt[s] - 1)
-    return out
+    rows, cols, syms = _line_counts(square, cs)
+    grid = square.cells0
+    # each of the three tallies counts the cell itself once
+    return {(r, c): rows[r] + cols[c] + syms[grid[r - 1][c - 1] + 1] - 3 for r, c in cs}
 
 
 def is_lk_independent_dominating(
@@ -208,12 +185,7 @@ def gamma_k_lower_bound(n: int, k: int) -> int:
     return -(-num // den)
 
 
-def gamma_k_exact(
-    graph: LatinSquareGraph,
-    k: int,
-    upper_hint: int | None = None,
-    hint_cells=None,
-) -> tuple[int, tuple[tuple[int, int], ...]]:
+def gamma_k_exact(graph: LatinSquareGraph, k: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Exact gamma_k by branch-and-bound, orders up to 6 (36 vertices).
 
     Each node branches on the first vertex outside the set that still has
@@ -223,8 +195,7 @@ def gamma_k_exact(
     incumbent, D being the total deficit and R the largest deficit one
     undecided vertex can still remove, and the search stops as soon as the
     incumbent meets gamma_k_lower_bound.  The greedy set seeds the
-    incumbent; hint_cells, if given, must be a validated k-dominating set
-    and replaces it when smaller.
+    incumbent.
     """
     n = graph.n
     if n > 6:
@@ -258,22 +229,8 @@ def gamma_k_exact(
             for u in neighbors[best_v]:
                 counts[u] += 1
 
-    incumbent_mask = greedy()
-    best_size = bin(incumbent_mask).count("1")
-    if hint_cells is not None:
-        cert = is_k_dominating(graph, hint_cells, k)
-        if not cert.verdict:
-            raise ValidationFailureError("hint_cells is not a k-dominating set")
-        if len(cert.cells) < best_size:
-            best_size = len(cert.cells)
-            incumbent_mask = 0
-            for r, c in cert.cells:
-                incumbent_mask |= 1 << graph.vertex_index(r, c)
-    if upper_hint is not None and upper_hint + 1 < best_size:
-        # prune harder, but only below a bound the caller claims achievable
-        best_size = upper_hint + 1
-
-    best_mask = incumbent_mask
+    best_mask = greedy()
+    best_size = best_mask.bit_count()
     full = (1 << N) - 1
     counts = [0] * N
     nodes = 0
@@ -319,11 +276,7 @@ def gamma_k_exact(
         rec(0, 0, full, 0, k * N)
     log.debug("gamma_%d: %d nodes, stopped at size %d, lower bound %d",
               k, nodes, best_size, lower)
-    cells = tuple(sorted(graph.cell_of(v) for v in range(N) if (best_mask >> v) & 1))
-    if len(cells) != best_size:
-        # only reachable when upper_hint understated gamma_k without a witness
-        raise ValidationFailureError(f"upper_hint {upper_hint} is below gamma_{k}")
-    return best_size, cells
+    return best_size, tuple(sorted(graph.cell_of(v) for v in range(N) if (best_mask >> v) & 1))
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +294,6 @@ class EquivalenceReport:
     @property
     def agree(self) -> bool:
         return self.is_3ds_of_size_n == self.is_13_ids_of_size_n == self.is_transversal
-
-    def to_json_dict(self) -> dict:
-        return {
-            "three_dominating_size_n": self.is_3ds_of_size_n,
-            "one_three_ids_size_n": self.is_13_ids_of_size_n,
-            "transversal": self.is_transversal,
-            "agree": self.agree,
-        }
 
 
 def transversal_equivalence_check(square: LatinSquare, cells) -> EquivalenceReport:
@@ -375,16 +320,6 @@ class DomaticReport:
     is_partition: bool
     implied_lower_bound: int
     failures: tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "parts": [[[i, j] for i, j in p] for p in self.parts],
-            "verdict": self.verdict,
-            "is_partition": self.is_partition,
-            "implied_lower_bound": self.implied_lower_bound,
-            "failures": list(self.failures),
-        }
 
 
 def verify_domatic_partition(
@@ -464,21 +399,11 @@ class CorrespondenceReport:
     scan_quasi_count: int | None = None
     scan_non_quasi_examples: tuple[tuple[tuple[int, int], ...], ...] = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "is_quasi": self.is_quasi,
-            "is_3ds": self.is_3ds,
-            "forward_ok": self.forward_ok,
-            "scan_total_3ds": self.scan_total_3ds,
-            "scan_quasi_count": self.scan_quasi_count,
-            "scan_non_quasi_examples": [
-                [[i, j] for i, j in ex] for ex in self.scan_non_quasi_examples
-            ],
-        }
 
-
-def scan_3ds_sets(square: LatinSquare, size: int, cap_examples: int = 5):
-    """Enumerate every size-`size` 3-dominating set; order <= 5 only."""
+def scan_3ds_sets(square: LatinSquare, size: int):
+    """Enumerate every size-`size` 3-dominating set; order <= 5 only.
+    Returns the count, how many are quasi-transversals, and up to 5 that
+    are not."""
     n = square.order
     if n > 5:
         raise OrderTooLargeError(f"exhaustive 3DS scan supports order <= 5, got {n}")
@@ -505,20 +430,17 @@ def scan_3ds_sets(square: LatinSquare, size: int, cap_examples: int = 5):
         cells = tuple(graph.cell_of(v) for v in comb)
         if check_quasi_transversal(square, cells)[0]:
             quasi_count += 1
-        elif len(examples) < cap_examples:
+        elif len(examples) < 5:
             examples.append(cells)
     return total, quasi_count, tuple(examples)
 
 
-def quasi_3ds_correspondence(
-    square: LatinSquare, cells, include_scan: bool | None = None
-) -> CorrespondenceReport:
+def quasi_3ds_correspondence(square: LatinSquare, cells) -> CorrespondenceReport:
     """Forward direction: a quasi-transversal is a 3DS of size n+1 (n >= 3).
 
-    When include_scan is enabled (default for order <= 4, supported to 5)
-    every (n+1)-subset that 3-dominates is tested against the
-    quasi-transversal validator and disagreements are reported, not
-    assumed away.
+    At order <= 4 every (n+1)-subset that 3-dominates is also tested
+    against the quasi-transversal validator and disagreements are
+    reported, not assumed away.
     """
     n = square.order
     cs = _as_cells(cells)
@@ -528,9 +450,7 @@ def quasi_3ds_correspondence(
     is_quasi = check_quasi_transversal(square, cs)[0]
     is_3ds = is_k_dominating(graph, cs, 3).verdict
     forward_ok = (not is_quasi) or is_3ds
-    if include_scan is None:
-        include_scan = n <= 4
-    if not include_scan:
+    if n > 4:
         return CorrespondenceReport(is_quasi, is_3ds, forward_ok)
     total, quasi_count, examples = scan_3ds_sets(square, n + 1)
     return CorrespondenceReport(is_quasi, is_3ds, forward_ok, total, quasi_count, examples)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .core import MAX_EXHAUSTIVE_ORDER, LatinSquare
 from .errors import (
+    FormatError,
     InvalidCellSetError,
     InvalidPartialError,
     InvalidPlexError,
@@ -91,7 +92,10 @@ class CellSet:
 
     @classmethod
     def from_json_dict(cls, order: int, obj: dict) -> "CellSet":
-        return cls(order, tuple((r, c) for r, c in obj["cells"]), obj["kind"], obj.get("k"))
+        k = obj.get("k")
+        if k is not None and type(k) is not int:  # a bool is not an int here
+            raise FormatError(f"k must be a JSON integer, got {k!r}")
+        return cls(order, tuple((r, c) for r, c in obj["cells"]), obj["kind"], k)
 
 
 def _as_cells(cells) -> tuple[tuple[int, int], ...]:
@@ -110,6 +114,19 @@ def _in_range(order: int, cells) -> str | None:
     return None
 
 
+def _line_counts(square: LatinSquare, cells) -> tuple[list[int], list[int], list[int]]:
+    """How often the cells meet each row, column and symbol: three lists
+    indexed 1..n (index 0 unused)."""
+    n = square.order
+    grid = square.cells0
+    rows, cols, syms = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    for r, c in cells:
+        rows[r] += 1
+        cols[c] += 1
+        syms[grid[r - 1][c - 1] + 1] += 1
+    return rows, cols, syms
+
+
 def check_transversal(square: LatinSquare, cells) -> tuple[bool, str | None]:
     """True iff the cells cover every row, column and symbol exactly once."""
     return check_kplex(square, cells, 1)
@@ -124,14 +141,7 @@ def check_kplex(square: LatinSquare, cells, k: int) -> tuple[bool, str | None]:
         return False, bad
     if len(cs) != n * k:
         return False, f"expected {n * k} cells for a {k}-plex of order {n}, got {len(cs)}"
-    rows = Counter()
-    cols = Counter()
-    syms = Counter()
-    grid = square.cells0
-    for r, c in cs:
-        rows[r] += 1
-        cols[c] += 1
-        syms[grid[r - 1][c - 1] + 1] += 1
+    rows, cols, syms = _line_counts(square, cs)
     for i in range(1, n + 1):
         if rows[i] != k:
             return False, f"row {i} occurs {rows[i]} times, expected {k}"
@@ -193,20 +203,14 @@ def check_quasi_transversal(square: LatinSquare, cells) -> tuple[bool, str | Non
     if len(cs) != n + 1:
         return False, f"expected {n + 1} cells, got {len(cs)}"
     grid = square.cells0
-    rows = Counter(r for r, _ in cs)
-    cols = Counter(c for _, c in cs)
-    syms = Counter(grid[r - 1][c - 1] + 1 for r, c in cs)
-    for name, cnt in (("row", rows), ("column", cols), ("symbol", syms)):
-        multiplicities = sorted(cnt.values())
-        if len(cnt) != n or multiplicities != [1] * (n - 1) + [2]:
-            over = [x for x, m in cnt.items() if m > 2]
-            if over:
-                return False, f"{name} {over[0]} occurs {cnt[over[0]]} times"
-            missing = [x for x in range(1, n + 1) if cnt[x] == 0]
-            if missing:
-                return False, f"{name} {missing[0]} does not occur"
-            doubles = [x for x, m in cnt.items() if m == 2]
-            return False, f"{name}s doubled more than once: {sorted(doubles)}"
+    line_of = (lambda r, c: r, lambda r, c: c, lambda r, c: grid[r - 1][c - 1] + 1)
+    # n+1 cells on n lines of a kind: unless a line is empty, one is doubled
+    for name, cnt, line in zip(("row", "column", "symbol"), _line_counts(square, cs), line_of):
+        if 0 in cnt[1:]:
+            over = next((line(r, c) for r, c in cs if cnt[line(r, c)] > 2), None)
+            if over is not None:
+                return False, f"{name} {over} occurs {cnt[over]} times"
+            return False, f"{name} {cnt.index(0, 1)} does not occur"
     return True, None
 
 
@@ -215,16 +219,7 @@ def quasi_profile(square: LatinSquare, cells) -> tuple[int, int, int]:
     ok, why = check_quasi_transversal(square, cells)
     if not ok:
         raise InvalidCellSetError(f"not a quasi-transversal: {why}")
-    cs = _as_cells(cells)
-    grid = square.cells0
-    rows = Counter(r for r, _ in cs)
-    cols = Counter(c for _, c in cs)
-    syms = Counter(grid[r - 1][c - 1] + 1 for r, c in cs)
-    return (
-        next(x for x, m in rows.items() if m == 2),
-        next(x for x, m in cols.items() if m == 2),
-        next(x for x, m in syms.items() if m == 2),
-    )
+    return tuple(cnt.index(2, 1) for cnt in _line_counts(square, _as_cells(cells)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +264,9 @@ def _partial_search(grid, rows, visit, skips: int = 0, colmask: int = 0,
             return rec(i + 1, cm, sm, skips - 1)
         return False
 
-    return path[:] if rec(0, colmask, symmask, skips) else None
+    found = rec(0, colmask, symmask, skips)
+    del rec  # rec refers to itself: free its state now, not at the next full collection
+    return path[:] if found else None
 
 
 #: most keys a dead-state memo of the row searches stores; once full it takes no more
@@ -589,6 +586,7 @@ def _max_packing(what: str, n: int, masks: list[int], size: int, ceiling: int,
 
     if len(best) < ceiling:
         rec((1 << cells) - 1, (1 << len(masks)) - 1, 0)
+    del rec  # rec refers to itself: free its state now, not at the next full collection
     if len(best) <= floor:
         best = []
     log.debug("%s packing: %d nodes, stopped at %d of ceiling %d", what, nodes, len(best), ceiling)

@@ -98,8 +98,7 @@ def test_criterion_03_gamma3_equals_n_plus_1():
             assert cert.verdict and len(cert.witness.cells) == n + 1
             g = build_graph(sq)
             assert is_k_dominating(g, cert.witness.cells, 3).verdict
-            value, witness = gamma_k_exact(g, 3, upper_hint=n + 1,
-                                           hint_cells=cert.witness.cells)
+            value, witness = gamma_k_exact(g, 3)
             assert value == n + 1
             assert is_k_dominating(g, witness, 3).verdict
         for m, q in ((2, 3), (4, 3)):

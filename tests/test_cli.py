@@ -223,7 +223,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("case", ["no-square", "string-param", "witness-without-kind",
                                       "square-not-an-object", "missing-param", "bool-param",
-                                      "string-verdict"])
+                                      "string-verdict", "float-k", "bool-k"])
     def test_malformed_certificate_fails_cleanly(self, case, tmp_path, capsys):
         cert = {
             "claim": "3ds-q1",
@@ -245,6 +245,9 @@ class TestVerify:
         elif case == "string-verdict":  # "false" is truthy: only a JSON boolean is a verdict
             cert = build_2plex_q1(4).to_json_dict()
             cert["verdict"] = "false"
+        elif case in ("float-k", "bool-k"):  # k of the 2-plex witness
+            cert = build_2plex_q1(4).to_json_dict()
+            cert["witness"][-1]["k"] = 2.0 if case == "float-k" else True
         else:  # a bool is not an order, although bool is an int subclass
             cert["square"]["params"]["n"] = True
         path = tmp_path / "cert.json"

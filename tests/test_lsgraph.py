@@ -138,6 +138,23 @@ class TestDomination:
                         == brute_is_k_dominating(sq, pick, k)
                     ), label
 
+    def test_deficient_and_induced_degrees_match_oracle(self):
+        rng = random.Random(9)
+        for label, sq in corpus_up_to(7):
+            n = sq.order
+            if n < 3:
+                continue
+            g = build_graph(sq, materialize=False)
+            cells = all_cells(n)
+            for _ in range(4):
+                pick = set(rng.sample(cells, rng.randint(1, 2 * n)))
+                meets = {v: len(neighbors_of(sq, v) & pick) for v in cells}
+                for k in (1, 3, 4):
+                    expected = [(i, j, meets[i, j]) for i, j in cells
+                                if (i, j) not in pick and meets[i, j] < k]
+                    assert list(is_k_dominating(g, pick, k).deficient) == expected, label
+                assert induced_degrees(sq, pick) == {v: meets[v] for v in pick}, label
+
     def test_certificate_json_shape(self):
         g = build_graph(gen_cyclic(4))
         cert = is_k_dominating(g, [(1, 1)], 3)
@@ -232,13 +249,6 @@ class TestGammaExact:
         with caplog.at_level(logging.DEBUG, logger="latinplex"):
             gamma_k_exact(build_graph(gen_cyclic(4)), 3)
         assert re.search(r"gamma_3: \d+ nodes, stopped at size 5, lower bound 4", caplog.text)
-
-    def test_hint_cells_accepted(self):
-        sq = gen_cyclic(4)
-        g = build_graph(sq)
-        quasi = find_quasi_transversal(sq)
-        value, _ = gamma_k_exact(g, 3, upper_hint=5, hint_cells=quasi.cells)
-        assert value == 5
 
     def test_refusal_above_6(self):
         g = build_graph(gen_cyclic(7))

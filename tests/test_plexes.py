@@ -140,6 +140,15 @@ class TestCheckers:
         assert not ok
         assert "duplicate" in why
 
+    @pytest.mark.parametrize("cells,why", [
+        ([(1, 4), (2, 2), (3, 4), (4, 2), (5, 4), (5, 2)], "column 4 occurs 3 times"),
+        ([(1, 2), (2, 1), (2, 5), (3, 4), (4, 3), (5, 3)], "symbol 2 occurs 3 times"),
+    ], ids=["columns", "symbols"])
+    def test_quasi_names_the_tripled_line_met_first(self, cells, why):
+        # two lines of a kind occur 3 times: the message names the one met
+        # first in row-major cell order, whatever order the cells come in
+        assert check_quasi_transversal(gen_cyclic(5), cells[::-1]) == (False, why)
+
     def test_quasi_vacuous_below_order_3(self):
         sq = validate([[1, 2], [2, 1]])
         ok, why = check_quasi_transversal(sq, [(1, 1), (1, 2), (2, 1)])
@@ -531,8 +540,11 @@ class TestQuasiNearSearch:
         assert len(_all_quasis(sq)) == 1872
 
     @pytest.mark.parametrize("search", [lambda: find_quasi_transversal(gen_qstep(3, 4)),
-                                        lambda: find_kplex(gen_cyclic(6), 3)],
-                             ids=["quasi", "kplex"])
+                                        lambda: find_kplex(gen_cyclic(6), 3),
+                                        lambda: find_near_transversal(gen_cyclic(6)),
+                                        lambda: enumerate_transversals(gen_cyclic(7), cap=10),
+                                        lambda: max_disjoint_transversals(gen_cyclic(7))],
+                             ids=["quasi", "kplex", "near", "enumerate", "tau"])
     def test_search_leaves_no_reference_cycles(self, search):
         # a memo left in a cycle lives until a full collection
         gc.collect()
