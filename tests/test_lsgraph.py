@@ -245,6 +245,17 @@ class TestGammaExact:
             assert value == len(witness) == want
             assert is_k_dominating(g, witness, k).verdict
 
+    def test_hint_cells_accepted(self):
+        # a quasi-transversal of cyclic(4) is a 3-dominating set of size gamma_3
+        sq = gen_cyclic(4)
+        g = build_graph(sq)
+        quasi = find_quasi_transversal(sq)
+        assert is_k_dominating(g, quasi.cells, 3).verdict
+        value, _ = gamma_k_exact(g, 3)
+        assert value == len(quasi.cells) == 5
+        with pytest.raises(TypeError):
+            gamma_k_exact(g, 3, upper_hint=5, hint_cells=quasi.cells)
+
     def test_logs_nodes_at_debug(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="latinplex"):
             gamma_k_exact(build_graph(gen_cyclic(4)), 3)
