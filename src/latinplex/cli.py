@@ -48,7 +48,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", default=None, help="write output to this path")
     parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def _load_square(args) -> LatinSquare:
@@ -254,6 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list: " + ",".join(SWEEP_GENERATORS),
     )
     p_sweep.add_argument("--isotopes", type=int, default=0, help="random isotopes per order")
+    p_sweep.add_argument("--seed", type=int, default=0, help="seed of the random isotopes")
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

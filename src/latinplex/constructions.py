@@ -3,9 +3,11 @@
 Every builder evaluates its index formula first (row/column indices reduced
 mod n into 1..n) and runs its claim's rule on the cells; where a search
 fallback exists it runs only when the rule fails, and its witness must pass
-the same rule.  The switch and the formula's failures are recorded in the
-certificate notes, never silently absorbed.  verify_certificate applies
-exactly the rule the builder applied (see CLAIMS).
+the same rule.  The fallbacks are the exhaustive engines, so above order
+12 they refuse with OrderTooLargeError.  The switch and the formula's
+failures are recorded in the certificate notes, never silently absorbed.
+verify_certificate applies exactly the rule the builder applied (see
+CLAIMS).
 
 Known defect handled here: the cyclic domatic family S_j pins its last
 extra cell at (1, n/2), which always collides with the T-family of
@@ -15,12 +17,12 @@ instead, with the discrepancy recorded on the certificate.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .core import LatinSquare, gen_cyclic, gen_qstep, gen_two_step_pow2
 from .errors import (
     FormatError,
+    InvalidCellSetError,
     NoWitnessFoundError,
     NotConstructibleError,
     StructureMismatchError,
@@ -288,16 +290,10 @@ def construct_twostep_decomposition(k: int) -> WitnessCertificate:
 # 3-dominating sets of size n+1
 
 
-def _case1_cells(n: int) -> tuple[tuple[int, int], ...]:
-    cells = [(i, i) for i in range(1, n // 2 + 1)]
-    cells += [(i, i + 1) for i in range(n // 2 + 1, n + 1)]
-    cells += [(n // 2 + 1, n // 2 + 1)]
-    return _wrap_cells(cells, n)
-
-
-def _case2_cells(m: int, q: int) -> tuple[tuple[int, int], ...]:
-    n = m * q
-    h = n // 2
+def _qstep_block_cells(m: int, q: int) -> list[tuple[int, int]]:
+    """The block-diagonal cells that open both q-step witnesses S (the
+    3-dominating set and the 2-plex quasi-transversal), before wrapping."""
+    h = m * q // 2
     cells = []
     for j in range(m // 2):
         for i in range((q - 1) // 2 + 1):
@@ -313,6 +309,13 @@ def _case2_cells(m: int, q: int) -> tuple[tuple[int, int], ...]:
             cells.append((q * j + 2 * i + 2 + h, q * j + 2 * i + 2 + h))
     for i in range((q - 3) // 2 + 1):
         cells.append((2 * i + 2 - q + h, 2 * i + 1 + h))
+    return cells
+
+
+def _case2_cells(m: int, q: int) -> tuple[tuple[int, int], ...]:
+    n = m * q
+    h = n // 2
+    cells = _qstep_block_cells(m, q)
     for i in range((q - 5) // 2 + 1):
         cells.append((2 * i + 1 - q + n, 2 * i + 4))
     cells += [(h - 1, h + q), (n - 2, 2), (n, 1)]
@@ -323,10 +326,9 @@ def _as_quasi(n: int, parts: tuple[Cells, ...]) -> CellSet:
     return CellSet(n, parts[0], KIND_QUASI)
 
 
-def _search_quasi(square: LatinSquare, seed: int):
-    """A quasi-transversal by search (seeded randomized above order 12)."""
-    rng = random.Random(seed) if square.order > 12 else None
-    found = find_quasi_transversal(square, rng=rng)
+def _search_quasi(square: LatinSquare):
+    """A quasi-transversal by exhaustive search (orders up to 12)."""
+    found = find_quasi_transversal(square)
     if found is None:
         raise NoWitnessFoundError("formula failed and no quasi-transversal was found")
     return found, ()
@@ -342,19 +344,19 @@ def build_3ds_q1(n: int) -> WitnessCertificate:
         raise ValueError(f"construction needs even n >= 4, got {n}")
     square = gen_cyclic(n)
     return _formula_else_search(
-        "3ds-q1", square, square_descriptor("cyclic", n=n), (_case1_cells(n),),
-        _as_quasi, lambda: _search_quasi(square, 0),
+        "3ds-q1", square, square_descriptor("cyclic", n=n), (_rodney1_cells(n)[0],),
+        _as_quasi, lambda: _search_quasi(square),
     )
 
 
-def build_3ds_qgen(m: int, q: int, seed: int = 0) -> WitnessCertificate:
+def build_3ds_qgen(m: int, q: int) -> WitnessCertificate:
     """Size-(n+1) 3DS for the canonical q-step square, m even, q odd >= 3."""
     if m < 2 or m % 2 or q < 3 or q % 2 == 0:
         raise ValueError(f"construction needs even m >= 2 and odd q >= 3, got ({m},{q})")
     square = gen_qstep(m, q)
     return _formula_else_search(
         "3ds-qgen", square, square_descriptor("qstep", m=m, q=q), (_case2_cells(m, q),),
-        _as_quasi, lambda: _search_quasi(square, seed),
+        _as_quasi, lambda: _search_quasi(square),
     )
 
 
@@ -442,21 +444,7 @@ def _rodney2_cells(q: int):
 def _rodney3_cells(m: int, q: int):
     n = m * q
     h = n // 2
-    s = []
-    for j in range(m // 2):
-        for i in range((q - 1) // 2 + 1):
-            s.append((q * j + 2 * i + 1, q * j + 2 * i + 1))
-    for j in range(m // 2 - 1):
-        for i in range((q - 1) // 2 + 1):
-            s.append((q * j + 2 * i + 1 + h, q * (j + 1) + 2 * i + 1 + h))
-    for j in range(m // 2 - 1):
-        for i in range((q - 3) // 2 + 1):
-            s.append((q * j + 2 * i + 2, q * (j + 1) + 2 * i + 2))
-    for j in range(m // 2):
-        for i in range((q - 3) // 2 + 1):
-            s.append((q * j + 2 * i + 2 + h, q * j + 2 * i + 2 + h))
-    for i in range((q - 3) // 2 + 1):
-        s.append((2 * i + 2 + h - q, 2 * i + 1 + h))
+    s = _qstep_block_cells(m, q)
     for i in range((q - 3) // 2 + 1):
         s.append((n - 2 * i, q - (2 * i + 1)))
     s += [(h + 1 - q, h + q), (n - q + 1, q)]
@@ -490,16 +478,13 @@ def _as_two_plex(n: int, parts: tuple[Cells, ...]) -> tuple[CellSet, CellSet, Ce
     return CellSet(n, s, KIND_QUASI), CellSet(n, sp, KIND_NEAR), CellSet(n, union, KIND_KPLEX, 2)
 
 
-def _fallback_two_plex(square: LatinSquare, seed: int):
-    """Structured search: a quasi-transversal plus a disjoint near-transversal
-    missing exactly the doubled row/column/symbol; bare 2-plex as last resort.
-    Returns (witness, notes)."""
+def _fallback_two_plex(square: LatinSquare):
+    """Exhaustive search: the first quasi-transversal plus a disjoint
+    near-transversal missing exactly its doubled row/column/symbol; a bare
+    2-plex as last resort.  Returns (witness, notes)."""
     n = square.order
-    rng = random.Random(seed) if n > 12 else None
-    for _ in range(50):
-        q = find_quasi_transversal(square, rng=rng)
-        if q is None:
-            break
+    q = find_quasi_transversal(square)
+    if q is not None:
         dr, dc, ds = quasi_profile(square, q)
         near = find_near_transversal(
             square,
@@ -510,39 +495,35 @@ def _fallback_two_plex(square: LatinSquare, seed: int):
         )
         if near is not None:
             return _as_two_plex(n, _two_plex_parts(q.cells, near.cells)), ()
-        if rng is None:
-            break  # deterministic search has one first answer; no restart value
-    bare = find_kplex(square, 2) if n <= 12 else None
-    if bare is not None:
-        return (bare,), ("no quasi+near split found; witness is a bare 2-plex",)
-    if n > 12:
-        raise NoWitnessFoundError(f"heuristic search found no 2-plex at order {n} (inconclusive)")
-    raise NoWitnessFoundError("exhaustive search found no 2-plex")
+    bare = find_kplex(square, 2)
+    if bare is None:
+        raise NoWitnessFoundError("exhaustive search found no 2-plex")
+    return (bare,), ("no quasi+near split found; witness is a bare 2-plex",)
 
 
-def build_2plex_q1(n: int, seed: int = 0) -> WitnessCertificate:
+def build_2plex_q1(n: int) -> WitnessCertificate:
     """2-plex of the cyclic square, n even >= 4, as quasi + disjoint near."""
     if n < 4 or n % 2:
         raise ValueError(f"construction needs even n >= 4, got {n}")
     square = gen_cyclic(n)
     return _formula_else_search(
         "2plex-q1", square, square_descriptor("cyclic", n=n), _two_plex_parts(*_rodney1_cells(n)),
-        _as_two_plex, lambda: _fallback_two_plex(square, seed),
+        _as_two_plex, lambda: _fallback_two_plex(square),
     )
 
 
-def build_2plex_m2(q: int, seed: int = 0) -> WitnessCertificate:
+def build_2plex_m2(q: int) -> WitnessCertificate:
     """2-plex of the canonical 2-block-row q-step square, q odd >= 3."""
     if q < 3 or q % 2 == 0:
         raise ValueError(f"construction needs odd q >= 3, got {q}")
     square = gen_qstep(2, q)
     return _formula_else_search(
         "2plex-m2", square, square_descriptor("qstep", m=2, q=q),
-        _two_plex_parts(*_rodney2_cells(q)), _as_two_plex, lambda: _fallback_two_plex(square, seed),
+        _two_plex_parts(*_rodney2_cells(q)), _as_two_plex, lambda: _fallback_two_plex(square),
     )
 
 
-def build_2plex_general(m: int, q: int, seed: int = 0) -> WitnessCertificate:
+def build_2plex_general(m: int, q: int) -> WitnessCertificate:
     """2-plex of the canonical q-step square, m even >= 4, q odd >= 3."""
     if m < 4 or m % 2 or q < 3 or q % 2 == 0:
         raise ValueError(f"construction needs even m >= 4 and odd q >= 3, got ({m},{q})")
@@ -550,7 +531,7 @@ def build_2plex_general(m: int, q: int, seed: int = 0) -> WitnessCertificate:
     return _formula_else_search(
         "2plex-gen", square, square_descriptor("qstep", m=m, q=q),
         _two_plex_parts(*_rodney3_cells(m, q)), _as_two_plex,
-        lambda: _fallback_two_plex(square, seed),
+        lambda: _fallback_two_plex(square),
     )
 
 
@@ -701,7 +682,10 @@ def _failed(label: str, result: tuple[bool, str | None]) -> list[str]:
 
 
 def _not_3_dominating(graph, label: str, cells: Cells) -> list[str]:
-    dom = is_k_dominating(graph, cells, 3)
+    try:  # a rule reports bad formula cells, so that the fallback runs
+        dom = is_k_dominating(graph, cells, 3)
+    except InvalidCellSetError as exc:
+        return [f"{label}: {exc}"]
     return [] if dom.verdict else [f"{label} not 3-dominating at {dom.deficient[:1]}"]
 
 
@@ -790,11 +774,11 @@ def _qt_nt_on_descriptor(desc: dict) -> WitnessCertificate:
 CLAIMS = {
     "twostep-decomp": (_twostep_issues, construct_twostep_decomposition, ("k",)),
     "3ds-q1": (_3ds_issues, build_3ds_q1, ("n",)),
-    "3ds-qgen": (_3ds_issues, build_3ds_qgen, ("m", "q", "seed")),
+    "3ds-qgen": (_3ds_issues, build_3ds_qgen, ("m", "q")),
     "domatic-cyclic": (_domatic_issues, build_domatic_partition_cyclic, ("n",)),
-    "2plex-q1": (_two_plex_issues, build_2plex_q1, ("n", "seed")),
-    "2plex-m2": (_two_plex_issues, build_2plex_m2, ("q", "seed")),
-    "2plex-gen": (_two_plex_issues, build_2plex_general, ("m", "q", "seed")),
+    "2plex-q1": (_two_plex_issues, build_2plex_q1, ("n",)),
+    "2plex-m2": (_two_plex_issues, build_2plex_m2, ("q",)),
+    "2plex-gen": (_two_plex_issues, build_2plex_general, ("m", "q")),
     "qt-nt-transforms": (_qt_nt_issues, _qt_nt_on_descriptor, ("square",)),
 }
 

@@ -16,12 +16,14 @@ from dataclasses import dataclass
 from .core import MAX_EXHAUSTIVE_ORDER, LatinSquare
 from .errors import (
     DimensionMismatchError,
+    InvalidCellSetError,
     NotAPartitionError,
     OrderTooLargeError,
     ValidationFailureError,
 )
 from .plexes import (
     _as_cells,
+    _in_range,
     _line_counts,
     check_quasi_transversal,
     check_transversal,
@@ -137,8 +139,12 @@ class DominationCertificate:
 
 
 def is_k_dominating(graph: LatinSquareGraph, cells, k: int) -> DominationCertificate:
-    """Every vertex outside the set needs at least k neighbors inside."""
+    """Every vertex outside the set needs at least k neighbors inside.
+    Cells outside the square or repeated raise InvalidCellSetError."""
     cs = _as_cells(cells)
+    bad = _in_range(graph.n, cs)
+    if bad:
+        raise InvalidCellSetError(bad)
     in_set = set(cs)
     rows, cols, syms = _line_counts(graph.square, cs)
     deficient = []
@@ -154,8 +160,12 @@ def is_k_dominating(graph: LatinSquareGraph, cells, k: int) -> DominationCertifi
 
 
 def induced_degrees(square: LatinSquare, cells) -> dict[tuple[int, int], int]:
-    """Degree of each set cell in the subgraph induced by the set."""
+    """Degree of each set cell in the subgraph induced by the set.
+    Cells outside the square or repeated raise InvalidCellSetError."""
     cs = _as_cells(cells)
+    bad = _in_range(square.order, cs)
+    if bad:
+        raise InvalidCellSetError(bad)
     rows, cols, syms = _line_counts(square, cs)
     grid = square.cells0
     # each of the three tallies counts the cell itself once

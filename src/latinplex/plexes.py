@@ -722,22 +722,16 @@ def find_quasi_transversal(
     square: LatinSquare,
     *,
     forbidden: frozenset[tuple[int, int]] = frozenset(),
-    rng: random.Random | None = None,
-    restarts: int = 2000,
 ) -> CellSet | None:
     """First quasi-transversal in deterministic order, or None by exhaustion.
 
-    Exhaustive up to order 12; beyond that a seeded randomized restart
-    search is used when an rng is supplied (a miss there is inconclusive,
-    so None is only certified at order <= 12).
+    Orders above 12 raise OrderTooLargeError.
     """
     n = square.order
     if n < 3:
         return None
     if n > 12:
-        if rng is None:
-            raise OrderTooLargeError(f"exhaustive quasi search supports order <= 12, got {n}")
-        return _quasi_randomized(square, forbidden, rng, restarts)
+        raise OrderTooLargeError(f"exhaustive quasi search supports order <= 12, got {n}")
     chosen = _quasi_search(square.cells0, _stop, forbidden)
     if chosen is None:
         return None
@@ -830,49 +824,6 @@ def _quasi_search(grid, visit, forbidden=frozenset()) -> list[tuple[int, ...]] |
     del rec  # rec refers to itself: free its memo now, not at the next full collection
     log.debug("quasi search: %d nodes, %d dead states", nodes, kept)
     return chosen() if found else None
-
-
-def _quasi_randomized(square, forbidden, rng: random.Random, restarts: int) -> CellSet | None:
-    """Randomized-restart quasi search for large orders; inconclusive on miss."""
-    n = square.order
-    grid = square.cells0
-    for tried in range(1, restarts + 1):
-        doubled_row = rng.randrange(n)
-        col_cnt = [0] * n
-        sym_cnt = [0] * n
-        cells: list[tuple[int, int]] = []
-        col2 = sym2 = False
-        ok = True
-        for row in range(n):
-            take = 2 if row == doubled_row else 1
-            cols = list(range(n))
-            rng.shuffle(cols)
-            placed = 0
-            for c in cols:
-                if placed == take:
-                    break
-                s = grid[row][c]
-                if (row + 1, c + 1) in forbidden:
-                    continue
-                if col_cnt[c] and col2 or sym_cnt[s] and sym2:  # at most one doubled column and symbol
-                    continue
-                col_cnt[c] += 1
-                sym_cnt[s] += 1
-                col2 = col2 or col_cnt[c] == 2
-                sym2 = sym2 or sym_cnt[s] == 2
-                cells.append((row + 1, c + 1))
-                placed += 1
-            if placed != take:
-                ok = False
-                break
-        if ok and col2 and sym2:
-            cs = CellSet(n, tuple(cells), KIND_QUASI)
-            valid, _ = check_quasi_transversal(square, cs)
-            if valid:
-                log.debug("randomized quasi search: found after %d of %d restarts", tried, restarts)
-                return cs
-    log.debug("randomized quasi search: none in %d restarts, inconclusive", restarts)
-    return None
 
 
 def max_disjoint_quasi_transversals(square: LatinSquare) -> tuple[int, tuple[CellSet, ...]]:

@@ -8,8 +8,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latinplex.cli import main
+from latinplex.cli import build_parser, main
 from latinplex.constructions import (
+    CLAIMS,
     build_2plex_m2,
     build_2plex_q1,
     build_3ds_q1,
@@ -309,6 +310,18 @@ class TestConstruct:
         code, out, err = run_cli(["construct", "qt-nt-transforms", "--gen", "cyclic", "--n", "4"])
         assert code == 0
         assert len(json.loads(out)["witness"]) == 3
+
+    def test_claim_parameters_are_construct_options(self):
+        # cmd_construct reads each parameter a claim names from the parsed
+        # arguments; "square" is assembled from --gen and its options
+        for claim, (_, _, names) in CLAIMS.items():
+            dests = vars(build_parser().parse_args(["construct", claim]))
+            assert set(names) - {"square"} <= set(dests), claim
+
+    def test_seed_is_not_a_construct_option(self):
+        code, out, err = run_cli(["construct", "3ds-qgen", "--m", "2", "--q", "3", "--seed", "1"])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --seed 1" in err
 
     def test_missing_param_errors(self):
         code, out, err = run_cli(["construct", "3ds-q1"])

@@ -429,7 +429,7 @@ class TestCertificates:
         assert issues
 
     #: a valid value for every builder parameter name in the claim table
-    SAMPLE_PARAMS = {"n": 6, "m": 4, "q": 3, "k": 3, "seed": 0,
+    SAMPLE_PARAMS = {"n": 6, "m": 4, "q": 3, "k": 3,
                      "square": square_descriptor("cyclic", n=6)}
 
     @pytest.mark.parametrize("claim", sorted(CLAIMS))

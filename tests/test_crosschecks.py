@@ -18,6 +18,7 @@ from latinplex.constructions import (
     square_descriptor,
 )
 from latinplex.core import Isotopy, apply_isotopy, gen_cyclic, gen_qstep, validate
+from latinplex.errors import OrderTooLargeError
 from latinplex.lsgraph import build_graph, gamma_k_exact, is_k_dominating
 from latinplex.plexes import (
     _count_transversals,
@@ -92,19 +93,21 @@ class TestGammaOracle:
 class TestFallbackPaths:
     def test_3ds_fallback_engages_on_bad_cells(self):
         # feed deliberately wrong formula output; the certificate must switch
-        # to search, record the discrepancy, and still validate
+        # to search, record the discrepancy, and still validate; a repeated
+        # cell is one more discrepancy, not an error
         sq = gen_cyclic(4)
-        bad = tuple((1, j) for j in range(1, 5)) + ((2, 1),)
-        cert = _formula_else_search(
-            "3ds-q1", sq, square_descriptor("cyclic", n=4), (bad,),
-            _as_quasi, lambda: _search_quasi(sq, 0),
-        )
-        assert cert.verdict
-        assert cert.provenance == PROVENANCE_SEARCH
-        assert any("fail" in note for note in cert.notes)
-        assert check_quasi_transversal(sq, cert.witness)[0]
         g = build_graph(sq)
-        assert is_k_dominating(g, cert.witness.cells, 3).verdict
+        for bad in (tuple((1, j) for j in range(1, 5)) + ((2, 1),),
+                    ((1, 1), (1, 1), (2, 2), (3, 3), (4, 4))):
+            cert = _formula_else_search(
+                "3ds-q1", sq, square_descriptor("cyclic", n=4), (bad,),
+                _as_quasi, lambda: _search_quasi(sq),
+            )
+            assert cert.verdict
+            assert cert.provenance == PROVENANCE_SEARCH
+            assert any("fail" in note for note in cert.notes)
+            assert check_quasi_transversal(sq, cert.witness)[0]
+            assert is_k_dominating(g, cert.witness.cells, 3).verdict
 
     def test_2plex_fallback_engages_on_bad_cells(self):
         sq = gen_cyclic(6)
@@ -112,7 +115,7 @@ class TestFallbackPaths:
         bad_sp = tuple((2, j) for j in range(1, 6))
         cert = _formula_else_search(
             "2plex-q1", sq, square_descriptor("cyclic", n=6), _two_plex_parts(bad_s, bad_sp),
-            _as_two_plex, lambda: _fallback_two_plex(sq, 0),
+            _as_two_plex, lambda: _fallback_two_plex(sq),
         )
         assert cert.verdict
         assert cert.provenance == PROVENANCE_SEARCH
@@ -121,13 +124,27 @@ class TestFallbackPaths:
         assert check_near_transversal(sq, near)[0]
         assert check_kplex(sq, union, 2)[0]
 
+    @pytest.mark.parametrize("claim,wrap,search", [
+        ("3ds-q1", _as_quasi, _search_quasi),
+        ("2plex-q1", _as_two_plex, _fallback_two_plex),
+    ], ids=["3ds-q1", "2plex-q1"])
+    def test_fallback_refuses_above_order_12(self, claim, wrap, search):
+        # the fallbacks are exhaustive, so a failing formula above order 12
+        # is refused, never answered by an uncertified search
+        sq = gen_cyclic(14)
+        bad = tuple((1, j) for j in range(1, 15)) + ((2, 1),)
+        parts = (bad,) if claim == "3ds-q1" else _two_plex_parts(bad, bad[:13])
+        with pytest.raises(OrderTooLargeError):
+            _formula_else_search(claim, sq, square_descriptor("cyclic", n=14), parts,
+                                 wrap, lambda: search(sq))
+
     def test_fallback_pairing_respects_profile(self):
         # the structured fallback pairs a quasi with a near missing exactly
         # the doubled row/column/symbol, so their union is a 2-plex
         from latinplex.plexes import quasi_profile
 
         sq = gen_qstep(2, 5)
-        (quasi, near, _), _ = _fallback_two_plex(sq, seed=0)
+        (quasi, near, _), _ = _fallback_two_plex(sq)
         assert quasi is not None and near is not None
         dr, dc, ds = quasi_profile(sq, quasi)
         rows = {r for r, _ in near.cells}

@@ -7,6 +7,7 @@ import pytest
 from latinplex.core import gen_cyclic, gen_qstep, gen_two_step_pow2, validate
 from latinplex.errors import (
     DimensionMismatchError,
+    InvalidCellSetError,
     NotAPartitionError,
     OrderTooLargeError,
 )
@@ -154,6 +155,19 @@ class TestDomination:
                                 if (i, j) not in pick and meets[i, j] < k]
                     assert list(is_k_dominating(g, pick, k).deficient) == expected, label
                 assert induced_degrees(sq, pick) == {v: meets[v] for v in pick}, label
+
+    @pytest.mark.parametrize("cells,message", [
+        ([(0, 1), (-1, 2)], r"cell \(-1,2\) outside 1..4"),
+        ([(5, 1)], r"cell \(5,1\) outside 1..4"),
+        ([(1, 1), (1, 1), (2, 3)], r"duplicate cell \(1, 1\)"),
+    ], ids=["row-0-and-row--1", "row-5", "repeated-cell"])
+    @pytest.mark.parametrize("check", [
+        lambda sq, cells: is_k_dominating(build_graph(sq), cells, 1),
+        induced_degrees,
+    ], ids=["is_k_dominating", "induced_degrees"])
+    def test_cells_outside_the_square_or_repeated_rejected(self, check, cells, message):
+        with pytest.raises(InvalidCellSetError, match=message):
+            check(gen_cyclic(4), cells)
 
     def test_certificate_json_shape(self):
         g = build_graph(gen_cyclic(4))
