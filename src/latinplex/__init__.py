@@ -6,19 +6,15 @@ import logging
 
 from .core import (
     Isotopy,
-    LatinRectangle,
     LatinSquare,
-    OrthogonalArray3,
     StepTypeSpec,
     apply_isotopy,
     format_ls,
-    from_oa,
     gen_cyclic,
     gen_qstep,
     gen_two_step_pow2,
     is_qstep_type,
     parse_ls,
-    to_oa,
     validate,
 )
 from .plexes import (

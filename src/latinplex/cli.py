@@ -47,7 +47,6 @@ def _emit_json(obj, out_path: str | None) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", default=None, help="write output to this path")
-    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
 
 def _load_square(args) -> LatinSquare:
@@ -88,8 +87,7 @@ def cmd_search(args) -> int:
     if args.what == "transversal":
         if args.cap < 0:
             raise ValueError(f"--cap must be at least 0, got {args.cap}")
-        census = enumerate_transversals(square, cap=0 if args.count else args.cap,
-                                        threads=args.threads)
+        census = enumerate_transversals(square, cap=0 if args.count else args.cap)
         if args.format == "json":
             _emit_json(census.to_json_dict(), args.out)
         else:

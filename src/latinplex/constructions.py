@@ -716,7 +716,7 @@ def _domatic_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]:
     """n-1 3-dominating sets partitioning the cells."""
     n = square.order
     issues = [] if len(parts) == n - 1 else [f"expected {n - 1} parts, got {len(parts)}"]
-    graph = build_graph(square, materialize=False)
+    graph = build_graph(square)
     for idx, cells in enumerate(parts):
         issues += _not_3_dominating(graph, f"part {idx + 1}", cells)
     return issues + _partition_issues(n, parts)
@@ -730,7 +730,7 @@ def _3ds_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]:
     (cells,) = parts
     issues = [] if len(cells) == n + 1 else [f"expected {n + 1} cells, got {len(cells)}"]
     issues += _failed("quasi check", check_quasi_transversal(square, cells))
-    return issues + _not_3_dominating(build_graph(square, materialize=False), "set", cells)
+    return issues + _not_3_dominating(build_graph(square), "set", cells)
 
 
 def _two_plex_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]:

@@ -18,7 +18,6 @@ from .errors import (
     ColumnRepeatError,
     DimensionMismatchError,
     FormatError,
-    InvalidOAError,
     NotAPermutationError,
     NotSquareError,
     OrderTooLargeError,
@@ -90,10 +89,6 @@ class LatinSquare:
         """1-based copy of the grid."""
         return [[x + 1 for x in r] for r in self._cells]
 
-    def row_band(self, start: int, stop: int) -> "LatinRectangle":
-        """Rows start..stop (1-based, inclusive) as a Latin rectangle."""
-        return LatinRectangle([[x + 1 for x in r] for r in self._cells[start - 1 : stop]])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LatinSquare) and self._cells == other._cells
 
@@ -106,56 +101,6 @@ class LatinSquare:
     def __str__(self) -> str:
         w = len(str(self._order))
         return "\n".join(" ".join(str(x + 1).rjust(w) for x in r) for r in self._cells)
-
-
-class LatinRectangle:
-    """r rows by n columns, entries 1..n, no repeat in any row or column."""
-
-    __slots__ = ("_cells", "_rows", "_width")
-
-    def __init__(self, rows):
-        grid = [list(r) for r in rows]
-        r = len(grid)
-        if r == 0:
-            raise NotSquareError("empty rectangle")
-        n = len(grid[0])
-        if any(len(row) != n for row in grid):
-            raise NotSquareError("ragged rows")
-        if r > n:
-            raise DimensionMismatchError(f"{r} rows exceed width {n}")
-        for row in grid:
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= n:
-                    raise SymbolOutOfRangeError(f"entry {x!r} outside 1..{n}")
-        for i, row in enumerate(grid):
-            if len(set(row)) != n:
-                dup = next(x for x in row if row.count(x) > 1)
-                raise RowRepeatError(i + 1, dup)
-        for j in range(n):
-            col = [grid[i][j] for i in range(r)]
-            if len(set(col)) != r:
-                dup = next(x for x in col if col.count(x) > 1)
-                raise ColumnRepeatError(j + 1, dup)
-        self._rows = r
-        self._width = n
-        self._cells = tuple(tuple(x - 1 for x in row) for row in grid)
-
-    @property
-    def rows_count(self) -> int:
-        return self._rows
-
-    @property
-    def width(self) -> int:
-        return self._width
-
-    def rows(self) -> list[list[int]]:
-        return [[x + 1 for x in r] for r in self._cells]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LatinRectangle) and self._cells == other._cells
-
-    def __hash__(self) -> int:
-        return hash(("rect", self._cells))
 
 
 def validate(grid) -> LatinSquare:
@@ -281,45 +226,6 @@ def is_qstep_type(square: LatinSquare, spec: StepTypeSpec) -> tuple[bool, str | 
         class_set.setdefault(cls, syms)
         set_class.setdefault(syms, cls)
     return True, None
-
-
-@dataclass(frozen=True)
-class OrthogonalArray3:
-    """OA(n,3): n^2 triples (r, c, s) with pairwise-distinct 2-projections."""
-
-    order: int
-    triples: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        n = self.order
-        if len(self.triples) != n * n:
-            raise InvalidOAError(f"expected {n * n} triples, got {len(self.triples)}")
-        for t in self.triples:
-            if len(t) != 3 or any(not 1 <= x <= n for x in t):
-                raise InvalidOAError(f"triple {t} outside 1..{n}")
-        for a, b in ((0, 1), (0, 2), (1, 2)):
-            pairs = {(t[a], t[b]) for t in self.triples}
-            if len(pairs) != n * n:
-                raise InvalidOAError(f"projection onto coordinates ({a + 1},{b + 1}) repeats a pair")
-
-
-def to_oa(square: LatinSquare) -> OrthogonalArray3:
-    """Row-major triples (i, j, symbol(i,j))."""
-    n = square.order
-    cells = square.cells0
-    return OrthogonalArray3(
-        n,
-        tuple((i + 1, j + 1, cells[i][j] + 1) for i in range(n) for j in range(n)),
-    )
-
-
-def from_oa(oa: OrthogonalArray3) -> LatinSquare:
-    """Rebuild the square: triple (r, c, s) puts s at row r, column c."""
-    n = oa.order
-    grid = [[0] * n for _ in range(n)]
-    for r, c, s in oa.triples:
-        grid[r - 1][c - 1] = s
-    return LatinSquare(grid)
 
 
 @dataclass(frozen=True)

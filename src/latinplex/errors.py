@@ -49,10 +49,6 @@ class OrderTooSmallError(LatinSquareError):
     """Construction needs a larger order."""
 
 
-class InvalidOAError(LatinSquareError):
-    """Triple array fails the pairwise-distinct projection property."""
-
-
 class NotAPermutationError(LatinSquareError):
     """An isotopy component is not a bijection on 1..n."""
 

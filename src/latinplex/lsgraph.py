@@ -1,10 +1,10 @@
 """The Latin square graph and its k-domination structure.
 
 Vertices are the n^2 cells; two distinct cells are adjacent when they share
-a row, a column, or a symbol, giving a 3(n-1)-regular graph.  Adjacency is
-materialized as bitmask rows up to order 16 and computed from the rule
-beyond that; domination checks use row/column/symbol counters so they work
-in either mode.
+a row, a column, or a symbol, giving a 3(n-1)-regular graph.  The graph is
+a view over one bitmask per row, column and symbol, so every neighbourhood
+is the union of three line masks; domination checks count the set's cells
+on each line instead.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import MAX_EXHAUSTIVE_ORDER, LatinSquare
 from .errors import (
@@ -19,7 +20,6 @@ from .errors import (
     InvalidCellSetError,
     NotAPartitionError,
     OrderTooLargeError,
-    ValidationFailureError,
 )
 from .plexes import (
     _as_cells,
@@ -34,83 +34,75 @@ log = logging.getLogger(__name__)
 
 
 class LatinSquareGraph:
-    """L3(L, n): cells of a Latin square, adjacent on shared row/column/symbol."""
+    """L3(L, n): cells of a Latin square, adjacent on shared row/column/symbol.
 
-    def __init__(self, square: LatinSquare, materialize: bool | None = None):
-        n = square.order
-        if materialize is None:
-            materialize = n <= MAX_EXHAUSTIVE_ORDER
-        if materialize and n > MAX_EXHAUSTIVE_ORDER:
-            raise OrderTooLargeError(
-                f"materialized adjacency supports order <= {MAX_EXHAUSTIVE_ORDER}, got {n}"
-            )
+    Vertex v = i*n + j is the 0-based cell (i, j); cells at the interface
+    are 1-based and checked against the square.
+    """
+
+    def __init__(self, square: LatinSquare):
         self.square = square
-        self.n = n
-        self.num_vertices = n * n
-        self.adj: list[int] | None = None
-        if materialize:
-            self.adj = self._build_adj()
-            expected = 3 * (n - 1)
-            for v, mask in enumerate(self.adj):
-                if bin(mask).count("1") != expected:
-                    raise ValidationFailureError(
-                        f"vertex {self.cell_of(v)} has degree {bin(mask).count('1')}, "
-                        f"expected {expected}"
-                    )
+        self.n = square.order
+        self.num_vertices = self.n * self.n
 
-    def _build_adj(self) -> list[int]:
+    @cached_property
+    def _lines(self) -> tuple[list[int], list[int], list[int]]:
+        """Row, column and symbol masks: 3n masks of n^2 bits, 3n^3/8 bytes.
+        Symbol bits are set in byte buffers, since OR-ing n^2 single bits
+        into big integers would cost n^4/64 word copies."""
         n = self.n
-        grid = self.square.cells0
-        row_mask = [0] * n
-        col_mask = [0] * n
-        sym_mask = [0] * n
-        for i in range(n):
-            for j in range(n):
+        col0 = sum(1 << (i * n) for i in range(n))
+        syms = [bytearray(n * n // 8 + 1) for _ in range(n)]
+        for i, row in enumerate(self.square.cells0):
+            for j, s in enumerate(row):
                 v = i * n + j
-                row_mask[i] |= 1 << v
-                col_mask[j] |= 1 << v
-                sym_mask[grid[i][j]] |= 1 << v
-        adj = []
-        for i in range(n):
-            for j in range(n):
-                v = i * n + j
-                adj.append((row_mask[i] | col_mask[j] | sym_mask[grid[i][j]]) & ~(1 << v))
-        return adj
+                syms[s][v >> 3] |= 1 << (v & 7)
+        return ([((1 << n) - 1) << (i * n) for i in range(n)],
+                [col0 << j for j in range(n)],
+                [int.from_bytes(b, "little") for b in syms])
+
+    def _neighbours(self, v: int) -> int:
+        i, j = divmod(v, self.n)
+        rows, cols, syms = self._lines
+        return (rows[i] | cols[j] | syms[self.square.cells0[i][j]]) & ~(1 << v)
+
+    @cached_property
+    def adj(self) -> list[int]:
+        """Neighbour mask of every vertex.  The list takes n^4/8 bytes, so
+        orders above MAX_EXHAUSTIVE_ORDER are refused."""
+        if self.n > MAX_EXHAUSTIVE_ORDER:
+            raise OrderTooLargeError(
+                f"adjacency masks support order <= {MAX_EXHAUSTIVE_ORDER}, got {self.n}"
+            )
+        return [self._neighbours(v) for v in range(self.num_vertices)]
 
     def vertex_index(self, i: int, j: int) -> int:
-        """Row-major vertex id of cell (i, j), 1-based input."""
+        """Row-major vertex id of cell (i, j), 1-based input.  A cell
+        outside the square raises InvalidCellSetError."""
+        bad = _in_range(self.n, [(i, j)])
+        if bad:
+            raise InvalidCellSetError(bad)
         return (i - 1) * self.n + (j - 1)
 
     def cell_of(self, v: int) -> tuple[int, int]:
         i, j = divmod(v, self.n)
         return i + 1, j + 1
 
-    def vertices(self):
-        return ((i, j) for i in range(1, self.n + 1) for j in range(1, self.n + 1))
-
     def adjacent(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
-        if a == b:
-            return False
-        (i, j), (p, q) = a, b
-        g = self.square.cells0
-        return i == p or j == q or g[i - 1][j - 1] == g[p - 1][q - 1]
+        return bool(self._neighbours(self.vertex_index(*a)) >> self.vertex_index(*b) & 1)
 
     def degree(self, cell: tuple[int, int]) -> int:
-        if self.adj is not None:
-            return bin(self.adj[self.vertex_index(*cell)]).count("1")
-        return sum(1 for u in self.vertices() if self.adjacent(cell, u))
+        return self._neighbours(self.vertex_index(*cell)).bit_count()
 
     def common_neighbor_count(self, a: tuple[int, int], b: tuple[int, int]) -> int:
-        if self.adj is not None:
-            u = self.vertex_index(*a)
-            v = self.vertex_index(*b)
-            return bin(self.adj[u] & self.adj[v]).count("1")
-        return sum(1 for w in self.vertices() if self.adjacent(a, w) and self.adjacent(b, w))
+        u, v = self.vertex_index(*a), self.vertex_index(*b)
+        return (self._neighbours(u) & self._neighbours(v)).bit_count()
 
 
-def build_graph(square: LatinSquare, materialize: bool | None = None) -> LatinSquareGraph:
-    """Construct the graph; regularity 3(n-1) is verified when materialized."""
-    return LatinSquareGraph(square, materialize)
+def build_graph(square: LatinSquare) -> LatinSquareGraph:
+    """The Latin square graph of a validated square; every vertex has
+    degree 3(n-1)."""
+    return LatinSquareGraph(square)
 
 
 @dataclass(frozen=True)
@@ -211,7 +203,7 @@ def gamma_k_exact(graph: LatinSquareGraph, k: int) -> tuple[int, tuple[tuple[int
     if n > 6:
         raise OrderTooLargeError(f"exact gamma_k supports order <= 6, got {n}")
     N = graph.num_vertices
-    adj = graph.adj if graph.adj is not None else LatinSquareGraph(graph.square).adj
+    adj = graph.adj
     lower = gamma_k_lower_bound(n, k)
 
     neighbors = [tuple(u for u in range(N) if (adj[v] >> u) & 1) for v in range(N)]
@@ -313,7 +305,7 @@ def transversal_equivalence_check(square: LatinSquare, cells) -> EquivalenceRepo
     cs = _as_cells(cells)
     if len(cs) != n:
         raise DimensionMismatchError(f"expected {n} cells, got {len(cs)}")
-    graph = build_graph(square, materialize=False)
+    graph = build_graph(square)
     three_ds = is_k_dominating(graph, cs, 3).verdict
     ids13 = is_lk_independent_dominating(graph, cs, 1, 3).verdict
     trans = check_transversal(square, cs)[0]
@@ -456,7 +448,7 @@ def quasi_3ds_correspondence(square: LatinSquare, cells) -> CorrespondenceReport
     cs = _as_cells(cells)
     if len(cs) != n + 1:
         raise DimensionMismatchError(f"expected {n + 1} cells, got {len(cs)}")
-    graph = build_graph(square, materialize=False)
+    graph = build_graph(square)
     is_quasi = check_quasi_transversal(square, cs)[0]
     is_3ds = is_k_dominating(graph, cs, 3).verdict
     forward_ok = (not is_quasi) or is_3ds

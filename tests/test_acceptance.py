@@ -106,7 +106,7 @@ def test_criterion_03_gamma3_equals_n_plus_1():
             n = m * q
             cert = build_3ds_qgen(m, q)
             assert cert.verdict and len(cert.witness.cells) == n + 1
-            g = build_graph(sq, materialize=False)
+            g = build_graph(sq)
             assert is_k_dominating(g, cert.witness.cells, 3).verdict
             # no 3DS of size n: a size-n 3DS would be a transversal by the
             # three-way equivalence, and the transversal count is zero
@@ -122,7 +122,7 @@ def test_criterion_04_domatic_number_closure():
             assert cert.verdict
             parts = cert.witness_list()
             assert len(parts) == n - 1
-            g = build_graph(gen_cyclic(n), materialize=False)
+            g = build_graph(gen_cyclic(n))
             report = verify_domatic_partition(g, parts, 3, strict=True)
             assert report.verdict and report.implied_lower_bound == n - 1
             assert domatic_upper_bound(n, n + 1) == n - 1  # (2.1) closes equality
@@ -218,7 +218,7 @@ def test_criterion_09_conjecture_sweep():
 
 def test_criterion_10_determinism_and_serialization():
     with criterion(10, "certificates re-validate after a JSON round trip; "
-                       "CLI runs are byte-identical at --threads 1"):
+                       "CLI runs are byte-identical"):
         certs = [
             construct_twostep_decomposition(3),
             build_3ds_q1(6),
@@ -244,7 +244,7 @@ def test_criterion_10_determinism_and_serialization():
         for cmd in commands:
             runs = [
                 subprocess.run(
-                    [sys.executable, "-m", "latinplex.cli", *cmd, "--threads", "1"],
+                    [sys.executable, "-m", "latinplex.cli", *cmd],
                     capture_output=True,
                     timeout=300,
                     env=cli_env(),

@@ -158,14 +158,12 @@ class TestSearch:
         assert main(["search", "near", str(tmp_path)]) == 1  # IsADirectoryError is an OSError
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_threads_flag_consistent(self, tmp_path):
+    def test_threads_flag_removed(self, tmp_path):
         path = tmp_path / "sq.ls"
         path.write_text(format_ls(gen_cyclic(7)))
-        _, seq, _ = run_cli(["search", "transversal", str(path), "--format", "json"])
-        _, par, _ = run_cli(
-            ["search", "transversal", str(path), "--format", "json", "--threads", "4"]
-        )
-        assert seq == par
+        code, out, err = run_cli(["search", "transversal", str(path), "--threads", "4"])
+        assert code == 2 and out == ""
+        assert "--threads" in err
 
 
 class TestVerify:

@@ -118,7 +118,7 @@ class TestThreeDominatingSets:
         assert len(cert.witness.cells) == n + 1
         sq = gen_cyclic(n)
         assert check_quasi_transversal(sq, cert.witness)[0]
-        g = build_graph(sq, materialize=False)
+        g = build_graph(sq)
         assert is_k_dominating(g, cert.witness.cells, 3).verdict
 
     def test_q1_n6_gamma_confirmed(self):
@@ -158,7 +158,7 @@ class TestThreeDominatingSets:
         assert cert.verdict
         assert len(cert.witness.cells) == 37
         sq = gen_qstep(4, 9)
-        g = build_graph(sq, materialize=False)
+        g = build_graph(sq)
         assert is_k_dominating(g, cert.witness.cells, 3).verdict
 
 
@@ -176,7 +176,7 @@ class TestDomaticPartition:
     def test_parts_partition_and_dominate(self, n):
         cert = build_domatic_partition_cyclic(n)
         sq = gen_cyclic(n)
-        g = build_graph(sq, materialize=False)
+        g = build_graph(sq)
         seen = set()
         for part in cert.witness_list():
             assert not seen & set(part.cells)

@@ -5,13 +5,10 @@ import pytest
 
 from latinplex.core import (
     Isotopy,
-    LatinRectangle,
     LatinSquare,
-    OrthogonalArray3,
     StepTypeSpec,
     apply_isotopy,
     format_ls,
-    from_oa,
     gen_cyclic,
     gen_qstep,
     gen_two_step_pow2,
@@ -20,14 +17,12 @@ from latinplex.core import (
     parse_ls,
     square_from_json_dict,
     square_to_json_dict,
-    to_oa,
     validate,
 )
 from latinplex.errors import (
     ColumnRepeatError,
     DimensionMismatchError,
     FormatError,
-    InvalidOAError,
     NotAPermutationError,
     NotSquareError,
     OrderTooSmallError,
@@ -193,28 +188,6 @@ class TestStepType:
         assert "class" in why
 
 
-class TestOrthogonalArray:
-    def test_order2_triples(self):
-        oa = to_oa(validate([[1, 2], [2, 1]]))
-        assert oa.triples == ((1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1))
-
-    def test_round_trip_cyclic5(self):
-        sq = gen_cyclic(5)
-        assert from_oa(to_oa(sq)) == sq
-
-    @pytest.mark.parametrize("label,sq", corpus_up_to(12))
-    def test_round_trip_corpus(self, label, sq):
-        assert from_oa(to_oa(sq)) == sq
-
-    def test_duplicate_pair_rejected(self):
-        with pytest.raises(InvalidOAError):
-            OrthogonalArray3(2, ((1, 1, 1), (1, 1, 2), (2, 1, 2), (2, 2, 1)))
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(InvalidOAError):
-            OrthogonalArray3(2, ((1, 1, 1),))
-
-
 class TestIsotopy:
     def test_identity(self):
         sq = gen_cyclic(5)
@@ -247,25 +220,6 @@ class TestIsotopy:
             for _ in range(100):
                 out = apply_isotopy(base, Isotopy.random(n, rng))
                 assert validate(out.rows()) == out
-
-
-class TestRectangle:
-    def test_row_band(self):
-        band = gen_cyclic(4).row_band(1, 2)
-        assert band.rows_count == 2
-        assert band.width == 4
-
-    def test_rejects_row_repeat(self):
-        with pytest.raises(RowRepeatError):
-            LatinRectangle([[1, 1, 2]])
-
-    def test_rejects_column_repeat(self):
-        with pytest.raises(ColumnRepeatError):
-            LatinRectangle([[1, 2, 3], [1, 3, 2]])
-
-    def test_rejects_too_many_rows(self):
-        with pytest.raises(DimensionMismatchError):
-            LatinRectangle([[1, 2], [2, 1], [1, 2]])
 
 
 class TestSerialization:

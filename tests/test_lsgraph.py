@@ -94,14 +94,35 @@ class TestGraphStructure:
             actual = {u for u in all_cells(6) if g.adjacent(cell, u)}
             assert actual == expected
 
+    def test_adjacency_masks_match_oracle(self):
+        for label, sq in corpus_up_to(8):
+            n = sq.order
+            g = build_graph(sq)
+            for v, mask in enumerate(g.adj):
+                got = {g.cell_of(u) for u in range(n * n) if mask >> u & 1}
+                assert got == neighbors_of(sq, g.cell_of(v)), (label, v)
+
     def test_materialized_refusal(self):
         with pytest.raises(OrderTooLargeError):
-            build_graph(gen_cyclic(17), materialize=True)
+            build_graph(gen_cyclic(17)).adj
 
     def test_implicit_mode_large_order(self):
-        g = build_graph(gen_qstep(4, 9), materialize=False)
-        assert g.adj is None
+        g = build_graph(gen_qstep(4, 9))
         assert g.degree((1, 1)) == 3 * 35
+        # (1,1) and (1,2) share row 1; adjacent cells have n common neighbours
+        assert g.adjacent((1, 1), (1, 2))
+        assert g.common_neighbor_count((1, 1), (1, 2)) == 36
+
+    @pytest.mark.parametrize("order,query,cells,message", [
+        (4, "degree", [(0, 1)], r"cell \(0,1\) outside 1..4"),
+        (4, "common_neighbor_count", [(0, 0), (1, 1)], r"cell \(0,0\) outside 1..4"),
+        (4, "degree", [(5, 1)], r"cell \(5,1\) outside 1..4"),
+        (20, "adjacent", [(21, 1), (1, 1)], r"cell \(21,1\) outside 1..20"),
+    ], ids=["degree-row0", "common-row0", "degree-row5", "adjacent-row21"])
+    def test_cells_outside_the_square_rejected(self, order, query, cells, message):
+        g = build_graph(gen_cyclic(order))
+        with pytest.raises(InvalidCellSetError, match=message):
+            getattr(g, query)(*cells)
 
 
 class TestDomination:
@@ -145,7 +166,7 @@ class TestDomination:
             n = sq.order
             if n < 3:
                 continue
-            g = build_graph(sq, materialize=False)
+            g = build_graph(sq)
             cells = all_cells(n)
             for _ in range(4):
                 pick = set(rng.sample(cells, rng.randint(1, 2 * n)))
@@ -389,7 +410,7 @@ class TestQuasi3dsCorrespondence:
 
         for n in (3, 4, 5):
             sq = gen_cyclic(n)
-            g = build_graph(sq, materialize=False)
+            g = build_graph(sq)
             for q in _all_quasi_cellsets(sq):
                 assert is_k_dominating(g, q, 3).verdict, (n, q.cells)
 

@@ -8,11 +8,9 @@ from latinplex.core import (
     Isotopy,
     apply_isotopy,
     format_ls,
-    from_oa,
     gen_cyclic,
     gen_qstep,
     parse_ls,
-    to_oa,
     validate,
 )
 from latinplex.plexes import (
@@ -52,12 +50,6 @@ def test_isotopy_closure(sq, seed):
     rng = random.Random(seed)
     image = apply_isotopy(sq, Isotopy.random(sq.order, rng))
     assert validate(image.rows()) == image
-
-
-@given(square_strategy)
-@settings(max_examples=60, deadline=None)
-def test_oa_round_trip(sq):
-    assert from_oa(to_oa(sq)) == sq
 
 
 @given(square_strategy)
