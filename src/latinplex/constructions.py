@@ -364,14 +364,14 @@ def build_3ds_qgen(m: int, q: int) -> WitnessCertificate:
 # cyclic domatic family
 
 
-def domatic_family_cells(n: int, literal: bool = False) -> list[tuple[tuple[int, int], ...]]:
+def domatic_family_cells(n: int) -> list[tuple[tuple[int, int], ...]]:
     """The n-1 sets S_j for the cyclic square of even order n.
 
     T_j pairs the offset-(j-1) diagonal of the top half of the rows with
     the offset-j diagonal of the bottom half; each S_j adds one cell (two
-    for the last).  With literal=True the last extra cell is (1, n/2) as
-    printed, which collides with T_{n/2}; the default replaces it with
-    (1, n), the unique cell completing the partition of all n^2 cells.
+    for the last).  The printed last extra cell (1, n/2) collides with
+    T_{n/2}; it is replaced with (1, n), the unique cell completing the
+    partition of all n^2 cells.
     """
     parts = []
     for j in range(1, n):
@@ -382,7 +382,7 @@ def domatic_family_cells(n: int, literal: bool = False) -> list[tuple[tuple[int,
         elif j < n - 1:
             extra = [(j + n // 2 + 1, j + n // 2)]
         else:
-            extra = [(n // 2, n // 2 - 1), (1, n // 2 if literal else n)]
+            extra = [(n // 2, n // 2 - 1), (1, n)]
         parts.append(_wrap_cells(tj + extra, n))
     return parts
 
@@ -541,22 +541,19 @@ def build_2plex_general(m: int, q: int) -> WitnessCertificate:
 
 def quasi_from_transversal(square: LatinSquare, transversal) -> CellSet:
     """Add the lexicographically least absent cell: any extra cell doubles
-    its row, column and symbol exactly once, so the least one is taken."""
+    its row, column and symbol exactly once, so the least one is taken.
+    That cell is (1, 1), or (1, 2) when the transversal holds (1, 1)."""
     n = square.order
     cells = _as_cells(transversal)
     ok, why = check_transversal(square, cells)
     if not ok:
         raise NotConstructibleError(f"input is not a transversal: {why}")
-    used = set(cells)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if (i, j) in used:
-                continue
-            candidate = tuple(sorted(used | {(i, j)}))
-            ok, _ = check_quasi_transversal(square, candidate)
-            if ok:
-                return CellSet(n, candidate, KIND_QUASI)
-    raise NotConstructibleError("no extension cell yields a quasi-transversal")
+    extra = (1, 2) if (1, 1) in cells else (1, 1)
+    candidate = tuple(sorted(cells + (extra,)))
+    ok, why = check_quasi_transversal(square, candidate)
+    if not ok:
+        raise NotConstructibleError(f"no extension cell yields a quasi-transversal: {why}")
+    return CellSet(n, candidate, KIND_QUASI)
 
 
 def near_from_quasi(square: LatinSquare, quasi) -> CellSet:
@@ -592,6 +589,8 @@ def quasi_from_near(square: LatinSquare, near) -> CellSet:
     empty column.  Those cells are unique by the Latin property; if they
     coincide the near-transversal completes to a transversal instead."""
     n = square.order
+    if n < 3:
+        raise NotConstructibleError("quasi-transversal is vacuous below order 3")
     cells = _as_cells(near)
     ok, why = check_near_transversal(square, cells)
     if not ok:
@@ -616,31 +615,30 @@ def transversal_in_quasi(square: LatinSquare, quasi) -> CellSet | None:
     """Transversal contained in the quasi-transversal, when one exists.
 
     A transversal inside an (n+1)-cell quasi-transversal means one removed
-    cell fixes all three doublings, so that cell must carry the doubled
-    symbol and sit in the doubled row and column.  Equivalently the
-    contained near-transversal is completable, its unique completion cell
-    (missing row, missing column) carrying the missing symbol.  When the
-    near-transversal itself is not constructible no such cell exists.
+    cell undoes all three doublings, so that cell sits in the doubled row
+    and column and carries the doubled symbol.  The quasi-transversal minus
+    that cell is the transversal; without such a cell there is none.
     """
     n = square.order
-    try:
-        near = near_from_quasi(square, quasi)
-    except NotConstructibleError:
+    cells = _as_cells(quasi)
+    dr, dc, ds = quasi_profile(square, cells)
+    if (dr, dc) not in cells or square.symbol(dr, dc) != ds:
         return None
-    mr, mc, ms = _missing_parts(square, near.cells)
-    if square.symbol(mr, mc) != ms:
-        return None
-    cells = tuple(sorted(set(near.cells) | {(mr, mc)}))
-    ok, why = check_transversal(square, cells)
+    kept = tuple(c for c in cells if c != (dr, dc))
+    ok, why = check_transversal(square, kept)
     if not ok:
-        raise ValidationFailureError(f"completion failed the transversal checker: {why}")
-    if not set(cells) <= set(_as_cells(quasi)):
-        return None
-    return CellSet(n, cells, KIND_TRANSVERSAL)
+        raise ValidationFailureError(f"quasi minus {(dr, dc)} failed the transversal checker: {why}")
+    return CellSet(n, kept, KIND_TRANSVERSAL)
 
 
 def build_qt_nt_transforms(square: LatinSquare, desc: dict | None = None) -> WitnessCertificate:
-    """Round-trip certificate: near -> quasi -> near recovers the start."""
+    """Round-trip certificate: near -> quasi -> near recovers the start.
+
+    Quasi-transversals exist from order 3 on; smaller squares raise
+    ValueError, and orders above 16 are refused by the near search.
+    """
+    if square.order < 3:
+        raise ValueError(f"qt-nt-transforms needs order >= 3, got {square.order}")
     if desc is None:
         desc = {"rows": square.rows()}
     near = find_near_transversal(square)
@@ -650,11 +648,9 @@ def build_qt_nt_transforms(square: LatinSquare, desc: dict | None = None) -> Wit
     try:
         quasi = quasi_from_near(square, near)
     except NotConstructibleError:
-        # completable near: seed the quasi from a full transversal instead
-        transversal = find_kplex(square, 1)
-        if transversal is None:
-            raise
-        quasi = quasi_from_transversal(square, transversal)
+        # completable near: seed the quasi from its completion, a transversal
+        mr, mc, _ = _missing_parts(square, near.cells)
+        quasi = quasi_from_transversal(square, near.cells + ((mr, mc),))
         notes.append("first near-transversal was completable; quasi seeded from a transversal")
         near = near_from_quasi(square, quasi)
     back = near_from_quasi(square, quasi)

@@ -81,9 +81,5 @@ class NotConstructibleError(LatinSquareError):
     """The requested transformation has no valid output for this input."""
 
 
-class NotAPartitionError(LatinSquareError):
-    """Parts overlap or fail to cover the vertex set in strict mode."""
-
-
 class FormatError(LatinSquareError):
     """Malformed .ls or JSON input."""

@@ -18,7 +18,6 @@ from .core import MAX_EXHAUSTIVE_ORDER, LatinSquare
 from .errors import (
     DimensionMismatchError,
     InvalidCellSetError,
-    NotAPartitionError,
     OrderTooLargeError,
 )
 from .plexes import (
@@ -119,15 +118,6 @@ class DominationCertificate:
     cells: tuple[tuple[int, int], ...]
     verdict: bool
     deficient: tuple[tuple[int, int, int], ...] = ()
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"k": self.k}
-        if self.ell is not None:
-            out["ell"] = self.ell
-        out["set"] = [[i, j] for i, j in self.cells]
-        out["verdict"] = self.verdict
-        out["deficient"] = [[i, j, c] for i, j, c in self.deficient]
-        return out
 
 
 def is_k_dominating(graph: LatinSquareGraph, cells, k: int) -> DominationCertificate:
@@ -324,13 +314,11 @@ class DomaticReport:
     failures: tuple[str, ...] = ()
 
 
-def verify_domatic_partition(
-    graph: LatinSquareGraph, parts, k: int, strict: bool = False
-) -> DomaticReport:
+def verify_domatic_partition(graph: LatinSquareGraph, parts, k: int) -> DomaticReport:
     """Check pairwise disjointness and k-domination of every part.
 
-    In strict mode the parts must exactly partition the vertex set;
-    otherwise a disjoint family is accepted and flagged as partial (any
+    A disjoint family is accepted whether or not it covers the vertex set;
+    is_partition reports whether the parts exactly partition it (any
     disjoint family of kDS extends to a k-domatic partition of the same
     size, so d_k >= number of parts either way).
     """
@@ -343,10 +331,6 @@ def verify_domatic_partition(
                 failures.append(f"cell {cell} appears in parts {seen[cell]} and {idx}")
             seen[cell] = idx
     covered = len(seen) == graph.num_vertices and not failures
-    if strict and (failures or not covered):
-        raise NotAPartitionError(
-            "; ".join(failures) if failures else f"parts cover {len(seen)} of {graph.num_vertices} vertices"
-        )
     for idx, p in enumerate(norm):
         cert = is_k_dominating(graph, p, k)
         if not cert.verdict:

@@ -60,11 +60,9 @@ class CellSet:
         object.__setattr__(self, "cells", cells)
         if self.kind not in _KINDS:
             raise InvalidCellSetError(f"unknown kind {self.kind!r}")
-        if len(set(cells)) != len(cells):
-            raise InvalidCellSetError("duplicate cells")
-        for r, c in cells:
-            if not (1 <= r <= n and 1 <= c <= n):
-                raise InvalidCellSetError(f"cell ({r},{c}) outside 1..{n}")
+        bad = _in_range(n, cells)
+        if bad:
+            raise InvalidCellSetError(bad)
         m = len(cells)
         if self.kind == KIND_TRANSVERSAL and m != n:
             raise InvalidCellSetError(f"transversal needs {n} cells, got {m}")

@@ -123,8 +123,9 @@ def test_criterion_04_domatic_number_closure():
             parts = cert.witness_list()
             assert len(parts) == n - 1
             g = build_graph(gen_cyclic(n))
-            report = verify_domatic_partition(g, parts, 3, strict=True)
-            assert report.verdict and report.implied_lower_bound == n - 1
+            report = verify_domatic_partition(g, parts, 3)
+            assert report.verdict and report.is_partition
+            assert report.implied_lower_bound == n - 1
             assert domatic_upper_bound(n, n + 1) == n - 1  # (2.1) closes equality
 
 

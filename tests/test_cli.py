@@ -309,6 +309,20 @@ class TestConstruct:
         assert code == 0
         assert len(json.loads(out)["witness"]) == 3
 
+    @pytest.mark.parametrize("gen", [["--n", "13"], ["--n", "15"],
+                                     ["--gen", "qstep", "--m", "4", "--q", "4"],
+                                     ["--gen", "twostep", "--k", "4"]])
+    def test_qt_nt_transforms_to_order_16(self, gen):
+        code, out, err = run_cli(["construct", "qt-nt-transforms", *gen])
+        assert code == 0 and err == ""
+        code, verdict, err = run_cli(["verify", "--stdin"], stdin_text=out)
+        assert code == 0 and err == "", verdict
+
+    @pytest.mark.parametrize("n", ["1", "2", "17"])
+    def test_qt_nt_transforms_order_refused(self, n):
+        code, out, err = run_cli(["construct", "qt-nt-transforms", "--n", n])
+        assert code == 2 and out == "", err
+
     def test_claim_parameters_are_construct_options(self):
         # cmd_construct reads each parameter a claim names from the parsed
         # arguments; "square" is assembled from --gen and its options

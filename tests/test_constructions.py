@@ -192,7 +192,8 @@ class TestDomaticPartition:
         # the printed last extra cell (1, n/2) always lands inside T_{n/2};
         # kept here as documentation of the repaired defect
         for n in (4, 6, 10):
-            parts = domatic_family_cells(n, literal=True)
+            parts = domatic_family_cells(n)
+            parts[-1] = tuple(sorted({*parts[-1]} - {(1, n)} | {(1, n // 2)}))
             flat = [c for p in parts for c in p]
             assert len(flat) != len(set(flat))
             assert (1, n // 2) in parts[n // 2 - 1]  # T-cell of S_{n/2}
@@ -284,15 +285,19 @@ class TestTwoPlexes:
 class TestTransforms:
     def test_quasi_from_transversal_cyclic3(self):
         # every transversal extends: any added cell doubles its own row,
-        # column and symbol exactly once
+        # column and symbol exactly once, so the least absent cell is added
+        from conftest import corpus_up_to
         from latinplex.plexes import enumerate_transversals
 
-        sq = gen_cyclic(3)
-        for t in enumerate_transversals(sq, cap=10).witnesses:
-            quasi = quasi_from_transversal(sq, t)
-            assert check_quasi_transversal(sq, quasi)[0]
-            assert set(t.cells) <= set(quasi.cells)
-            assert len(quasi.cells) == 4
+        for label, sq in corpus_up_to(7):
+            if sq.order < 3:
+                continue
+            n = sq.order
+            for t in enumerate_transversals(sq, cap=n ** n).witnesses:
+                quasi = quasi_from_transversal(sq, t)
+                least = min(set(itertools.product(range(1, n + 1), repeat=2)) - set(t.cells))
+                assert quasi.cells == tuple(sorted(t.cells + (least,))), label
+                assert check_quasi_transversal(sq, quasi)[0], label
 
     def test_round_trip_on_cyclic4(self):
         # quasi_from_near always yields the interlocking shape, so the
@@ -372,7 +377,7 @@ class TestTransforms:
         # completes the near-transversal to a transversal instead
         from conftest import corpus_up_to
 
-        for label, sq in corpus_up_to(6):
+        for label, sq in corpus_up_to(8):
             if sq.order < 3:
                 continue
             near = find_near_transversal(sq)
@@ -382,10 +387,32 @@ class TestTransforms:
                 quasi = quasi_from_near(sq, near)
             except NotConstructibleError as exc:
                 assert "completable" in str(exc)
-                assert find_kplex(sq, 1) is not None, label
+                # the first near-transversal completes to the least transversal
+                (mr,) = set(range(1, sq.order + 1)) - {r for r, _ in near.cells}
+                (mc,) = set(range(1, sq.order + 1)) - {c for _, c in near.cells}
+                assert tuple(sorted(near.cells + ((mr, mc),))) == find_kplex(sq, 1).cells, label
             else:
                 assert check_quasi_transversal(sq, quasi)[0], label
                 assert set(near.cells) <= set(quasi.cells)
+
+    def test_transversal_in_quasi_matches_brute_force(self):
+        # a contained transversal is the quasi-transversal minus one cell
+        from conftest import corpus_up_to
+        from oracles import brute_quasis
+
+        for label, sq in corpus_up_to(6):
+            if sq.order < 3:
+                continue
+            for quasi in brute_quasis(sq):
+                inner = [quasi[:i] + quasi[i + 1:] for i in range(len(quasi))]
+                expected = next((t for t in inner if check_transversal(sq, t)[0]), None)
+                found = transversal_in_quasi(sq, quasi)
+                assert (found and found.cells) == expected, (label, quasi)
+
+    def test_quasi_from_near_refused_below_order3(self):
+        sq = gen_cyclic(2)
+        with pytest.raises(NotConstructibleError):
+            quasi_from_near(sq, find_near_transversal(sq))
 
     def test_transforms_certificate(self):
         cert = build_qt_nt_transforms(gen_cyclic(4))

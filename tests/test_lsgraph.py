@@ -8,7 +8,6 @@ from latinplex.core import gen_cyclic, gen_qstep, gen_two_step_pow2, validate
 from latinplex.errors import (
     DimensionMismatchError,
     InvalidCellSetError,
-    NotAPartitionError,
     OrderTooLargeError,
 )
 from latinplex.lsgraph import (
@@ -190,14 +189,6 @@ class TestDomination:
         with pytest.raises(InvalidCellSetError, match=message):
             check(gen_cyclic(4), cells)
 
-    def test_certificate_json_shape(self):
-        g = build_graph(gen_cyclic(4))
-        cert = is_k_dominating(g, [(1, 1)], 3)
-        obj = cert.to_json_dict()
-        assert set(obj) == {"k", "set", "verdict", "deficient"}
-        cert2 = is_lk_independent_dominating(g, [(1, 1)], 1, 3)
-        assert "ell" in cert2.to_json_dict()
-
 
 class TestIndependentDomination:
     def test_transversal_is_13_ids(self):
@@ -337,8 +328,8 @@ class TestDomaticVerification:
         g = build_graph(sq)
         tau, family = max_disjoint_transversals(sq)
         assert tau == 4
-        report = verify_domatic_partition(g, family, 3, strict=True)
-        assert report.verdict
+        report = verify_domatic_partition(g, family, 3)
+        assert report.verdict and report.is_partition
         assert report.implied_lower_bound == 4
         # equality: d_3 <= floor(16/4) = 4 once gamma_3 = 4 is known
         assert domatic_upper_bound(4, 4) == 4
@@ -347,25 +338,25 @@ class TestDomaticVerification:
         sq = gen_cyclic(4)
         g = build_graph(sq)
         parts = domatic_family_cells(4)
-        report = verify_domatic_partition(g, parts, 3, strict=True)
-        assert report.verdict
+        report = verify_domatic_partition(g, parts, 3)
+        assert report.verdict and report.is_partition
         assert report.implied_lower_bound == 3
 
     def test_single_part_whole_vertex_set(self):
         g = build_graph(gen_cyclic(3))
-        report = verify_domatic_partition(g, [all_cells(3)], 3, strict=True)
-        assert report.verdict
+        report = verify_domatic_partition(g, [all_cells(3)], 3)
+        assert report.verdict and report.is_partition
 
-    def test_overlap_rejected_in_strict_mode(self):
+    def test_overlap_rejected(self):
         g = build_graph(gen_cyclic(3))
-        with pytest.raises(NotAPartitionError):
-            verify_domatic_partition(g, [all_cells(3), [(1, 1)]], 1, strict=True)
+        report = verify_domatic_partition(g, [all_cells(3), [(1, 1)]], 1)
+        assert not report.verdict and not report.is_partition
 
     def test_partial_family_flagged(self):
         sq = gen_two_step_pow2(2)
         g = build_graph(sq)
         _, family = max_disjoint_transversals(sq)
-        report = verify_domatic_partition(g, family[:2], 3, strict=False)
+        report = verify_domatic_partition(g, family[:2], 3)
         assert report.verdict
         assert not report.is_partition
         assert report.implied_lower_bound == 2

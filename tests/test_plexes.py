@@ -63,7 +63,7 @@ class TestCellSet:
         assert cs.cells == ((1, 2), (2, 3), (3, 1))
 
     def test_duplicate_cells_rejected(self):
-        with pytest.raises(InvalidCellSetError):
+        with pytest.raises(InvalidCellSetError, match=r"duplicate cell \(1, 1\)"):
             CellSet(3, ((1, 1), (1, 1), (2, 2)), KIND_TRANSVERSAL)
 
     def test_out_of_range_rejected(self):
@@ -438,6 +438,10 @@ class TestMate:
     def test_deterministic(self):
         assert find_orthogonal_mate(gen_cyclic(5)) == find_orthogonal_mate(gen_cyclic(5))
 
+    def test_refusal_above_8(self):
+        with pytest.raises(OrderTooLargeError):
+            find_orthogonal_mate(gen_cyclic(9))
+
 
 class TestExtendibility:
     def test_empty_partial_completable_in_cyclic3(self):
@@ -478,6 +482,10 @@ class TestExtendibility:
         with pytest.raises(InvalidPartialError):
             extendibility_report(gen_cyclic(4), [(1, 1), (1, 2)])
 
+
+    def test_refusal_above_8(self):
+        with pytest.raises(OrderTooLargeError):
+            extendibility_report(gen_cyclic(9), [])
 
 class TestQuasiNearSearch:
     def test_constrained_near(self):
@@ -570,6 +578,10 @@ class TestQuasiNearSearch:
     def test_exhaustive_refusal_above_12(self, n):
         with pytest.raises(OrderTooLargeError):
             find_quasi_transversal(gen_cyclic(n))
+
+    def test_near_refusal_above_16(self):
+        with pytest.raises(OrderTooLargeError):
+            find_near_transversal(gen_cyclic(17))
 
 
 def _random_constraints(sq, rng):
