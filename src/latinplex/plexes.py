@@ -18,6 +18,7 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd, prod
 
 from .core import MAX_EXHAUSTIVE_ORDER, LatinSquare
 from .errors import (
@@ -271,14 +272,23 @@ def _partial_search(grid, rows, visit, skips: int = 0, colmask: int = 0,
 _DEAD_STATES_MAX = 1 << 15
 
 
-def _counted_search(grid, k: int) -> tuple[list[tuple[int, ...]] | None, int, int]:
+class _OutOfChecks(Exception):
+    """A counted search gave up after max_checks supply checks; args are its
+    nodes visited, its dead states kept and what give_up returned."""
+
+
+def _counted_search(grid, k: int, max_checks: int | None = None, give_up=None
+                    ) -> tuple[list[tuple[int, ...]] | None, int, int]:
     """The first choice of k cells per row that uses every column and symbol
     exactly k times, rows in order, each through the combinations of its
     usable columns in lexicographic order.  Each short symbol (column) needs
     enough later rows whose cell for it lies in a column (has a symbol)
     below k; a memo keeps up to _DEAD_STATES_MAX count states (they fix the
     row reached) whose subtree held no leaf.  Returns chosen (chosen[r] the
-    columns of row r) or None, the nodes visited and the dead states kept."""
+    columns of row r) or None, the nodes visited and the dead states kept.
+    After max_checks supply checks (one per combination the memo lets
+    through: the search's work) it calls give_up() once and raises
+    _OutOfChecks if that returns a true value, else it goes on."""
     n = len(grid)
     col_cnt = [0] * n
     sym_cnt = [0] * n
@@ -291,6 +301,7 @@ def _counted_search(grid, k: int) -> tuple[list[tuple[int, ...]] | None, int, in
     width = k.bit_length()
     unit = [1 << width * i for i in range(2 * n)]
     dead: set[int] = set()
+    checks = 0
 
     def supplies_hold(row: int) -> bool:
         later = range(row + 1, n)
@@ -312,7 +323,7 @@ def _counted_search(grid, k: int) -> tuple[list[tuple[int, ...]] | None, int, in
         return True
 
     def rec(row: int, key: int) -> bool:
-        nonlocal nodes
+        nonlocal nodes, checks
         nodes += 1
         if row == n:
             return True
@@ -327,6 +338,9 @@ def _counted_search(grid, k: int) -> tuple[list[tuple[int, ...]] | None, int, in
             for c in combo:
                 col_cnt[c] += 1
                 sym_cnt[grow[c]] += 1
+            if checks == max_checks and (why := give_up()):
+                raise _OutOfChecks(nodes, len(dead), why)
+            checks += 1
             if supplies_hold(row):
                 chosen.append(combo)
                 if rec(row + 1, after):
@@ -339,8 +353,10 @@ def _counted_search(grid, k: int) -> tuple[list[tuple[int, ...]] | None, int, in
                 sym_cnt[grow[c]] -= 1
         return False
 
-    found = rec(0, 0)
-    del rec  # rec refers to itself: free its memo now, not at the next full collection
+    try:
+        found = rec(0, 0)
+    finally:
+        del rec  # rec refers to itself: free its memo now, not at the next full collection
     return (chosen if found else None), nodes, len(dead)
 
 
@@ -456,8 +472,91 @@ def enumerate_transversals(square: LatinSquare, cap: int = 10, threads: int = 1)
 # k-plex search
 
 
+#: supply checks a k-plex search (k >= 2) runs before it asks the lattice test
+_LATTICE_AFTER_CHECKS = 1 << 10
+
+
+def _lattice_obstruction(grid, k: int) -> tuple[int, list[int], list[int], list[int]] | None:
+    """Labels in Z_m of the rows, columns and symbols, (m, row_labels,
+    col_labels, sym_labels) indexed from 0, whose three labels sum to 0 on
+    every cell while k times the sum of all labels does not; None if there
+    are none.  Such labels prove that no k-plex exists: summed over its
+    cells they would give both.  By the integer Farkas lemma they exist iff
+    k times the all-ones vector is outside the lattice of the cells'
+    row/column/symbol incidence vectors; Euler's parity argument and the
+    Hall-Paige condition are cases.
+
+    Adding a to every row label, b to every column label and -a-b to every
+    symbol label changes neither sum, so row 0 and column 0 take label 0.
+    With x[c] the label of column c over m, row 0 then gives symbol s the
+    label -x[where0[s]], column 0 gives row r the label
+    x[where0[grid[r][0]]], the labels sum to sum(x), and every other cell
+    asks for an integral dot product of x with its row
+    e[where0[grid[r][0]]] + e[c] - e[where0[grid[r][c]]].  Reduce those rows
+    to an echelon (Hermite) basis b_0, b_1, ... and write k * (0, 1, ..., 1)
+    = sum t_i b_i: at the first t_i that is not an integer, the x with
+    b_j . x = [j == i], zero off the pivots, gives the labels m * x, and m
+    is the least common denominator of x.
+    """
+    n = len(grid)
+    where0 = sorted(range(n), key=grid[0].__getitem__)  # where0[s]: the column of s in row 0
+    basis: dict[int, list[int]] = {}  # pivot column -> the basis row whose first nonzero it is
+    for row in grid[1:]:
+        lead = where0[row[0]]
+        for c in range(1, n):
+            v = [0] * n
+            v[lead] += 1
+            v[c] += 1
+            v[where0[row[c]]] -= 1
+            v[0] = 0  # x[0] = 0
+            for p in range(1, n):
+                if not v[p]:
+                    continue
+                b = basis.get(p)
+                if b is None:
+                    basis[p] = v
+                    break
+                while v[p]:  # Euclid on the pivot entries, by unimodular row steps
+                    q = b[p] // v[p]
+                    b, v = v, [x - q * y for x, y in zip(b, v)]
+                basis[p] = b
+    pivots = sorted(basis)
+    w = [0] + [k] * (n - 1)
+    for i, p in enumerate(pivots):
+        b = basis[p]
+        if w[p] % b[p]:
+            break
+        q = w[p] // b[p]
+        w = [x - q * y for x, y in zip(w, b)]
+    else:
+        return None
+    # y = d * x with d the product of the pivots b_0..b_i: integral by Cramer's rule
+    d = prod(basis[p][p] for p in pivots[:i + 1])
+    y = [0] * n
+    for j in range(i, -1, -1):
+        b = basis[pivots[j]]
+        rest = sum(b[p] * y[p] for p in pivots[j + 1:i + 1])
+        y[pivots[j]] = (d * (j == i) - rest) // b[pivots[j]]
+    g = gcd(d, *y)
+    m = abs(d) // g
+    col = [v // g % m for v in y]
+    return m, [col[where0[row[0]]] for row in grid], col, [-col[where0[s]] % m for s in range(n)]
+
+
+def _labels_obstruct(grid, k: int, labels) -> bool:
+    """Re-check a labelling from _lattice_obstruction in O(n^2): every cell's
+    three labels sum to 0 mod m, and k times the sum of all labels does not."""
+    m, rows, cols, syms = labels
+    n = len(grid)
+    return (len(rows) == len(cols) == len(syms) == n
+            and all((rows[r] + cols[c] + syms[s]) % m == 0
+                    for r, row in enumerate(grid) for c, s in enumerate(row))
+            and k * (sum(rows) + sum(cols) + sum(syms)) % m != 0)
+
+
 def find_kplex(square: LatinSquare, k: int) -> CellSet | None:
-    """Lexicographically least k-plex, or None certified by exhaustion.
+    """Lexicographically least k-plex, or None certified by exhaustion or by
+    a re-checked lattice obstruction.
 
     Rows are processed in order, each choosing k columns, by the counted
     kernel with every count exactly k: quotas, a supply check that every
@@ -466,16 +565,32 @@ def find_kplex(square: LatinSquare, k: int) -> CellSet | None:
     count states already searched in vain.  Pruning only removes provably
     dead branches, so the first solution stays the lex least.  For
     k = 1 the transversal count runs first and a zero returns None at once.
+    For k >= 2 a search still running after _LATTICE_AFTER_CHECKS supply
+    checks asks _lattice_obstruction; it stops with None only on labels
+    that pass the O(n^2) re-check, else it goes on to the end.
     """
     n = square.order
     if n > 12:
         raise OrderTooLargeError(f"k-plex engine is exhaustive only up to order 12, got {n}")
     if not 1 <= k <= n:
         raise InvalidPlexError(f"k must be in 1..{n}")
-    if k == 1 and not _count_transversals(square.cells0, n):
+    grid = square.cells0
+    if k == 1 and not _count_transversals(grid, n):
         log.debug("1-plex search: skipped, no transversal")
         return None
-    chosen, nodes, dead = _counted_search(square.cells0, k)
+
+    def checked_obstruction():
+        labels = _lattice_obstruction(grid, k)
+        return labels if labels is not None and _labels_obstruct(grid, k, labels) else None
+
+    limit = None if k == 1 else _LATTICE_AFTER_CHECKS
+    try:
+        chosen, nodes, dead = _counted_search(grid, k, limit, checked_obstruction)
+    except _OutOfChecks as out:
+        nodes, dead, labels = out.args
+        log.debug("%d-plex search: %d nodes, %d dead states", k, nodes, dead)
+        log.debug("%d-plex search: lattice obstruction mod %d after %d nodes", k, labels[0], nodes)
+        return None
     log.debug("%d-plex search: %d nodes, %d dead states", k, nodes, dead)
     if chosen is None:
         return None

@@ -146,17 +146,32 @@ def brute_quasis(square, forbidden=frozenset()):
     """Every quasi-transversal avoiding `forbidden`, ordered by doubled row,
     then by the rows' column tuples read top to bottom."""
     n = square.order
+    grid = [None] + [[None, *row] for row in square.rows()]
+    columns = set(range(1, n + 1))
+    # the other rows take one column each, any columns; the doubled row's two
+    # columns must then be the ones they miss, or the one they miss and any other
+    choices = []
+    for cols in itertools.product(range(1, n + 1), repeat=n - 1):
+        missing = columns.difference(cols)
+        if len(missing) == 2:
+            choices.append((cols, [sorted(missing)]))
+        elif len(missing) == 1:
+            choices.append((cols, [sorted((*missing, c)) for c in columns - missing]))
     out = []
     for doubled in range(1, n + 1):
-        options = [list(itertools.combinations(range(1, n + 1), 2 if r == doubled else 1))
-                   for r in range(1, n + 1)]
-        for choice in itertools.product(*options):
-            cells = [(r, c) for r, cols in zip(range(1, n + 1), choice) for c in cols]
-            # n + 1 cells over n columns (symbols), all present: one is doubled
-            if (len({c for _, c in cells}) == n
-                    and len({square.symbol(r, c) for r, c in cells}) == n
-                    and not forbidden & set(cells)):
-                out.append(tuple(cells))
+        others = [r for r in range(1, n + 1) if r != doubled]
+        row = grid[doubled]
+        found = []
+        for cols, pairs in choices:
+            syms = {grid[r][c] for r, c in zip(others, cols)}
+            if len(syms) < n - 2:  # two more cells cannot bring every symbol
+                continue
+            for a, b in pairs:
+                if len(syms | {row[a], row[b]}) == n:
+                    cells = tuple(sorted([*zip(others, cols), (doubled, a), (doubled, b)]))
+                    if not forbidden & set(cells):
+                        found.append(cells)
+        out += sorted(found)
     return out
 
 
@@ -174,3 +189,19 @@ def brute_first_kplex(square, k: int):
         if max(col_counts) == k and max(sym_counts) == k:
             return tuple(cells)
     return None
+
+
+def labels_obstruct(square, k: int, m: int, labels) -> bool:
+    """True iff the row, column and symbol labels (three lists indexed from
+    0) sum to 0 mod m on every cell while k times the sum of all labels does
+    not.  Summed over the cells of a k-plex the labels would give both, so
+    then no k-plex exists."""
+    rows, cols, syms = labels
+    n = square.order
+    if not len(rows) == len(cols) == len(syms) == n:
+        return False
+    for r in range(1, n + 1):
+        for c in range(1, n + 1):
+            if (rows[r - 1] + cols[c - 1] + syms[square.symbol(r, c) - 1]) % m != 0:
+                return False
+    return k * (sum(rows) + sum(cols) + sum(syms)) % m != 0

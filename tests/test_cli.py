@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -18,6 +19,8 @@ from latinplex.constructions import (
 )
 from latinplex.core import (
     MAX_INPUT_ORDER,
+    Isotopy,
+    apply_isotopy,
     format_ls,
     gen_cyclic,
     gen_qstep,
@@ -28,14 +31,14 @@ from latinplex.core import (
 from conftest import cli_env
 
 
-def run_cli(args, stdin_text=None):
+def run_cli(args, stdin_text=None, timeout=300):
     """Run the CLI in a subprocess for honest exit codes/streams."""
     proc = subprocess.run(
         [sys.executable, "-m", "latinplex.cli", *args],
         input=stdin_text,
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=timeout,
         env=cli_env(),
     )
     return proc.returncode, proc.stdout, proc.stderr
@@ -103,6 +106,17 @@ class TestSearch:
         assert code == 0
         obj = json.loads(out)
         assert obj["found"] and len(obj["witness"]["cells"]) == 12
+
+    def test_kplex_lattice_obstruction_exits_3(self, tmp_path):
+        # an even cyclic square has no 3-plex (the parity sum argument); its
+        # row tree is too large to exhaust, so the lattice test must answer
+        sq = apply_isotopy(gen_cyclic(8), Isotopy.random(8, random.Random(8)))
+        path = tmp_path / "sq.ls"
+        path.write_text(format_ls(sq))
+        code, out, err = run_cli(["search", "kplex", str(path), "--k", "3", "--format", "json"],
+                                 timeout=20)
+        assert code == 3 and err == ""
+        assert json.loads(out)["found"] is False
 
     def test_stdin_square(self):
         code, out, err = run_cli(

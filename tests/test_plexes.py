@@ -46,13 +46,16 @@ from latinplex.plexes import (
     max_disjoint_transversals,
     quasi_profile,
 )
+from latinplex import plexes
+from latinplex.plexes import _counted_search, _labels_obstruct, _lattice_obstruction
 
-from conftest import backtrack_count, corpus_up_to
+from conftest import QSTEP_PARAMS, backtrack_count, corpus_up_to
 from oracles import (
     brute_first_kplex,
     brute_first_near,
     brute_max_disjoint_transversals,
     brute_quasis,
+    labels_obstruct,
     permutation_diagonal_count,
 )
 
@@ -317,6 +320,12 @@ class TestKPlexSearch:
             find_kplex(gen_cyclic(6), 3)
         assert re.search(r"3-plex search: \d+ nodes, [1-9]\d* dead states", caplog.text)
 
+    def test_logs_lattice_obstruction_at_debug(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            assert find_kplex(gen_cyclic(8), 3) is None
+        assert re.search(r"3-plex search: lattice obstruction mod \d+ after \d+ nodes",
+                         caplog.text)
+
     def test_lexicographically_least(self):
         plex = find_kplex(gen_cyclic(4), 2)
         again = find_kplex(gen_cyclic(4), 2)
@@ -334,6 +343,78 @@ class TestKPlexSearch:
     def test_bad_k(self):
         with pytest.raises(InvalidPlexError):
             find_kplex(gen_cyclic(4), 5)
+
+
+# Hall-Paige: the table of an abelian group of even order has a k-plex for
+# odd k only if its Sylow 2-subgroup is not cyclic; Z_m x Z_q has a cyclic
+# one unless m and q are both even, Z_2^k never does
+HALL_PAIGE_CASES = (
+    [(f"cyclic({n})", gen_cyclic(n), n % 2 == 0) for n in range(2, 13)]
+    + [(f"qstep({m},{q})", gen_qstep(m, q), m * q % 2 == 0 and 1 in (m % 2, q % 2))
+       for m, q in QSTEP_PARAMS]
+    + [(f"twostep({k})", gen_two_step_pow2(k), False) for k in (2, 3)]
+)
+
+
+class TestLatticeObstruction:
+    @pytest.mark.parametrize("label,sq,cyclic_sylow2", HALL_PAIGE_CASES,
+                             ids=[label for label, _, _ in HALL_PAIGE_CASES])
+    def test_hall_paige_agreement(self, label, sq, cyclic_sylow2):
+        for k in (1, 2, 3):
+            labels = _lattice_obstruction(sq.cells0, k)
+            assert (labels is not None) == (cyclic_sylow2 and k % 2 == 1), k
+            if labels is not None:
+                m, *lists = labels
+                assert labels_obstruct(sq, k, m, lists), k
+
+    @pytest.mark.parametrize("label,sq", corpus_up_to(8), ids=[label for label, _ in corpus_up_to(8)])
+    def test_labels_pass_naive_oracle(self, label, sq):
+        for k in range(1, sq.order + 1):
+            labels = _lattice_obstruction(sq.cells0, k)
+            if labels is not None:
+                m, *lists = labels
+                assert labels_obstruct(sq, k, m, lists), k
+
+    def test_sound_against_brute_force_to_order_5(self):
+        obstructed = 0
+        for label, sq in corpus_up_to(5):
+            for k in range(1, sq.order + 1):
+                if _lattice_obstruction(sq.cells0, k) is not None:
+                    obstructed += 1
+                    assert brute_first_kplex(sq, k) is None, (label, k)
+        assert obstructed
+
+    def test_sound_against_unstaged_search_at_order_6(self):
+        obstructed = 0
+        for label, sq in corpus_up_to(6):
+            if sq.order != 6:
+                continue
+            for k in range(1, 7):
+                if _lattice_obstruction(sq.cells0, k) is not None:
+                    obstructed += 1
+                    assert _counted_search(sq.cells0, k)[0] is None, (label, k)
+        assert obstructed
+
+    def test_one_changed_label_is_rejected(self):
+        grid = gen_cyclic(6).cells0
+        m, *lists = _lattice_obstruction(grid, 3)
+        assert _labels_obstruct(grid, 3, (m, *lists))
+        for which in range(3):
+            for i in range(6):
+                tampered = [list(labels) for labels in lists]
+                tampered[which][i] = (tampered[which][i] + 1) % m
+                assert not _labels_obstruct(grid, 3, (m, *tampered)), (which, i)
+
+    def test_labels_failing_the_recheck_only_cost_time(self, monkeypatch):
+        # a wrong labelling from the normal-form code must not become a None
+        sq = gen_qstep(2, 5)  # its 2-plex search runs past the allowance
+        expected = find_kplex(sq, 2)
+        bogus = (2, [1] * 10, [0] * 10, [0] * 10)
+        assert not _labels_obstruct(sq.cells0, 2, bogus)
+        asked = []
+        monkeypatch.setattr(plexes, "_lattice_obstruction", lambda grid, k: asked.append(k) or bogus)
+        assert expected is not None and find_kplex(sq, 2) == expected
+        assert asked == [2]
 
 
 class TestComplement:
@@ -549,10 +630,12 @@ class TestQuasiNearSearch:
 
     @pytest.mark.parametrize("search", [lambda: find_quasi_transversal(gen_qstep(3, 4)),
                                         lambda: find_kplex(gen_cyclic(6), 3),
+                                        lambda: find_kplex(gen_cyclic(8), 3),
                                         lambda: find_near_transversal(gen_cyclic(6)),
                                         lambda: enumerate_transversals(gen_cyclic(7), cap=10),
                                         lambda: max_disjoint_transversals(gen_cyclic(7))],
-                             ids=["quasi", "kplex", "near", "enumerate", "tau"])
+                             ids=["quasi", "kplex", "kplex-obstructed", "near", "enumerate",
+                                  "tau"])
     def test_search_leaves_no_reference_cycles(self, search):
         # a memo left in a cycle lives until a full collection
         gc.collect()
