@@ -421,6 +421,15 @@ def _half_table(grid, n: int, rows, start: int) -> dict[int, int]:
 
 
 def _count_transversals(grid, n: int) -> int:
+    """0 on a re-checked lattice obstruction (k = 1), else _join_transversals."""
+    labels = _obstruction(grid, 1)
+    if labels is not None:
+        log.debug("transversal count: 0, lattice obstruction mod %d", labels[0])
+        return 0
+    return _join_transversals(grid, n)
+
+
+def _join_transversals(grid, n: int) -> int:
     """Sum over the orbits of row-0 cells of the orbit size times the count
     through the orbit's first cell: the top half-table (rows 0..h-1 from
     that cell) joined with the bottom one (rows h..n-1) on complementary masks."""
@@ -445,9 +454,9 @@ def _cols_to_cellset(order: int, cols: tuple[int, ...]) -> CellSet:
 def enumerate_transversals(square: LatinSquare, cap: int = 10, threads: int = 1) -> PlexCensus:
     """Exact transversal count with the first `cap` witnesses in lex order.
 
-    The count is certified by exhaustion with one meet-in-the-middle join
-    per orbit of row-1 cells under the row-fixing autotopisms of the grid:
-    one join for any isotope of a group table, n with no symmetry.
+    A 0 is certified by a re-checked lattice obstruction when there is one,
+    any other count by exhaustion: a meet-in-the-middle join per orbit of
+    row-1 cells under the row-fixing autotopisms (one for a group table).
     Witnesses come from backtracking, run only when the count is positive.
     `threads` is ignored.  Orders above MAX_EXHAUSTIVE_ORDER are refused.
     """
@@ -554,6 +563,12 @@ def _labels_obstruct(grid, k: int, labels) -> bool:
             and k * (sum(rows) + sum(cols) + sum(syms)) % m != 0)
 
 
+def _obstruction(grid, k: int):
+    """_lattice_obstruction's labels if they pass _labels_obstruct, else None."""
+    labels = _lattice_obstruction(grid, k)
+    return labels if labels is not None and _labels_obstruct(grid, k, labels) else None
+
+
 def find_kplex(square: LatinSquare, k: int) -> CellSet | None:
     """Lexicographically least k-plex, or None certified by exhaustion or by
     a re-checked lattice obstruction.
@@ -578,14 +593,9 @@ def find_kplex(square: LatinSquare, k: int) -> CellSet | None:
     if k == 1 and not _count_transversals(grid, n):
         log.debug("1-plex search: skipped, no transversal")
         return None
-
-    def checked_obstruction():
-        labels = _lattice_obstruction(grid, k)
-        return labels if labels is not None and _labels_obstruct(grid, k, labels) else None
-
     limit = None if k == 1 else _LATTICE_AFTER_CHECKS
     try:
-        chosen, nodes, dead = _counted_search(grid, k, limit, checked_obstruction)
+        chosen, nodes, dead = _counted_search(grid, k, limit, lambda: _obstruction(grid, k))
     except _OutOfChecks as out:
         nodes, dead, labels = out.args
         log.debug("%d-plex search: %d nodes, %d dead states", k, nodes, dead)
@@ -709,9 +719,9 @@ def _max_packing(what: str, n: int, masks: list[int], size: int, ceiling: int,
 def _transversal_masks(square: LatinSquare) -> list[tuple[int, tuple[int, ...]]]:
     """All transversals as (cell bitmask, column tuple), lex sorted.
 
-    The meet-in-the-middle count answers the empty case before any
-    backtracking.  Only orders <= 8 come here, and no Latin square of order
-    <= 8 has more than 384 transversals (McKay, McLeod & Wanless 2006).
+    The transversal count (lattice test, else join) answers the empty case
+    before any backtracking.  Only orders <= 8 come here, and no Latin square
+    of order <= 8 has more than 384 transversals (McKay, McLeod & Wanless 2006).
     """
     n = square.order
     grid = square.cells0

@@ -99,6 +99,16 @@ class TestSearch:
         assert code == 3
         assert json.loads(out)["count"] == 0
 
+    def test_transversal_count_lattice_obstruction_exits_3(self, tmp_path):
+        # an even cyclic square has no transversal; the order-16 join would
+        # take some 20 s, so the lattice test must answer
+        sq = apply_isotopy(gen_cyclic(16), Isotopy.random(16, random.Random(16)))
+        path = tmp_path / "sq.ls"
+        path.write_text(format_ls(sq))
+        code, out, err = run_cli(["search", "transversal", str(path), "--count"], timeout=20)
+        assert code == 3 and err == ""
+        assert out == "transversals of order-16 square: 0\n"
+
     def test_kplex_on_cyclic6(self, tmp_path):
         path = tmp_path / "sq.ls"
         path.write_text(format_ls(gen_cyclic(6)))

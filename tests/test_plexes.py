@@ -186,6 +186,26 @@ class TestCheckers:
         assert syms.count(ds) == 2
 
 
+# Hall-Paige: the table of an abelian group of even order has a k-plex for
+# odd k only if its Sylow 2-subgroup is not cyclic; Z_m x Z_q has a cyclic
+# one unless m and q are both even, Z_2^k never does
+HALL_PAIGE_CASES = (
+    [(f"cyclic({n})", gen_cyclic(n), n % 2 == 0) for n in range(2, 13)]
+    + [(f"qstep({m},{q})", gen_qstep(m, q), m * q % 2 == 0 and 1 in (m % 2, q % 2))
+       for m, q in QSTEP_PARAMS]
+    + [(f"twostep({k})", gen_two_step_pow2(k), False) for k in (2, 3)]
+)
+
+
+#: squares with no transversal by Hall-Paige: even cyclic orders to the
+#: exhaustive limit, and the q-step squares with a cyclic Sylow 2-subgroup
+ZERO_COUNT_CASES = (
+    [(f"cyclic({n})", gen_cyclic(n)) for n in range(2, 17, 2)]
+    + [(label, sq) for label, sq, cyclic_sylow2 in HALL_PAIGE_CASES
+       if cyclic_sylow2 and label.startswith("qstep")]
+)
+
+
 class TestEnumeration:
     @pytest.mark.parametrize(
         "square,count",
@@ -229,8 +249,9 @@ class TestEnumeration:
             assert check_transversal(gen_cyclic(7), w)[0]
 
     def test_mitm_agrees_with_dfs(self):
-        # the per-orbit meet-in-the-middle counter against plain backtracking
-        from latinplex.plexes import _count_transversals
+        # the per-orbit meet-in-the-middle join against plain backtracking,
+        # also on the isotope of cyclic(8), which the lattice test answers
+        from latinplex.plexes import _join_transversals
 
         rng = random.Random(11)
         squares = [gen_cyclic(9), gen_two_step_pow2(3), gen_qstep(3, 3)]
@@ -238,7 +259,7 @@ class TestEnumeration:
                     for sq in (gen_cyclic(7), gen_cyclic(8), gen_cyclic(9), gen_two_step_pow2(3))]
         for sq in squares:
             grid = sq.cells0
-            assert _count_transversals(grid, sq.order) == backtrack_count(grid, sq.order)
+            assert _join_transversals(grid, sq.order) == backtrack_count(grid, sq.order)
 
     @pytest.mark.parametrize("orbit", [2, 1])
     def test_non_group_squares_count_several_orbits(self, orbit):
@@ -277,6 +298,36 @@ class TestEnumeration:
         with caplog.at_level(logging.DEBUG, logger="latinplex"):
             enumerate_transversals(gen_cyclic(7), cap=0)
         assert "column 1 orbit 7 of 7, 1 per-column counts" in caplog.text
+
+    @pytest.mark.parametrize("label,sq", corpus_up_to(8), ids=[label for label, _ in corpus_up_to(8)])
+    def test_count_equals_backtracking_corpus(self, label, sq):
+        # whichever path answers, the lattice test or the join
+        assert enumerate_transversals(sq, cap=0).count == backtrack_count(sq.cells0, sq.order)
+
+    @pytest.mark.parametrize("label,sq", ZERO_COUNT_CASES, ids=[label for label, _ in ZERO_COUNT_CASES])
+    def test_hall_paige_zero_counts(self, label, sq):
+        # the join alone takes 21 s and 0.66 GB on cyclic(16)
+        assert enumerate_transversals(sq, cap=0).count == 0
+
+    def test_zero_count_logs_lattice_obstruction_at_debug(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            enumerate_transversals(gen_cyclic(12), cap=0)
+        assert re.search(r"transversal count: 0, lattice obstruction mod \d+", caplog.text)
+        assert "column 1 orbit" not in caplog.text
+
+    @pytest.mark.parametrize("n,count", [(7, 133), (8, 0)])
+    def test_labels_failing_the_recheck_never_count_0(self, monkeypatch, caplog, n, count):
+        # a wrong labelling from the normal-form code must not become a 0:
+        # the count falls through to the join
+        bogus = (2, [1] * n, [0] * n, [0] * n)
+        assert not _labels_obstruct(gen_cyclic(n).cells0, 1, bogus)
+        asked = []
+        monkeypatch.setattr(plexes, "_lattice_obstruction", lambda grid, k: asked.append(k) or bogus)
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            assert enumerate_transversals(gen_cyclic(n), cap=0).count == count
+        assert asked == [1]
+        assert f"column 1 orbit {n} of {n}" in caplog.text
+        assert "lattice obstruction" not in caplog.text
 
     def test_threads_match_sequential(self):
         for sq in (gen_cyclic(5), gen_two_step_pow2(3)):
@@ -343,17 +394,6 @@ class TestKPlexSearch:
     def test_bad_k(self):
         with pytest.raises(InvalidPlexError):
             find_kplex(gen_cyclic(4), 5)
-
-
-# Hall-Paige: the table of an abelian group of even order has a k-plex for
-# odd k only if its Sylow 2-subgroup is not cyclic; Z_m x Z_q has a cyclic
-# one unless m and q are both even, Z_2^k never does
-HALL_PAIGE_CASES = (
-    [(f"cyclic({n})", gen_cyclic(n), n % 2 == 0) for n in range(2, 13)]
-    + [(f"qstep({m},{q})", gen_qstep(m, q), m * q % 2 == 0 and 1 in (m % 2, q % 2))
-       for m, q in QSTEP_PARAMS]
-    + [(f"twostep({k})", gen_two_step_pow2(k), False) for k in (2, 3)]
-)
 
 
 class TestLatticeObstruction:
