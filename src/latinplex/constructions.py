@@ -1,13 +1,11 @@
 """Executable constructions: explicit witness formulas with validated output.
 
-Every builder evaluates its index formula first (row/column indices reduced
-mod n into 1..n) and runs its claim's rule on the cells; where a search
-fallback exists it runs only when the rule fails, and its witness must pass
-the same rule.  The fallbacks are the exhaustive engines, so above order
-12 they refuse with OrderTooLargeError.  The switch and the formula's
-failures are recorded in the certificate notes, never silently absorbed.
-verify_certificate applies exactly the rule the builder applied (see
-CLAIMS).
+Every builder evaluates its index formula (row/column indices reduced mod n
+into 1..n) and runs its claim's rule on the cells: it returns a certificate
+only when the rule passes and raises ValidationFailureError otherwise.  No
+builder searches; the transforms of qt-nt-transforms start from the first
+near-transversal the exhaustive search finds.  verify_certificate applies
+exactly the rule the builder applied (see CLAIMS).
 
 Known defect handled here: the cyclic domatic family S_j pins its last
 extra cell at (1, n/2), which always collides with the T-family of
@@ -42,9 +40,7 @@ from .plexes import (
     check_near_transversal,
     check_quasi_transversal,
     check_transversal,
-    find_kplex,
     find_near_transversal,
-    find_quasi_transversal,
     quasi_profile,
 )
 
@@ -52,7 +48,6 @@ from .plexes import (
 Cells = tuple[tuple[int, int], ...]
 
 PROVENANCE_FORMULA = "paper-formula"
-PROVENANCE_SEARCH = "search-fallback"
 
 
 @dataclass(frozen=True)
@@ -172,22 +167,13 @@ def _require_rule(claim: str, square: LatinSquare, parts: tuple[Cells, ...], sou
         raise ValidationFailureError(f"{claim}: {source} fails the claim's rule: {issues[0]}")
 
 
-def _formula_else_search(
-    claim: str, square: LatinSquare, desc: dict, parts: tuple[Cells, ...], wrap, search
+def _formula_certificate(
+    claim: str, square: LatinSquare, desc: dict, parts: tuple[Cells, ...], wrap
 ) -> WitnessCertificate:
-    """Certify `claim` with the formula's cell tuples when they pass the
-    claim's rule (`wrap(n, parts)` tags them as CellSets); otherwise with
-    `search() -> (witness, notes)`, held to the same rule.  The formula's
-    failures are kept in the notes."""
-    rule, _, _ = CLAIMS[claim]
-    issues = rule(square, parts)
-    if not issues:
-        return WitnessCertificate(claim, desc, wrap(square.order, parts), PROVENANCE_FORMULA, True)
-    witness, found_notes = search()
-    notes = (*issues, "formula cells fail the claim's rule; witness found by search", *found_notes)
-    cert = WitnessCertificate(claim, desc, witness, PROVENANCE_SEARCH, True, notes)
-    _require_rule(claim, square, tuple(w.cells for w in cert.witness_list()), "search witness")
-    return cert
+    """Certify `claim` with the formula's cell tuples, which must pass the
+    claim's rule; `wrap(n, parts)` tags them as CellSets."""
+    _require_rule(claim, square, parts, "formula")
+    return WitnessCertificate(claim, desc, wrap(square.order, parts), PROVENANCE_FORMULA, True)
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +312,6 @@ def _as_quasi(n: int, parts: tuple[Cells, ...]) -> CellSet:
     return CellSet(n, parts[0], KIND_QUASI)
 
 
-def _search_quasi(square: LatinSquare):
-    """A quasi-transversal by exhaustive search (orders up to 12)."""
-    found = find_quasi_transversal(square)
-    if found is None:
-        raise NoWitnessFoundError("formula failed and no quasi-transversal was found")
-    return found, ()
-
-
 def build_3ds_q1(n: int) -> WitnessCertificate:
     """Size-(n+1) 3-dominating set of the cyclic square, n even >= 4.
 
@@ -343,9 +321,8 @@ def build_3ds_q1(n: int) -> WitnessCertificate:
     if n < 4 or n % 2:
         raise ValueError(f"construction needs even n >= 4, got {n}")
     square = gen_cyclic(n)
-    return _formula_else_search(
-        "3ds-q1", square, square_descriptor("cyclic", n=n), (_rodney1_cells(n)[0],),
-        _as_quasi, lambda: _search_quasi(square),
+    return _formula_certificate(
+        "3ds-q1", square, square_descriptor("cyclic", n=n), (_rodney1_cells(n)[0],), _as_quasi
     )
 
 
@@ -354,9 +331,9 @@ def build_3ds_qgen(m: int, q: int) -> WitnessCertificate:
     if m < 2 or m % 2 or q < 3 or q % 2 == 0:
         raise ValueError(f"construction needs even m >= 2 and odd q >= 3, got ({m},{q})")
     square = gen_qstep(m, q)
-    return _formula_else_search(
+    return _formula_certificate(
         "3ds-qgen", square, square_descriptor("qstep", m=m, q=q), (_case2_cells(m, q),),
-        _as_quasi, lambda: _search_quasi(square),
+        _as_quasi,
     )
 
 
@@ -478,37 +455,14 @@ def _as_two_plex(n: int, parts: tuple[Cells, ...]) -> tuple[CellSet, CellSet, Ce
     return CellSet(n, s, KIND_QUASI), CellSet(n, sp, KIND_NEAR), CellSet(n, union, KIND_KPLEX, 2)
 
 
-def _fallback_two_plex(square: LatinSquare):
-    """Exhaustive search: the first quasi-transversal plus a disjoint
-    near-transversal missing exactly its doubled row/column/symbol; a bare
-    2-plex as last resort.  Returns (witness, notes)."""
-    n = square.order
-    q = find_quasi_transversal(square)
-    if q is not None:
-        dr, dc, ds = quasi_profile(square, q)
-        near = find_near_transversal(
-            square,
-            missing_row=dr,
-            missing_col=dc,
-            missing_symbol=ds,
-            forbidden=frozenset(q.cells),
-        )
-        if near is not None:
-            return _as_two_plex(n, _two_plex_parts(q.cells, near.cells)), ()
-    bare = find_kplex(square, 2)
-    if bare is None:
-        raise NoWitnessFoundError("exhaustive search found no 2-plex")
-    return (bare,), ("no quasi+near split found; witness is a bare 2-plex",)
-
-
 def build_2plex_q1(n: int) -> WitnessCertificate:
     """2-plex of the cyclic square, n even >= 4, as quasi + disjoint near."""
     if n < 4 or n % 2:
         raise ValueError(f"construction needs even n >= 4, got {n}")
     square = gen_cyclic(n)
-    return _formula_else_search(
+    return _formula_certificate(
         "2plex-q1", square, square_descriptor("cyclic", n=n), _two_plex_parts(*_rodney1_cells(n)),
-        _as_two_plex, lambda: _fallback_two_plex(square),
+        _as_two_plex,
     )
 
 
@@ -517,9 +471,9 @@ def build_2plex_m2(q: int) -> WitnessCertificate:
     if q < 3 or q % 2 == 0:
         raise ValueError(f"construction needs odd q >= 3, got {q}")
     square = gen_qstep(2, q)
-    return _formula_else_search(
+    return _formula_certificate(
         "2plex-m2", square, square_descriptor("qstep", m=2, q=q),
-        _two_plex_parts(*_rodney2_cells(q)), _as_two_plex, lambda: _fallback_two_plex(square),
+        _two_plex_parts(*_rodney2_cells(q)), _as_two_plex,
     )
 
 
@@ -528,10 +482,9 @@ def build_2plex_general(m: int, q: int) -> WitnessCertificate:
     if m < 4 or m % 2 or q < 3 or q % 2 == 0:
         raise ValueError(f"construction needs even m >= 4 and odd q >= 3, got ({m},{q})")
     square = gen_qstep(m, q)
-    return _formula_else_search(
+    return _formula_certificate(
         "2plex-gen", square, square_descriptor("qstep", m=m, q=q),
         _two_plex_parts(*_rodney3_cells(m, q)), _as_two_plex,
-        lambda: _fallback_two_plex(square),
     )
 
 
@@ -678,7 +631,7 @@ def _failed(label: str, result: tuple[bool, str | None]) -> list[str]:
 
 
 def _not_3_dominating(graph, label: str, cells: Cells) -> list[str]:
-    try:  # a rule reports bad formula cells, so that the fallback runs
+    try:  # a repeated or out-of-range cell is an issue the rule reports, not an error
         dom = is_k_dominating(graph, cells, 3)
     except InvalidCellSetError as exc:
         return [f"{label}: {exc}"]

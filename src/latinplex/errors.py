@@ -74,7 +74,7 @@ class ValidationFailureError(LatinSquareError):
 
 
 class NoWitnessFoundError(LatinSquareError):
-    """Both the formula and the exhaustive fallback failed to produce a witness."""
+    """An exhaustive search found none of the witnesses a construction starts from."""
 
 
 class NotConstructibleError(LatinSquareError):

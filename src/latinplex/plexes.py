@@ -231,15 +231,15 @@ def _stop(path) -> bool:
 
 
 def _partial_search(grid, rows, visit, skips: int = 0, colmask: int = 0,
-                    symmask: int = 0, forbidden=frozenset()) -> list[int] | None:
+                    symmask: int = 0) -> list[int] | None:
     """Extend a partial transversal over `rows`, one cell per row, in order.
 
     Columns and symbols are used at most once (bitmasks, seeded by colmask
-    and symmask); forbidden holds 1-based cells.  Each row tries its columns
-    in increasing order and then, while `skips` remain, stays empty.  visit
-    runs at every leaf that spent all skips, with path[i] the column of
-    rows[i] (-1 if empty); if it returns True the search stops and the
-    kernel returns a copy of that path, else it returns None.
+    and symmask).  Each row tries its columns in increasing order and then,
+    while `skips` remain, stays empty.  visit runs at every leaf that spent
+    all skips, with path[i] the column of rows[i] (-1 if empty); if it
+    returns True the search stops and the kernel returns a copy of that
+    path, else it returns None.
     """
     depth = len(rows)
     path = [-1] * depth
@@ -253,7 +253,7 @@ def _partial_search(grid, rows, visit, skips: int = 0, colmask: int = 0,
             if cm & bit:
                 continue
             sbit = 1 << s
-            if sm & sbit or forbidden and (r + 1, c + 1) in forbidden:
+            if sm & sbit:
                 continue
             path[i] = c
             if rec(i + 1, cm | bit, sm | sbit, skips):
@@ -458,8 +458,11 @@ def enumerate_transversals(square: LatinSquare, cap: int = 10, threads: int = 1)
     any other count by exhaustion: a meet-in-the-middle join per orbit of
     row-1 cells under the row-fixing autotopisms (one for a group table).
     Witnesses come from backtracking, run only when the count is positive.
-    `threads` is ignored.  Orders above MAX_EXHAUSTIVE_ORDER are refused.
+    `threads` is ignored.  A negative cap raises ValueError; orders above
+    MAX_EXHAUSTIVE_ORDER are refused.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be at least 0, got {cap}")
     n = square.order
     if n > MAX_EXHAUSTIVE_ORDER:
         raise OrderTooLargeError(f"order {n} exceeds exhaustive limit {MAX_EXHAUSTIVE_ORDER}")
@@ -481,8 +484,9 @@ def enumerate_transversals(square: LatinSquare, cap: int = 10, threads: int = 1)
 # k-plex search
 
 
-#: supply checks a k-plex search (k >= 2) runs before it asks the lattice test
-_LATTICE_AFTER_CHECKS = 1 << 10
+#: supply checks a k-plex search runs before it asks the lattice test (k >= 2)
+#: or the transversal count (k = 1)
+_LATTICE_AFTER_CHECKS = 1 << 8
 
 
 def _lattice_obstruction(grid, k: int) -> tuple[int, list[int], list[int], list[int]] | None:
@@ -578,11 +582,12 @@ def find_kplex(square: LatinSquare, k: int) -> CellSet | None:
     deficient symbol still has enough remaining rows whose cell for it sits
     in a non-full column (and dually for columns), and a bounded memo of the
     count states already searched in vain.  Pruning only removes provably
-    dead branches, so the first solution stays the lex least.  For
-    k = 1 the transversal count runs first and a zero returns None at once.
-    For k >= 2 a search still running after _LATTICE_AFTER_CHECKS supply
-    checks asks _lattice_obstruction; it stops with None only on labels
-    that pass the O(n^2) re-check, else it goes on to the end.
+    dead branches, so the first solution stays the lex least.  A search
+    still running after _LATTICE_AFTER_CHECKS supply checks asks for a
+    proof that none exists: for k >= 2 _lattice_obstruction, and it stops
+    with None only on labels that pass the O(n^2) re-check; for k = 1 the
+    transversal count (that lattice test, else the join), and it stops with
+    None only on a count of 0.  Otherwise it goes on to the end.
     """
     n = square.order
     if n > 12:
@@ -590,16 +595,18 @@ def find_kplex(square: LatinSquare, k: int) -> CellSet | None:
     if not 1 <= k <= n:
         raise InvalidPlexError(f"k must be in 1..{n}")
     grid = square.cells0
-    if k == 1 and not _count_transversals(grid, n):
-        log.debug("1-plex search: skipped, no transversal")
-        return None
-    limit = None if k == 1 else _LATTICE_AFTER_CHECKS
+    give_up = ((lambda: not _count_transversals(grid, n)) if k == 1
+               else (lambda: _obstruction(grid, k)))
     try:
-        chosen, nodes, dead = _counted_search(grid, k, limit, lambda: _obstruction(grid, k))
+        chosen, nodes, dead = _counted_search(grid, k, _LATTICE_AFTER_CHECKS, give_up)
     except _OutOfChecks as out:
-        nodes, dead, labels = out.args
+        nodes, dead, proof = out.args
         log.debug("%d-plex search: %d nodes, %d dead states", k, nodes, dead)
-        log.debug("%d-plex search: lattice obstruction mod %d after %d nodes", k, labels[0], nodes)
+        if k == 1:
+            log.debug("1-plex search: transversal count 0 after %d nodes", nodes)
+        else:
+            log.debug("%d-plex search: lattice obstruction mod %d after %d nodes",
+                      k, proof[0], nodes)
         return None
     log.debug("%d-plex search: %d nodes, %d dead states", k, nodes, dead)
     if chosen is None:
@@ -808,44 +815,18 @@ def extendibility_report(square: LatinSquare, partial) -> str:
     return NON_EXTENDIBLE
 
 
-def find_near_transversal(
-    square: LatinSquare,
-    *,
-    missing_row: int | None = None,
-    missing_col: int | None = None,
-    missing_symbol: int | None = None,
-    forbidden: frozenset[tuple[int, int]] = frozenset(),
-) -> CellSet | None:
-    """First near-transversal in deterministic search order, or None.
-
-    Optional constraints pin which row/column/symbol must stay unused and
-    which cells are off limits (used by the structured 2-plex fallback); a
-    pinned value outside 1..n raises InvalidCellSetError.
-    """
+def find_near_transversal(square: LatinSquare) -> CellSet | None:
+    """First near-transversal in deterministic search order, or None."""
     n = square.order
     if n > MAX_EXHAUSTIVE_ORDER:
         raise OrderTooLargeError(f"order {n} exceeds exhaustive limit {MAX_EXHAUSTIVE_ORDER}")
-    for name, value in (("missing_row", missing_row), ("missing_col", missing_col),
-                        ("missing_symbol", missing_symbol)):
-        if value is not None and not 1 <= value <= n:
-            raise InvalidCellSetError(f"{name}={value} outside 1..{n}")
-    rows = [r for r in range(n) if r + 1 != missing_row]
-    path = _partial_search(
-        square.cells0, rows, _stop, skips=len(rows) - (n - 1),
-        colmask=0 if missing_col is None else 1 << (missing_col - 1),
-        symmask=0 if missing_symbol is None else 1 << (missing_symbol - 1),
-        forbidden=forbidden,
-    )
+    path = _partial_search(square.cells0, range(n), _stop, skips=1)
     if path is None:
         return None
-    return CellSet(n, tuple((r + 1, c + 1) for r, c in zip(rows, path) if c >= 0), KIND_NEAR)
+    return CellSet(n, tuple((r + 1, c + 1) for r, c in enumerate(path) if c >= 0), KIND_NEAR)
 
 
-def find_quasi_transversal(
-    square: LatinSquare,
-    *,
-    forbidden: frozenset[tuple[int, int]] = frozenset(),
-) -> CellSet | None:
+def find_quasi_transversal(square: LatinSquare) -> CellSet | None:
     """First quasi-transversal in deterministic order, or None by exhaustion.
 
     Orders above 12 raise OrderTooLargeError.
@@ -855,7 +836,7 @@ def find_quasi_transversal(
         return None
     if n > 12:
         raise OrderTooLargeError(f"exhaustive quasi search supports order <= 12, got {n}")
-    chosen = _quasi_search(square.cells0, _stop, forbidden)
+    chosen = _quasi_search(square.cells0, _stop)
     if chosen is None:
         return None
     cs = CellSet(n, _chosen_cells(chosen), KIND_QUASI)
@@ -865,9 +846,8 @@ def find_quasi_transversal(
     return cs
 
 
-def _quasi_search(grid, visit, forbidden=frozenset()) -> list[tuple[int, ...]] | None:
-    """Walk the quasi-transversals avoiding `forbidden` (1-based cells): for
-    doubled row d = 0, 1, ..., one cell per entry of rows 0..d, d, d+1..n-1,
+def _quasi_search(grid, visit) -> list[tuple[int, ...]] | None:
+    """Walk the quasi-transversals: for doubled row d = 0, 1, ..., one cell per entry of rows 0..d, d, d+1..n-1,
     the second cell of row d right of its first.  mask holds the columns and
     symbols (bits n..) used; each may repeat once, and rep marks the repeats
     spent (bit 0 column, bit 1 symbol).  visit runs at every leaf with
@@ -879,9 +859,7 @@ def _quasi_search(grid, visit, forbidden=frozenset()) -> list[tuple[int, ...]] |
     subtree held no leaf."""
     n = len(grid)
     shift = 2 * n
-    cells = [[(c, 1 << c, 1 << n + s) for c, s in enumerate(row)
-              if not (forbidden and (r + 1, c + 1) in forbidden)]
-             for r, row in enumerate(grid)] + [[]]
+    cells = [[(c, 1 << c, 1 << n + s) for c, s in enumerate(row)] for row in grid] + [[]]
     # sups[r][x]: the symbols of column x, or the columns of symbol x - n, in rows r..
     sups = [[0] * shift]
     for r in range(n - 1, -1, -1):

@@ -111,10 +111,10 @@ class TestThreeDominatingSets:
         assert cert.provenance == PROVENANCE_FORMULA
         assert set(cert.witness.cells) == {(1, 1), (2, 2), (3, 3), (3, 4), (4, 1)}
 
-    @pytest.mark.parametrize("n", [4, 6, 10])
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
     def test_q1_sizes_and_validation(self, n):
         cert = build_3ds_q1(n)
-        assert cert.verdict
+        assert cert.verdict and cert.provenance == PROVENANCE_FORMULA
         assert len(cert.witness.cells) == n + 1
         sq = gen_cyclic(n)
         assert check_quasi_transversal(sq, cert.witness)[0]
@@ -163,18 +163,19 @@ class TestThreeDominatingSets:
 
 
 class TestDomaticPartition:
-    @pytest.mark.parametrize("n,parts", [(4, 3), (6, 5), (10, 9)])
+    @pytest.mark.parametrize("n,parts", [(4, 3), (6, 5), (8, 7), (10, 9), (12, 11)])
     def test_family_sizes(self, n, parts):
         cert = build_domatic_partition_cyclic(n)
-        assert cert.verdict
+        assert cert.verdict and cert.provenance == PROVENANCE_FORMULA
         family = cert.witness_list()
         assert len(family) == parts
         sizes = sorted(len(p.cells) for p in family)
         assert sizes == [n + 1] * (n - 2) + [n + 2]
 
-    @pytest.mark.parametrize("n", [4, 6, 10])
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
     def test_parts_partition_and_dominate(self, n):
         cert = build_domatic_partition_cyclic(n)
+        assert cert.provenance == PROVENANCE_FORMULA
         sq = gen_cyclic(n)
         g = build_graph(sq)
         seen = set()
@@ -217,7 +218,7 @@ class TestDomaticPartition:
 
 
 class TestTwoPlexes:
-    @pytest.mark.parametrize("n", [4, 6, 10])
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
     def test_case1(self, n):
         cert = build_2plex_q1(n)
         assert cert.verdict and cert.provenance == PROVENANCE_FORMULA

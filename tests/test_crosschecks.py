@@ -1,30 +1,20 @@
 """Cross-engine consistency checks: invariants that tie independent code
-paths together (counts under isotopy, join vs. backtracking counters,
-fallback search paths that the literal index formulas never exercise)."""
+paths together (counts under isotopy, join vs. backtracking counters), and
+the claim rule every formula builder holds its cells to."""
 
 import itertools
 import random
 
 import pytest
 
-from latinplex.constructions import (
-    PROVENANCE_SEARCH,
-    _as_quasi,
-    _as_two_plex,
-    _fallback_two_plex,
-    _formula_else_search,
-    _search_quasi,
-    _two_plex_parts,
-    square_descriptor,
-)
+from latinplex import constructions
+from latinplex.constructions import CLAIMS
 from latinplex.core import Isotopy, apply_isotopy, gen_cyclic, gen_qstep, validate
-from latinplex.errors import OrderTooLargeError
-from latinplex.lsgraph import build_graph, gamma_k_exact, is_k_dominating
+from latinplex.errors import ValidationFailureError
+from latinplex.lsgraph import build_graph, gamma_k_exact
 from latinplex.plexes import (
     _join_transversals,
     check_kplex,
-    check_near_transversal,
-    check_quasi_transversal,
     enumerate_transversals,
     max_disjoint_transversals,
 )
@@ -91,69 +81,25 @@ class TestGammaOracle:
         assert gamma_k_exact(g, 1)[0] == brute_gamma_k(sq, 1)
 
 
-class TestFallbackPaths:
-    def test_3ds_fallback_engages_on_bad_cells(self):
-        # feed deliberately wrong formula output; the certificate must switch
-        # to search, record the discrepancy, and still validate; a repeated
-        # cell is one more discrepancy, not an error
-        sq = gen_cyclic(4)
-        g = build_graph(sq)
-        for bad in (tuple((1, j) for j in range(1, 5)) + ((2, 1),),
-                    ((1, 1), (1, 1), (2, 2), (3, 3), (4, 4))):
-            cert = _formula_else_search(
-                "3ds-q1", sq, square_descriptor("cyclic", n=4), (bad,),
-                _as_quasi, lambda: _search_quasi(sq),
-            )
-            assert cert.verdict
-            assert cert.provenance == PROVENANCE_SEARCH
-            assert any("fail" in note for note in cert.notes)
-            assert check_quasi_transversal(sq, cert.witness)[0]
-            assert is_k_dominating(g, cert.witness.cells, 3).verdict
-
-    def test_2plex_fallback_engages_on_bad_cells(self):
-        sq = gen_cyclic(6)
-        bad_s = tuple((1, j) for j in range(1, 8))  # seven cells in one row
-        bad_sp = tuple((2, j) for j in range(1, 6))
-        cert = _formula_else_search(
-            "2plex-q1", sq, square_descriptor("cyclic", n=6), _two_plex_parts(bad_s, bad_sp),
-            _as_two_plex, lambda: _fallback_two_plex(sq),
-        )
-        assert cert.verdict
-        assert cert.provenance == PROVENANCE_SEARCH
-        quasi, near, union = cert.witness_list()
-        assert check_quasi_transversal(sq, quasi)[0]
-        assert check_near_transversal(sq, near)[0]
-        assert check_kplex(sq, union, 2)[0]
-
-    @pytest.mark.parametrize("claim,wrap,search", [
-        ("3ds-q1", _as_quasi, _search_quasi),
-        ("2plex-q1", _as_two_plex, _fallback_two_plex),
-    ], ids=["3ds-q1", "2plex-q1"])
-    def test_fallback_refuses_above_order_12(self, claim, wrap, search):
-        # the fallbacks are exhaustive, so a failing formula above order 12
-        # is refused, never answered by an uncertified search
-        sq = gen_cyclic(14)
-        bad = tuple((1, j) for j in range(1, 15)) + ((2, 1),)
-        parts = (bad,) if claim == "3ds-q1" else _two_plex_parts(bad, bad[:13])
-        with pytest.raises(OrderTooLargeError):
-            _formula_else_search(claim, sq, square_descriptor("cyclic", n=14), parts,
-                                 wrap, lambda: search(sq))
-
-    def test_fallback_pairing_respects_profile(self):
-        # the structured fallback pairs a quasi with a near missing exactly
-        # the doubled row/column/symbol, so their union is a 2-plex
-        from latinplex.plexes import quasi_profile
-
-        sq = gen_qstep(2, 5)
-        (quasi, near, _), _ = _fallback_two_plex(sq)
-        assert quasi is not None and near is not None
-        dr, dc, ds = quasi_profile(sq, quasi)
-        rows = {r for r, _ in near.cells}
-        cols = {c for _, c in near.cells}
-        syms = {sq.symbol(r, c) for r, c in near.cells}
-        assert dr not in rows and dc not in cols and ds not in syms
-        union = tuple(sorted(set(quasi.cells) | set(near.cells)))
-        assert check_kplex(sq, union, 2)[0]
+class TestFormulaRule:
+    @pytest.mark.parametrize("claim,case", [
+        (claim, case) for claim in ("3ds-q1", "2plex-q1")
+        for case in ("wrong-set", "repeated-cell", "order-14")
+    ], ids=lambda v: v)
+    def test_bad_formula_cells_raise(self, monkeypatch, claim, case):
+        # no builder searches: formula cells failing the claim's rule are an
+        # error naming the claim, never a certificate, at every order
+        n = 14 if case == "order-14" else 6
+        s, sp = constructions._rodney1_cells(n)
+        if case == "repeated-cell":
+            s = s[:-1] + s[:1]
+        else:
+            s = tuple((1, j) for j in range(1, n + 1)) + ((2, 1),)  # n+1 cells, row 1 full
+            sp = tuple((2, j) for j in range(2, n + 1))
+        monkeypatch.setattr(constructions, "_rodney1_cells", lambda order: (s, sp))
+        _, build, _ = CLAIMS[claim]
+        with pytest.raises(ValidationFailureError, match=f"^{claim}: formula fails the claim's rule"):
+            build(n)
 
 
 class TestLargeOrderStepType:
