@@ -404,6 +404,14 @@ def _column_orbit_maps(grid, n: int) -> list[list[int]]:
     return maps
 
 
+def _column_orbits(grid, n: int) -> tuple[list[list[int]], list[int]]:
+    """The maps of _column_orbit_maps and the least column of each orbit.  A map
+    fixing a column fixes every symbol, so it is the identity: the maps act
+    freely, and every orbit has len(maps) columns."""
+    maps = _column_orbit_maps(grid, n)
+    return maps, [c for c in range(n) if all(alpha[c] >= c for alpha in maps)]
+
+
 def _half_table(grid, n: int, rows, start: int) -> dict[int, int]:
     """Count the partial transversals over `rows` extending `start` by the
     (colmask, symmask) they use, packed as colmask | symmask << n."""
@@ -430,21 +438,20 @@ def _count_transversals(grid, n: int) -> int:
 
 
 def _join_transversals(grid, n: int) -> int:
-    """Sum over the orbits of row-0 cells of the orbit size times the count
-    through the orbit's first cell: the top half-table (rows 0..h-1 from
-    that cell) joined with the bottom one (rows h..n-1) on complementary masks."""
-    maps = _column_orbit_maps(grid, n)
-    orbit_sizes = Counter(min(alpha[c] for alpha in maps) for c in range(n))
+    """The orbit size times the sum, over the orbits of row-0 cells, of the
+    count through the orbit's first cell: the top half-table (rows 0..h-1
+    from that cell) joined with the bottom one (rows h..n-1) on complementary masks."""
+    maps, reps = _column_orbits(grid, n)
     log.debug("transversal count: column 1 orbit %d of %d, %d per-column counts",
-              len(maps), n, len(orbit_sizes))
+              len(maps), n, len(reps))
     h = min(n, (n + 1) // 2 + 1)
     full = (1 << 2 * n) - 1
     bottom = _half_table(grid, n, range(h, n), 0)
     count = 0
-    for c, size in orbit_sizes.items():
+    for c in reps:
         top = _half_table(grid, n, range(1, h), 1 << c | 1 << (n + grid[0][c]))
-        count += size * sum(m * bottom.get(full ^ key, 0) for key, m in top.items())
-    return count
+        count += sum(m * bottom.get(full ^ key, 0) for key, m in top.items())
+    return len(maps) * count
 
 
 def _cols_to_cellset(order: int, cols: tuple[int, ...]) -> CellSet:
@@ -469,13 +476,8 @@ def enumerate_transversals(square: LatinSquare, cap: int = 10, threads: int = 1)
     grid = square.cells0
     count = _count_transversals(grid, n)
     found: list[tuple[int, ...]] = []
-
-    def collect(path) -> bool:
-        found.append(tuple(path))
-        return len(found) >= cap
-
     if count and cap:
-        _partial_search(grid, range(n), collect)
+        _partial_search(grid, range(n), lambda path: found.append(tuple(path)) or len(found) >= cap)
     witnesses = tuple(_cols_to_cellset(n, w) for w in found)
     return PlexCensus(n, KIND_TRANSVERSAL, count, witnesses, truncated=count > len(witnesses))
 
@@ -724,23 +726,25 @@ def _max_packing(what: str, n: int, masks: list[int], size: int, ceiling: int,
 
 
 def _transversal_masks(square: LatinSquare) -> list[tuple[int, tuple[int, ...]]]:
-    """All transversals as (cell bitmask, column tuple), lex sorted.
-
-    The transversal count (lattice test, else join) answers the empty case
-    before any backtracking.  Only orders <= 8 come here, and no Latin square
-    of order <= 8 has more than 384 transversals (McKay, McLeod & Wanless 2006).
-    """
+    """All transversals as (cell bitmask, column tuple), lex sorted: none on a
+    re-checked lattice obstruction, else rows 1..n-1 searched from the least
+    row-0 cell of each column orbit, each find mapped through every map of
+    _column_orbits (they act freely, so each transversal comes out once).
+    Only orders <= 8 come here: at most 384 transversals (McKay, McLeod & Wanless 2006)."""
     n = square.order
     grid = square.cells0
-    found: list[tuple[int, tuple[int, ...]]] = []
-
-    def collect(path) -> bool:
-        found.append((sum(1 << (r * n + c) for r, c in enumerate(path)), tuple(path)))
-        return False
-
-    if _count_transversals(grid, n):
-        _partial_search(grid, range(n), collect)
-    return found
+    if _obstruction(grid, 1) is not None:
+        return []
+    maps, reps = _column_orbits(grid, n)
+    found: list[tuple[int, ...]] = []
+    for c in reps:
+        _partial_search(grid, range(1, n), lambda path, c=c: found.append((c, *path)),
+                        colmask=1 << c, symmask=1 << grid[0][c])
+    log.debug("transversal collect: %d orbit representatives of %d columns, %d transversals",
+              len(reps), n, len(found) * len(maps))
+    bits = [[1 << (r * n + c) for c in range(n)] for r in range(n)]
+    cols = sorted(tuple(map(alpha.__getitem__, t)) for alpha in maps for t in found)
+    return [(sum(map(list.__getitem__, bits, t)), t) for t in cols]
 
 
 def max_disjoint_transversals(square: LatinSquare) -> tuple[int, tuple[CellSet, ...]]:
@@ -950,12 +954,7 @@ def _all_quasis(square: LatinSquare) -> list[tuple[tuple[int, ...], ...]]:
     """Every quasi-transversal as its rows' 0-based column tuples, in the
     order find_quasi_transversal meets them."""
     found: list[tuple[tuple[int, ...], ...]] = []
-
-    def collect(chosen) -> bool:
-        found.append(tuple(chosen))
-        return False
-
-    _quasi_search(square.cells0, collect)
+    _quasi_search(square.cells0, lambda chosen: found.append(tuple(chosen)))
     return found
 
 

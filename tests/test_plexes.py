@@ -49,7 +49,7 @@ from latinplex.plexes import (
 from latinplex import plexes
 from latinplex.plexes import _counted_search, _labels_obstruct, _lattice_obstruction
 
-from conftest import QSTEP_PARAMS, backtrack_count, corpus_up_to
+from conftest import CORPUS, QSTEP_PARAMS, backtrack_count, corpus_up_to
 from oracles import (
     brute_first_kplex,
     brute_first_near,
@@ -206,6 +206,20 @@ ZERO_COUNT_CASES = (
 )
 
 
+def non_group_square(orbit: int) -> LatinSquare:
+    """An order-6 square that is no group table, whose column 1 has the given
+    orbit under the row-fixing autotopisms: 2 is cyclic(6) with the
+    intercalate at rows/columns {1,4} switched, 1 has no such autotopism."""
+    if orbit == 2:
+        rows = gen_cyclic(6).rows()
+        for r, c in ((0, 0), (0, 3), (3, 0), (3, 3)):
+            rows[r][c] = 4 if rows[r][c] == 1 else 1
+    else:
+        rows = [[3, 6, 5, 1, 4, 2], [4, 5, 6, 2, 1, 3], [5, 2, 1, 6, 3, 4],
+                [2, 1, 4, 3, 5, 6], [1, 3, 2, 4, 6, 5], [6, 4, 3, 5, 2, 1]]
+    return LatinSquare(rows)
+
+
 class TestEnumeration:
     @pytest.mark.parametrize(
         "square,count",
@@ -267,19 +281,10 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("orbit", [2, 1])
     def test_non_group_squares_count_several_orbits(self, orbit):
-        # no group table: column 1 has a proper orbit, so several orbits are
-        # counted.  Orbit 2 is cyclic(6) with the intercalate at rows/columns
-        # {1,4} switched; orbit 1 is a square with no row-fixing autotopism.
+        # no group table: column 1 has a proper orbit, so several orbits are counted
         from latinplex.plexes import _column_orbit_maps, _count_transversals
 
-        if orbit == 2:
-            rows = gen_cyclic(6).rows()
-            for r, c in ((0, 0), (0, 3), (3, 0), (3, 3)):
-                rows[r][c] = 4 if rows[r][c] == 1 else 1
-        else:
-            rows = [[3, 6, 5, 1, 4, 2], [4, 5, 6, 2, 1, 3], [5, 2, 1, 6, 3, 4],
-                    [2, 1, 4, 3, 5, 6], [1, 3, 2, 4, 6, 5], [6, 4, 3, 5, 2, 1]]
-        sq = LatinSquare(rows)
+        sq = non_group_square(orbit)
         assert len(_column_orbit_maps(sq.cells0, 6)) == orbit
         count = _count_transversals(sq.cells0, 6)
         assert count == backtrack_count(sq.cells0, 6) == permutation_diagonal_count(sq)
@@ -617,6 +622,81 @@ class TestMate:
     def test_refusal_above_8(self):
         with pytest.raises(OrderTooLargeError):
             find_orthogonal_mate(gen_cyclic(9))
+
+
+def full_row_collection(sq: LatinSquare) -> list[tuple[int, tuple[int, ...]]]:
+    """Every transversal as (cell bitmask, column tuple), from the row search
+    over all rows: lex order, no autotopism used."""
+    n = sq.order
+    found: list[tuple[int, ...]] = []
+    plexes._partial_search(sq.cells0, range(n), lambda path: found.append(tuple(path)))
+    return [(sum(1 << (r * n + c) for r, c in enumerate(t)), t) for t in found]
+
+
+#: the corpus to order 9 (cyclic(1) and cyclic(2) among it; the collector
+#: serves orders <= 8, and above 9 the corpus holds the 198,144 transversals
+#: of Z_2 x Z_6, too many for the full row search), the non-group squares
+#: with orbits 2 and 1, and a transversal-free square with no lattice obstruction
+COLLECTION_CASES = corpus_up_to(9) + [
+    ("orbit-2", non_group_square(2)), ("orbit-1", non_group_square(1)),
+    ("no-transversal-6", LatinSquare(NO_TRANSVERSAL_6)),
+]
+
+
+class TestTransversalCollection:
+    @pytest.mark.parametrize("label,sq", COLLECTION_CASES, ids=[label for label, _ in COLLECTION_CASES])
+    def test_orbit_collection_equals_full_row_search(self, label, sq):
+        found = plexes._transversal_masks(sq)
+        assert found == full_row_collection(sq)
+        assert len(found) == plexes._join_transversals(sq.cells0, sq.order)
+
+    def test_transversal_free_square_walks_its_orbits(self):
+        # no lattice obstruction here, so the orbit walk itself returns []
+        sq = LatinSquare(NO_TRANSVERSAL_6)
+        assert plexes._obstruction(sq.cells0, 1) is None
+        assert plexes._transversal_masks(sq) == []
+
+    @pytest.mark.parametrize("label,sq", CORPUS, ids=[label for label, _ in CORPUS])
+    def test_column_maps_act_freely(self, label, sq):
+        # each transversal is mapped out exactly once only if no map but the
+        # identity fixes a column; then every orbit has len(maps) columns
+        n = sq.order
+        maps = plexes._column_orbit_maps(sq.cells0, n)
+        identity = list(range(n))
+        assert identity in maps
+        for alpha in maps:
+            assert alpha == identity or all(alpha[c] != c for c in range(n))
+        reps = plexes._column_orbits(sq.cells0, n)[1]
+        assert len(reps) * len(maps) == n
+
+    @pytest.mark.parametrize("search", [max_disjoint_transversals, find_orthogonal_mate],
+                             ids=["tau", "mate"])
+    def test_collection_leaves_no_reference_cycles(self, search):
+        gc.collect()
+        gc.disable()
+        try:
+            search(gen_two_step_pow2(3))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("orbit,reps,count", [(2, 3, 32), (1, 6, 8)])
+    def test_logs_orbit_representatives_at_debug(self, caplog, orbit, reps, count):
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            assert len(plexes._transversal_masks(non_group_square(orbit))) == count
+        assert (f"transversal collect: {reps} orbit representatives of 6 columns, "
+                f"{count} transversals") in caplog.text
+
+    def test_group_table_logs_one_representative(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            max_disjoint_transversals(gen_two_step_pow2(3))
+        assert "transversal collect: 1 orbit representatives of 8 columns, 384 transversals" \
+            in caplog.text
+
+    def test_obstructed_square_logs_no_collection(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            assert plexes._transversal_masks(gen_cyclic(8)) == []
+        assert "transversal collect" not in caplog.text
 
 
 class TestExtendibility:
