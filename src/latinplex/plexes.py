@@ -18,7 +18,7 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd
 
 from .core import MAX_EXHAUSTIVE_ORDER, LatinSquare
 from .errors import (
@@ -273,8 +273,8 @@ _DEAD_STATES_MAX = 1 << 15
 
 
 class _OutOfChecks(Exception):
-    """A counted search gave up after max_checks supply checks; args are its
-    nodes visited, its dead states kept and what give_up returned."""
+    """A counted search gave up after max_checks supply checks (args: nodes
+    visited, dead states kept, what give_up returned), or a quasi search restarts."""
 
 
 def _counted_search(grid, k: int, max_checks: int | None = None, give_up=None
@@ -491,15 +491,14 @@ def enumerate_transversals(square: LatinSquare, cap: int = 10, threads: int = 1)
 _LATTICE_AFTER_CHECKS = 1 << 8
 
 
-def _lattice_obstruction(grid, k: int) -> tuple[int, list[int], list[int], list[int]] | None:
-    """Labels in Z_m of the rows, columns and symbols, (m, row_labels,
-    col_labels, sym_labels) indexed from 0, whose three labels sum to 0 on
-    every cell while k times the sum of all labels does not; None if there
-    are none.  Such labels prove that no k-plex exists: summed over its
-    cells they would give both.  By the integer Farkas lemma they exist iff
+def _cell_labellings(grid) -> list[tuple[int, list[int], list[int], list[int]]]:
+    """Every labelling the cells' lattice yields: labels in Z_m, m > 1, of
+    the rows, columns and symbols, (m, row_labels, col_labels, sym_labels)
+    indexed from 0, whose three labels sum to 0 on every cell.  Summed over
+    a k-plex they give k times the sum of all labels, so one with that sum
+    not 0 proves no k-plex exists; by the integer Farkas lemma one does iff
     k times the all-ones vector is outside the lattice of the cells'
-    row/column/symbol incidence vectors; Euler's parity argument and the
-    Hall-Paige condition are cases.
+    incidence vectors (Euler's parity argument and Hall-Paige are cases).
 
     Adding a to every row label, b to every column label and -a-b to every
     symbol label changes neither sum, so row 0 and column 0 take label 0.
@@ -508,10 +507,9 @@ def _lattice_obstruction(grid, k: int) -> tuple[int, list[int], list[int], list[
     x[where0[grid[r][0]]], the labels sum to sum(x), and every other cell
     asks for an integral dot product of x with its row
     e[where0[grid[r][0]]] + e[c] - e[where0[grid[r][c]]].  Reduce those rows
-    to an echelon (Hermite) basis b_0, b_1, ... and write k * (0, 1, ..., 1)
-    = sum t_i b_i: at the first t_i that is not an integer, the x with
-    b_j . x = [j == i], zero off the pivots, gives the labels m * x, and m
-    is the least common denominator of x.
+    to an echelon (Hermite) basis b_0, b_1, ...: for each i, the x with
+    b_j . x = [j == i], zero off the pivots, gives the labels m * x, m the
+    least common denominator of x.
     """
     n = len(grid)
     where0 = sorted(range(n), key=grid[0].__getitem__)  # where0[s]: the column of s in row 0
@@ -536,37 +534,44 @@ def _lattice_obstruction(grid, k: int) -> tuple[int, list[int], list[int], list[
                     b, v = v, [x - q * y for x, y in zip(b, v)]
                 basis[p] = b
     pivots = sorted(basis)
-    w = [0] + [k] * (n - 1)
+    out, d = [], 1
     for i, p in enumerate(pivots):
-        b = basis[p]
-        if w[p] % b[p]:
-            break
-        q = w[p] // b[p]
-        w = [x - q * y for x, y in zip(w, b)]
-    else:
-        return None
-    # y = d * x with d the product of the pivots b_0..b_i: integral by Cramer's rule
-    d = prod(basis[p][p] for p in pivots[:i + 1])
-    y = [0] * n
-    for j in range(i, -1, -1):
-        b = basis[pivots[j]]
-        rest = sum(b[p] * y[p] for p in pivots[j + 1:i + 1])
-        y[pivots[j]] = (d * (j == i) - rest) // b[pivots[j]]
-    g = gcd(d, *y)
-    m = abs(d) // g
-    col = [v // g % m for v in y]
-    return m, [col[where0[row[0]]] for row in grid], col, [-col[where0[s]] % m for s in range(n)]
+        # y = d * x with d the product of the pivots b_0..b_i: integral by Cramer's rule
+        d *= basis[p][p]
+        if abs(d) == 1:  # a unimodular system: x is integral, m = 1
+            continue
+        y = [0] * n
+        for j in range(i, -1, -1):
+            b = basis[pivots[j]]
+            rest = sum(b[q] * y[q] for q in pivots[j + 1:i + 1])
+            y[pivots[j]] = (d * (j == i) - rest) // b[pivots[j]]
+        g = gcd(d, *y)
+        m = abs(d) // g
+        if m > 1:
+            col = [v // g % m for v in y]
+            out.append((m, [col[where0[row[0]]] for row in grid], col,
+                        [-col[where0[s]] % m for s in range(n)]))
+    return out
+
+
+def _lattice_obstruction(grid, k: int) -> tuple[int, list[int], list[int], list[int]] | None:
+    """The first labelling of _cell_labellings whose label sum times k is not
+    0 mod m, which proves that no k-plex exists; None if there is none."""
+    obstructing = (lab for lab in _cell_labellings(grid) if k * sum(map(sum, lab[1:])) % lab[0])
+    return next(obstructing, None)
+
+
+def _labels_hold(grid, labels) -> bool:
+    """Re-check a labelling in O(n^2): every cell's three labels sum to 0 mod m."""
+    m, rows, cols, syms = labels
+    return (len(rows) == len(cols) == len(syms) == len(grid)
+            and all((rows[r] + cols[c] + syms[s]) % m == 0
+                    for r, row in enumerate(grid) for c, s in enumerate(row)))
 
 
 def _labels_obstruct(grid, k: int, labels) -> bool:
-    """Re-check a labelling from _lattice_obstruction in O(n^2): every cell's
-    three labels sum to 0 mod m, and k times the sum of all labels does not."""
-    m, rows, cols, syms = labels
-    n = len(grid)
-    return (len(rows) == len(cols) == len(syms) == n
-            and all((rows[r] + cols[c] + syms[s]) % m == 0
-                    for r, row in enumerate(grid) for c, s in enumerate(row))
-            and k * (sum(rows) + sum(cols) + sum(syms)) % m != 0)
+    """_labels_hold, and k times the sum of all labels is not 0 mod m."""
+    return _labels_hold(grid, labels) and k * sum(map(sum, labels[1:])) % labels[0] != 0
 
 
 def _obstruction(grid, k: int):
@@ -833,14 +838,15 @@ def find_near_transversal(square: LatinSquare) -> CellSet | None:
 def find_quasi_transversal(square: LatinSquare) -> CellSet | None:
     """First quasi-transversal in deterministic order, or None by exhaustion.
 
-    Orders above 12 raise OrderTooLargeError.
+    After _LATTICE_AFTER_CHECKS nodes the search restarts with the lattice
+    cut of _quasi_search.  Orders above 12 raise OrderTooLargeError.
     """
     n = square.order
     if n < 3:
         return None
     if n > 12:
         raise OrderTooLargeError(f"exhaustive quasi search supports order <= 12, got {n}")
-    chosen = _quasi_search(square.cells0, _stop)
+    chosen = _quasi_search(square.cells0, _stop, _LATTICE_AFTER_CHECKS)
     if chosen is None:
         return None
     cs = CellSet(n, _chosen_cells(chosen), KIND_QUASI)
@@ -850,60 +856,93 @@ def find_quasi_transversal(square: LatinSquare) -> CellSet | None:
     return cs
 
 
-def _quasi_search(grid, visit) -> list[tuple[int, ...]] | None:
-    """Walk the quasi-transversals: for doubled row d = 0, 1, ..., one cell per entry of rows 0..d, d, d+1..n-1,
-    the second cell of row d right of its first.  mask holds the columns and
-    symbols (bits n..) used; each may repeat once, and rep marks the repeats
-    spent (bit 0 column, bit 1 symbol).  visit runs at every leaf with
+def _repeat_masks(n: int, labels, d: int) -> tuple[list[int], list[int]]:
+    """(symok, colok) for doubled row d: symok[c] holds bit n + s and
+    colok[s] bit c iff every labelling (m, R, C, S) in `labels`, T its label
+    sum, has T + R[d] + C[c] + S[s] = 0 (mod m), as the labels summed over a
+    quasi-transversal doubling row d, column c and symbol s give."""
+    symok, colok = [(1 << 2 * n) - (1 << n)] * n, [(1 << n) - 1] * n
+    for m, rows, cols, syms in labels:
+        t = -rows[d] - sum(rows) - sum(cols) - sum(syms)  # C[c] + S[s] must be t
+        col_of, sym_of = {}, {}  # label -> its columns, its symbols
+        for x, (c, s) in enumerate(zip(cols, syms)):
+            col_of[c % m] = col_of.get(c % m, 0) | 1 << x
+            sym_of[s % m] = sym_of.get(s % m, 0) | 1 << n + x
+        symok = [ok & sym_of.get((t - c) % m, 0) for ok, c in zip(symok, cols)]
+        colok = [ok & col_of.get((t - s) % m, 0) for ok, s in zip(colok, syms)]
+    return symok, colok
+
+
+def _quasi_search(grid, visit, cut_after: int | None = None) -> list[tuple[int, ...]] | None:
+    """Walk the quasi-transversals: for doubled row d = 0, 1, ..., one cell
+    per entry of rows 0..d, d, d+1..n-1, the second cell of row d right of
+    its first.  mask holds the columns and symbols (bits n..) used, and
+    `open` those a later cell may repeat.  visit runs at every leaf with
     chosen[r] the columns of row r; if it returns True the search stops and
     returns chosen, else None.  A missing column needs a later cell whose
-    symbol it may still take (any while the symbol repeat is open, else an
-    unused one), and dually; a memo keeps up to _DEAD_STATES_MAX states per
-    doubled row (mask, rep and, inside row d, its first column) whose
-    subtree held no leaf."""
+    symbol is missing or open, and dually; a memo keeps up to
+    _DEAD_STATES_MAX states per doubled row (mask, open and, inside row d,
+    its first column) whose subtree held no leaf.  After cut_after nodes
+    (0: at once, None: never), if _cell_labellings has labels that pass
+    _labels_hold, the search restarts its doubled row with `open` cut to
+    the pairs of _repeat_masks: that drops no leaf and keeps dead states
+    dead, so leaves come in the same order.  A visit that can return False
+    needs cut_after 0 or None."""
     n = len(grid)
     shift = 2 * n
-    cells = [[(c, 1 << c, 1 << n + s) for c, s in enumerate(row)] for row in grid] + [[]]
+    full = (1 << shift) - 1
+    cells = [[(c, 1 << c, 1 << n + s, s) for c, s in enumerate(row)] for row in grid] + [[]]
     # sups[r][x]: the symbols of column x, or the columns of symbol x - n, in rows r..
     sups = [[0] * shift]
-    for r in range(n - 1, -1, -1):
-        sups.insert(0, sups[0][:])
-        for c, cb, sb in cells[r]:
-            sups[0][c] |= sb
-            sups[0][n + grid[r][c]] |= cb
-    # unspent[rep]: the bits of the side(s) whose repeat is still open
-    unspent = [(1 << shift) - 1, (1 << shift) - (1 << n), (1 << n) - 1, 0]
+    for row in cells[n - 1::-1]:
+        sups.append(sups[-1][:])
+        for c, cb, sb, s in row:
+            sups[-1][c] |= sb
+            sups[-1][n + s] |= cb
+    sups.reverse()
+    labels: list = []  # the labellings of the lattice cut once it is on
+    uncut = _repeat_masks(n, [], 0)
     path = [0] * (n + 1)
     nodes = leaves = kept = 0
+
+    def cut_on() -> bool:
+        """Switch the lattice cut on; False if no labelling passes."""
+        labels[:] = [lab for lab in _cell_labellings(grid) if _labels_hold(grid, lab)]
+        moduli = ",".join(str(lab[0]) for lab in labels)
+        log.debug("quasi search: %s after %d nodes",
+                  f"lattice labels mod {moduli}" if labels else "no labels", nodes)
+        return bool(labels)
 
     def chosen() -> list[tuple[int, ...]]:
         return [(c,) for c in path[:d]] + [(path[d], path[d + 1])] + [(c,) for c in path[d + 2:]]
 
-    def rec(i: int, mask: int, rep: int, todo) -> bool:
+    def rec(i: int, mask: int, open_: int, todo) -> bool:
         nonlocal nodes, leaves
         nodes += 1
+        if nodes == cut_after and cut_on():
+            raise _OutOfChecks
         if i > n:
             leaves += 1
             return visit(chosen())
         sup, nxt = sups[rows[i + 1]], cells[rows[i + 1]]
-        for j, (c, cb, sb) in enumerate(todo):
-            after = rep
+        for j, (c, cb, sb, s) in enumerate(todo):
+            after = open_
             if mask & cb:
-                if rep & 1:
+                if not after & cb:
                     continue
-                after |= 1
+                after &= symok[c]
             if mask & sb:
-                if rep & 2:
+                if not after & sb:
                     continue
-                after |= 2
+                after &= colok[s]
             key = mask | cb | sb | after << shift
             if i == d:
-                key |= c + 1 << shift + 2
+                key |= c + 1 << 2 * shift
                 nxt = todo[j + 1:]
             if key in dead:
                 continue
-            miss = (mask | cb | sb) ^ unspent[0]
-            free = miss | unspent[after]
+            miss = (mask | cb | sb) ^ full
+            free = miss | after
             while miss:  # every missing column and symbol keeps a supply
                 low = miss & -miss
                 if not sup[low.bit_length() - 1] & free:
@@ -919,10 +958,18 @@ def _quasi_search(grid, visit) -> list[tuple[int, ...]] | None:
                 dead.add(key)
         return False
 
+    if cut_after == 0:
+        cut_on()
     for d in range(n):  # rows[i]: the row of entry i; n past the last, with no cell
         rows = [*range(d + 1), *range(d, n + 1)]
         dead: set[int] = set()
-        found = rec(0, 0, 0, cells[0])
+        while True:
+            symok, colok = _repeat_masks(n, labels, d) if labels else uncut
+            try:  # a doubled row with no pair for its repeats has no leaf
+                found = any(symok) and rec(0, 0, full, cells[0])
+            except _OutOfChecks:
+                continue
+            break
         kept += len(dead)
         if found:
             break
@@ -952,9 +999,9 @@ def max_disjoint_quasi_transversals(square: LatinSquare) -> tuple[int, tuple[Cel
 
 def _all_quasis(square: LatinSquare) -> list[tuple[tuple[int, ...], ...]]:
     """Every quasi-transversal as its rows' 0-based column tuples, in the
-    order find_quasi_transversal meets them."""
+    order find_quasi_transversal meets them (the lattice cut on from the start)."""
     found: list[tuple[tuple[int, ...], ...]] = []
-    _quasi_search(square.cells0, lambda chosen: found.append(tuple(chosen)))
+    _quasi_search(square.cells0, lambda chosen: found.append(tuple(chosen)), 0)
     return found
 
 

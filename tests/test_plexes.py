@@ -45,6 +45,7 @@ from latinplex.plexes import (
     max_disjoint_quasi_transversals,
     max_disjoint_transversals,
     quasi_profile,
+    sweep_squares,
 )
 from latinplex import plexes
 from latinplex.plexes import _counted_search, _labels_obstruct, _lattice_obstruction
@@ -768,13 +769,14 @@ class TestQuasiNearSearch:
         assert len(_all_quasis(sq)) == 1872
 
     @pytest.mark.parametrize("search", [lambda: find_quasi_transversal(gen_qstep(3, 4)),
+                                        lambda: find_quasi_transversal(gen_cyclic(12)),
                                         lambda: find_kplex(gen_cyclic(6), 3),
                                         lambda: find_kplex(gen_cyclic(8), 3),
                                         lambda: find_near_transversal(gen_cyclic(6)),
                                         lambda: enumerate_transversals(gen_cyclic(7), cap=10),
                                         lambda: max_disjoint_transversals(gen_cyclic(7))],
-                             ids=["quasi", "kplex", "kplex-obstructed", "near", "enumerate",
-                                  "tau"])
+                             ids=["quasi", "quasi-staged", "kplex", "kplex-obstructed", "near",
+                                  "enumerate", "tau"])
     def test_search_leaves_no_reference_cycles(self, search):
         # a memo left in a cycle lives until a full collection
         gc.collect()
@@ -840,6 +842,89 @@ class TestSearchOrder:
                              ids=[label for label, _ in THREE_PLEX_CASES])
     def test_three_plex_is_lex_least(self, label, sq):
         assert _cells(find_kplex(sq, 3)) == brute_first_kplex(sq, 3)
+
+
+#: squares whose cell lattice has no torsion, so no labelling cuts their quasi search
+UNLABELLED = [("no-transversal-6", LatinSquare(NO_TRANSVERSAL_6)),
+              ("no-transversal-10", LatinSquare(NO_TRANSVERSAL_10)),
+              ("non-group-orbit-1", non_group_square(1))]
+LEMMA_CASES = QUASI_CASES + UNLABELLED[:1] + [
+    (f"non-group-orbit-{orbit}", non_group_square(orbit)) for orbit in (1, 2)]
+#: the sweep squares of orders 3-12 and two seeded full isotopes per order 10-12
+SWEEP_CASES = [*sweep_squares(3, 12, ("cyclic", "qstep"), 0, 0),
+               *sweep_squares(10, 12, ("isotopes",), 2, 17)]
+ENUMERATION_CASES = [(label, sq) for label, sq in corpus_up_to(6) if sq.order >= 3] + LEMMA_CASES[-2:]
+
+
+def _collect_quasis(grid, cut_after) -> list[list[tuple[int, ...]]]:
+    found: list[list[tuple[int, ...]]] = []
+    plexes._quasi_search(grid, found.append, cut_after)
+    return found
+
+
+class TestQuasiLatticeCut:
+    """The congruence T + R[d] + C[c*] + S[s*] = 0 (mod m) that every cell
+    labelling imposes on a quasi-transversal, and the search cut built on it."""
+
+    @pytest.mark.parametrize("label,sq", LEMMA_CASES, ids=[label for label, _ in LEMMA_CASES])
+    def test_every_quasi_meets_every_labelling(self, label, sq):
+        n = sq.order
+        labellings = plexes._cell_labellings(sq.cells0)
+        assert all(plexes._labels_hold(sq.cells0, labels) for labels in labellings)
+        for cells in brute_quasis(sq):
+            d, c, s = (x - 1 for x in quasi_profile(sq, cells))
+            for m, rows, cols, syms in labellings:
+                total = sum(rows) + sum(cols) + sum(syms)
+                assert (total + rows[d] + cols[c] + syms[s]) % m == 0, (cells, m)
+            symok, colok = plexes._repeat_masks(n, labellings, d)
+            assert symok[c] >> n + s & 1 and colok[s] >> c & 1, cells
+
+    def test_the_lemma_cases_include_labelled_squares(self):
+        labelled = [label for label, sq in LEMMA_CASES if plexes._cell_labellings(sq.cells0)]
+        assert len(labelled) > len(LEMMA_CASES) // 2
+
+    @pytest.mark.parametrize("label,sq", UNLABELLED, ids=[label for label, _ in UNLABELLED])
+    def test_torsion_free_squares_have_no_labelling(self, label, sq):
+        assert plexes._cell_labellings(sq.cells0) == []
+
+    def test_labelled_and_unlabelled_first_witness_agree(self):
+        for label, sq in SWEEP_CASES:
+            grid = sq.cells0
+            plain = plexes._quasi_search(grid, plexes._stop)
+            assert plexes._quasi_search(grid, plexes._stop, 0) == plain, label
+            assert find_quasi_transversal(sq).cells == plexes._chosen_cells(plain), label
+
+    @pytest.mark.parametrize("label,sq", ENUMERATION_CASES,
+                             ids=[label for label, _ in ENUMERATION_CASES])
+    def test_labelled_and_unlabelled_enumerations_agree(self, label, sq):
+        every = _collect_quasis(sq.cells0, None)
+        assert _collect_quasis(sq.cells0, 0) == every
+        assert plexes._all_quasis(sq) == [tuple(q) for q in every]
+
+    @pytest.mark.parametrize("square,moduli", [(gen_cyclic(12), "12"), (gen_qstep(2, 6), "2,6")],
+                             ids=["cyclic(12)", "qstep(2,6)"])
+    def test_cut_logs_its_labels_at_debug(self, caplog, square, moduli):
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            find_quasi_transversal(square)
+        assert f"quasi search: lattice labels mod {moduli} after 256 nodes" in caplog.text
+        nodes = re.findall(r"quasi search: (\d+) nodes, \d+ dead states", caplog.text)
+        assert len(nodes) == 1 and 256 < int(nodes[0]) < 400
+
+    def test_labels_failing_the_recheck_are_never_used(self, monkeypatch, caplog):
+        sq = gen_cyclic(12)  # its search runs past the allowance
+        expected = find_quasi_transversal(sq)
+        n = sq.order
+        d, c, s = (x - 1 for x in quasi_profile(sq, expected))
+        cols = [int(x == c) for x in range(n)]
+        bogus = (3, [0] * n, cols, [0] * n)  # would forbid doubling column c with any symbol
+        assert not plexes._labels_hold(sq.cells0, bogus)
+        assert plexes._repeat_masks(n, [bogus], d)[0][c] == 0
+        asked = []
+        monkeypatch.setattr(plexes, "_cell_labellings", lambda grid: asked.append(1) or [bogus])
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            assert find_quasi_transversal(sq) == expected
+        assert asked == [1]
+        assert "quasi search: no labels after 256 nodes" in caplog.text
 
 
 class TestDisjointQuasis:
