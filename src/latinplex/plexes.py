@@ -13,12 +13,11 @@ uncertified answer.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import random
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
+from itertools import combinations, zip_longest
 
 from .core import MAX_EXHAUSTIVE_ORDER, LatinSquare
 from .errors import (
@@ -26,6 +25,7 @@ from .errors import (
     InvalidCellSetError,
     InvalidPartialError,
     InvalidPlexError,
+    LatinSquareError,
     OrderTooLargeError,
 )
 
@@ -329,7 +329,7 @@ def _counted_search(grid, k: int, max_checks: int | None = None, give_up=None
             return True
         grow = grid[row]
         allowed = [c for c in range(n) if col_cnt[c] < k and sym_cnt[grow[c]] < k]
-        for combo in itertools.combinations(allowed, k):
+        for combo in combinations(allowed, k):
             after = key
             for c in combo:
                 after += unit[c] + unit[n + grow[c]]
@@ -491,72 +491,86 @@ def enumerate_transversals(square: LatinSquare, cap: int = 10, threads: int = 1)
 _LATTICE_AFTER_CHECKS = 1 << 8
 
 
+def _smith_normal_form(rows, g: int) -> list[tuple[int, list[int]]]:
+    """(d_i, column i of V) for U A V = diag(d_1, ..., d_g), d_1 | d_2 | ...,
+    the Smith normal form of A, `rows` over g columns; raises if a d_i is 0."""
+    a = [list(row) for row in rows]
+    v = [[int(i == j) for j in range(g)] for i in range(g)]  # V: takes every column step of a
+    for t in range(g):
+        while True:  # each pass leaves a nonzero entry below |p| in row t or column t, or stops
+            least = min(((abs(row[j]), i, j) for i, row in enumerate(a[t:], t)
+                         for j in range(t, g) if row[j]), default=None)
+            if least is None:
+                raise LatinSquareError("internal error: a cell lattice without full rank")
+            _, i, j = least
+            a[t], a[i] = a[i], a[t]
+            for row in a + v:
+                row[t], row[j] = row[j], row[t]
+            p = a[t][t]
+            for row in a[t + 1:]:
+                row[:] = [y - row[t] // p * z for y, z in zip(row, a[t])]
+            qs = [y // p for y in a[t][t + 1:]]
+            for row in a + v:
+                row[t + 1:] = [y - q * row[t] for y, q in zip(row[t + 1:], qs)]
+            if any(a[t][t + 1:]):
+                continue
+            rest = next((row for row in a[t + 1:] if any(y % p for y in row)), None)
+            if rest is None:  # column t is clear too, and p divides what is left
+                break
+            a[t] = [y + z for y, z in zip(a[t], rest)]
+    return [(abs(a[t][t]), [row[t] for row in v]) for t in range(g)]
+
+
 def _cell_labellings(grid) -> list[tuple[int, list[int], list[int], list[int]]]:
-    """Every labelling the cells' lattice yields: labels in Z_m, m > 1, of
-    the rows, columns and symbols, (m, row_labels, col_labels, sym_labels)
+    """Labellings that generate all others: labels in Z_m, m > 1, of the
+    rows, columns and symbols, (m, row_labels, col_labels, sym_labels)
     indexed from 0, whose three labels sum to 0 on every cell.  Summed over
     a k-plex they give k times the sum of all labels, so one with that sum
     not 0 proves no k-plex exists; by the integer Farkas lemma one does iff
     k times the all-ones vector is outside the lattice of the cells'
     incidence vectors (Euler's parity argument and Hall-Paige are cases).
 
-    Adding a to every row label, b to every column label and -a-b to every
-    symbol label changes neither sum, so row 0 and column 0 take label 0.
-    With x[c] the label of column c over m, row 0 then gives symbol s the
-    label -x[where0[s]], column 0 gives row r the label
-    x[where0[grid[r][0]]], the labels sum to sum(x), and every other cell
-    asks for an integral dot product of x with its row
-    e[where0[grid[r][0]]] + e[c] - e[where0[grid[r][c]]].  Reduce those rows
-    to an echelon (Hermite) basis b_0, b_1, ...: for each i, the x with
-    b_j . x = [j == i], zero off the pivots, gives the labels m * x, m the
-    least common denominator of x.
+    Shifting all row, column and symbol labels by a, b and -a-b changes
+    neither sum, so row 0 and column 0 take label 0.  With x[c] the label of
+    column c and s_r(c) = where0[grid[r][c]], symbol s takes -x[where0[s]],
+    row r takes x[s_r(0)], and any other cell asks x[s_r(c)] = x[c] +
+    x[s_r(0)].  Substitution: once two of its unit-coefficient terms are
+    known, so is the third (a unimodular change of variables); if none is,
+    the first unknown column is a new generator.  The Smith normal form of
+    the residuals all equations then leave over the generators gives the
+    invariant factors d_1 | d_2 | ... (equal on isotopes; full rank makes
+    none 0) and, by its column transform, a labelling mod each d_i > 1.
     """
     n = len(grid)
     where0 = sorted(range(n), key=grid[0].__getitem__)  # where0[s]: the column of s in row 0
-    basis: dict[int, list[int]] = {}  # pivot column -> the basis row whose first nonzero it is
-    for row in grid[1:]:
-        lead = where0[row[0]]
-        for c in range(1, n):
-            v = [0] * n
-            v[lead] += 1
-            v[c] += 1
-            v[where0[row[c]]] -= 1
-            v[0] = 0  # x[0] = 0
-            for p in range(1, n):
-                if not v[p]:
-                    continue
-                b = basis.get(p)
-                if b is None:
-                    basis[p] = v
-                    break
-                while v[p]:  # Euclid on the pivot entries, by unimodular row steps
-                    q = b[p] // v[p]
-                    b, v = v, [x - q * y for x, y in zip(b, v)]
-                basis[p] = b
-    pivots = sorted(basis)
-    out, d = [], 1
-    for i, p in enumerate(pivots):
-        # y = d * x with d the product of the pivots b_0..b_i: integral by Cramer's rule
-        d *= basis[p][p]
-        if abs(d) == 1:  # a unimodular system: x is integral, m = 1
-            continue
-        y = [0] * n
-        for j in range(i, -1, -1):
-            b = basis[pivots[j]]
-            rest = sum(b[q] * y[q] for q in pivots[j + 1:i + 1])
-            y[pivots[j]] = (d * (j == i) - rest) // b[pivots[j]]
-        g = gcd(d, *y)
-        m = abs(d) // g
-        if m > 1:
-            col = [v // g % m for v in y]
-            out.append((m, [col[where0[row[0]]] for row in grid], col,
-                        [-col[where0[s]] % m for s in range(n)]))
+    eqs = [(c, where0[row[0]], where0[s]) for row in grid[1:] for c, s in enumerate(row) if c]
+    x, g = [()] + [None] * (n - 1), 0  # x[c]: the label of column c over the generators
+    while None in x:  # a new generator, then passes of substitution while they find any
+        x[x.index(None)], g = (0,) * g + (1,), g + 1
+        unknown = None
+        while unknown != (unknown := x.count(None)) and unknown:
+            for a, b, t in eqs:  # x[a] + x[b] = x[t]
+                if x[t] is None and x[a] is not None and x[b] is not None:
+                    x[t] = tuple(map(sum, zip_longest(x[a], x[b], fillvalue=0)))
+                elif x[t] is not None and (x[a] is None) != (x[b] is None):
+                    c, known = (b, a) if x[b] is None else (a, b)
+                    x[c] = tuple(y - z for y, z in zip_longest(x[t], x[known], fillvalue=0))
+    coords = list(zip(*(xc + (0,) * (g - len(xc)) for xc in x)))  # coords[i][c]: x[c] at i
+    residuals = set(zip(*([y[a] + y[b] - y[t] for a, b, t in eqs] for y in coords)))
+    out = []
+    for d, w in _smith_normal_form(residuals - {(0,) * g}, g):
+        if d > 1:
+            col = [sum(y * z for y, z in zip(xc, w)) % d for xc in zip(*coords)]
+            out.append((d, [col[where0[row[0]]] for row in grid], col,
+                        [-col[where0[s]] % d for s in range(n)]))
     return out
 
 
 def _lattice_obstruction(grid, k: int) -> tuple[int, list[int], list[int], list[int]] | None:
     """The first labelling of _cell_labellings whose label sum times k is not
-    0 mod m, which proves that no k-plex exists; None if there is none."""
+    0 mod m, which proves that no k-plex exists; None if there is none.  As
+    they generate all labellings (one per invariant factor of the residuals'
+    Smith normal form, after substitution), None means no labelling obstructs."""
     obstructing = (lab for lab in _cell_labellings(grid) if k * sum(map(sum, lab[1:])) % lab[0])
     return next(obstructing, None)
 

@@ -6,6 +6,7 @@ neighborhoods cell by cell, existence questions scan all subsets.
 """
 
 import itertools
+from math import gcd
 
 
 def permutation_diagonal_count(square) -> int:
@@ -205,3 +206,74 @@ def labels_obstruct(square, k: int, m: int, labels) -> bool:
             if (rows[r - 1] + cols[c - 1] + syms[square.symbol(r, c) - 1]) % m != 0:
                 return False
     return k * (sum(rows) + sum(cols) + sum(syms)) % m != 0
+
+
+def brute_labelling_count(square, m: int) -> int:
+    """Labellings of the cells in Z_m with row 1 and column 1 labelled 0,
+    counted one by one: every column labelling x with x[1] = 0 in
+    Z_m^(n-1); row 1 then fixes each symbol's label and column 1 each row's,
+    and x counts iff every cell's three labels sum to 0 mod m.  (Shifting
+    the row, column and symbol labels by a, b and -a-b makes any labelling
+    one of these.)"""
+    n = square.order
+    grid = [[square.symbol(r, c) for c in range(1, n + 1)] for r in range(1, n + 1)]
+    count = 0
+    for rest in itertools.product(range(m), repeat=n - 1):
+        cols = (0, *rest)
+        syms = {grid[0][c]: -cols[c] for c in range(n)}
+        rows = [-syms[row[0]] for row in grid]
+        count += all((rows[r] + cols[c] + syms[grid[r][c]]) % m == 0
+                     for r in range(1, n) for c in range(1, n))
+    return count
+
+
+def echelon_cell_labellings(grid):
+    """The labellings of an n-wide echelon (Hermite) basis of the cell
+    equations, kept as a reference for plexes._cell_labellings, in its
+    (m, row_labels, col_labels, sym_labels) form: with x[c] the label of
+    column c and x[0] = 0, every cell of grid (symbols from 0) but those of
+    row 0 and column 0 asks for an integral dot product of x with
+    e[lead] + e[c] - e[where0[grid[r][c]]]; for each pivot i of the basis
+    b_0, b_1, ... the x with b_j . x = [j == i], zero off the pivots, gives
+    the labels m * x, m the least common denominator of x.  The moduli are
+    those of the basis, not the lattice's invariant factors."""
+    n = len(grid)
+    where0 = sorted(range(n), key=grid[0].__getitem__)
+    basis = {}  # pivot column -> the basis row whose first nonzero it is
+    for row in grid[1:]:
+        lead = where0[row[0]]
+        for c in range(1, n):
+            v = [0] * n
+            v[lead] += 1
+            v[c] += 1
+            v[where0[row[c]]] -= 1
+            v[0] = 0
+            for p in range(1, n):
+                if not v[p]:
+                    continue
+                b = basis.get(p)
+                if b is None:
+                    basis[p] = v
+                    break
+                while v[p]:  # Euclid on the pivot entries
+                    q = b[p] // v[p]
+                    b, v = v, [x - q * y for x, y in zip(b, v)]
+                basis[p] = b
+    pivots = sorted(basis)
+    out, d = [], 1
+    for i, p in enumerate(pivots):
+        d *= basis[p][p]  # y = d * x is integral by Cramer's rule
+        if abs(d) == 1:
+            continue
+        y = [0] * n
+        for j in range(i, -1, -1):
+            b = basis[pivots[j]]
+            rest = sum(b[q] * y[q] for q in pivots[j + 1:i + 1])
+            y[pivots[j]] = (d * (j == i) - rest) // b[pivots[j]]
+        g = gcd(d, *y)
+        m = abs(d) // g
+        if m > 1:
+            col = [v // g % m for v in y]
+            out.append((m, [col[where0[row[0]]] for row in grid], col,
+                        [-col[where0[s]] % m for s in range(n)]))
+    return out

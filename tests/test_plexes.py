@@ -1,5 +1,6 @@
 import gc
 import logging
+import math
 import random
 import re
 
@@ -18,6 +19,7 @@ from latinplex.errors import (
     InvalidCellSetError,
     InvalidPartialError,
     InvalidPlexError,
+    LatinSquareError,
     OrderTooLargeError,
 )
 from latinplex.plexes import (
@@ -54,8 +56,10 @@ from conftest import CORPUS, QSTEP_PARAMS, backtrack_count, corpus_up_to
 from oracles import (
     brute_first_kplex,
     brute_first_near,
+    brute_labelling_count,
     brute_max_disjoint_transversals,
     brute_quasis,
+    echelon_cell_labellings,
     labels_obstruct,
     permutation_diagonal_count,
 )
@@ -516,6 +520,81 @@ class TestLatticeObstruction:
         monkeypatch.setattr(plexes, "_lattice_obstruction", lambda grid, k: asked.append(k) or bogus)
         assert expected is not None and find_kplex(sq, 2) == expected
         assert asked == [2]
+
+
+def _with_isotopes(cases, count: int, seed: int):
+    """cases, then `count` seeded full isotopes of each."""
+    rng = random.Random(seed)
+    return cases + [(f"{label} isotope {t}", apply_isotopy(sq, Isotopy.random(sq.order, rng)))
+                    for label, sq in cases for t in range(count)]
+
+
+#: the cyclic and q-step squares of orders 1-12
+GROUP_CASES = list(sweep_squares(1, 12, ("cyclic", "qstep"), 0, 0))
+#: squares whose labellings are compared with the echelon-basis reference
+DIFFERENTIAL_CASES = _with_isotopes(
+    GROUP_CASES + [(f"twostep({k})", gen_two_step_pow2(k)) for k in (2, 3)]
+    + [("no-transversal-6", LatinSquare(NO_TRANSVERSAL_6)),
+       ("no-transversal-10", LatinSquare(NO_TRANSVERSAL_10))], 3, 18
+) + [(f"non-group-orbit-{orbit}", non_group_square(orbit)) for orbit in (1, 2)]
+#: squares whose labellings mod every m are counted one by one
+COUNTED_CASES = corpus_up_to(5) + [
+    ("no-transversal-6", LatinSquare(NO_TRANSVERSAL_6)),
+    *((f"non-group-orbit-{orbit}", non_group_square(orbit)) for orbit in (1, 2))]
+
+
+def _moduli(sq) -> list[int]:
+    return [labels[0] for labels in plexes._cell_labellings(sq.cells0)]
+
+
+class TestCellLabellings:
+    """_cell_labellings: one labelling mod each invariant factor d > 1 of the
+    cells' lattice, from substitution and a Smith normal form."""
+
+    @pytest.mark.parametrize("label,sq", COUNTED_CASES, ids=[label for label, _ in COUNTED_CASES])
+    def test_moduli_count_every_labelling(self, label, sq):
+        labellings = plexes._cell_labellings(sq.cells0)
+        moduli = [labels[0] for labels in labellings]
+        assert all(b % a == 0 for a, b in zip(moduli, moduli[1:])), moduli
+        assert all(plexes._labels_hold(sq.cells0, labels) for labels in labellings)
+        for m in range(2, sq.order + 1):
+            assert brute_labelling_count(sq, m) == math.prod(math.gcd(m, d) for d in moduli), m
+
+    def test_edge_orders(self):
+        assert plexes._cell_labellings(gen_cyclic(1).cells0) == []
+        assert _moduli(gen_cyclic(2)) == [2]
+
+    @pytest.mark.parametrize("label,sq", DIFFERENTIAL_CASES,
+                             ids=[label for label, _ in DIFFERENTIAL_CASES])
+    def test_agrees_with_echelon_reference(self, label, sq):
+        n, grid = sq.order, sq.cells0
+        new, old = plexes._cell_labellings(grid), echelon_cell_labellings(grid)
+        for k in range(1, n + 1):
+            assert (_lattice_obstruction(grid, k) is None) == all(
+                k * sum(map(sum, lists)) % m == 0 for m, *lists in old), k
+        for d in range(n):
+            assert plexes._repeat_masks(n, new, d) == plexes._repeat_masks(n, old, d), d
+
+    @pytest.mark.parametrize("label,sq", GROUP_CASES, ids=[label for label, _ in GROUP_CASES])
+    def test_moduli_are_isotopy_invariant(self, label, sq):
+        moduli = _moduli(sq)
+        for iso_label, iso in _with_isotopes([(label, sq)], 3, sq.order)[1:]:
+            assert _moduli(iso) == moduli, iso_label
+
+    def test_isotope_logs_invariant_factors(self, caplog):
+        iso = _with_isotopes([("qstep(2,6)", gen_qstep(2, 6))], 3, 18)[3][1]
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            find_quasi_transversal(iso)
+        assert "quasi search: lattice labels mod 2,6 after 256 nodes" in caplog.text
+
+    def test_smith_normal_form(self):
+        # diag(4, 6) ~ diag(2, 12); the columns of V map the generators onto them
+        (d1, v1), (d2, v2) = plexes._smith_normal_form({(4, 0), (0, 6)}, 2)
+        assert (d1, d2) == (2, 12)
+        assert all((4 * v[0]) % d == 0 and (6 * v[1]) % d == 0 for d, v in ((d1, v1), (d2, v2)))
+        assert abs(v1[0] * v2[1] - v1[1] * v2[0]) == 1
+        with pytest.raises(LatinSquareError, match="full rank"):
+            plexes._smith_normal_form({(2, 4)}, 2)
 
 
 class TestComplement:
