@@ -5,7 +5,14 @@ from pathlib import Path
 import pytest
 
 import latinplex
-from latinplex.core import Isotopy, apply_isotopy, gen_cyclic, gen_qstep, gen_two_step_pow2
+from latinplex.core import (
+    Isotopy,
+    LatinSquare,
+    apply_isotopy,
+    gen_cyclic,
+    gen_qstep,
+    gen_two_step_pow2,
+)
 from latinplex.plexes import _partial_search
 
 #: nontrivial q-step factorizations with order <= 12
@@ -48,6 +55,25 @@ def cli_env() -> dict[str, str]:
     if os.environ.get("PYTHONPATH"):
         paths.append(os.environ["PYTHONPATH"])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
+#: an order-6 square with no transversal, and no lattice obstruction for any k
+NO_TRANSVERSAL_6 = [[1, 2, 3, 4, 5, 6], [2, 3, 5, 1, 6, 4], [3, 5, 6, 2, 4, 1],
+                    [4, 6, 1, 5, 3, 2], [5, 4, 2, 6, 1, 3], [6, 1, 4, 3, 2, 5]]
+
+
+def non_group_square(orbit: int) -> LatinSquare:
+    """An order-6 square that is no group table, whose column 1 has the given
+    orbit under the row-fixing autotopisms: 2 is cyclic(6) with the
+    intercalate at rows/columns {1,4} switched, 1 has no such autotopism."""
+    if orbit == 2:
+        rows = gen_cyclic(6).rows()
+        for r, c in ((0, 0), (0, 3), (3, 0), (3, 3)):
+            rows[r][c] = 4 if rows[r][c] == 1 else 1
+    else:
+        rows = [[3, 6, 5, 1, 4, 2], [4, 5, 6, 2, 1, 3], [5, 2, 1, 6, 3, 4],
+                [2, 1, 4, 3, 5, 6], [1, 3, 2, 4, 6, 5], [6, 4, 3, 5, 2, 1]]
+    return LatinSquare(rows)
 
 
 def corpus_up_to(max_order: int):

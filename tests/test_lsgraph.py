@@ -4,13 +4,23 @@ import re
 
 import pytest
 
-from latinplex.core import gen_cyclic, gen_qstep, gen_two_step_pow2, validate
+from latinplex import lsgraph
+from latinplex.core import (
+    Isotopy,
+    LatinSquare,
+    apply_isotopy,
+    gen_cyclic,
+    gen_qstep,
+    gen_two_step_pow2,
+    validate,
+)
 from latinplex.errors import (
     DimensionMismatchError,
     InvalidCellSetError,
     OrderTooLargeError,
 )
 from latinplex.lsgraph import (
+    _cell_automorphisms,
     build_graph,
     domatic_upper_bound,
     gamma_k_exact,
@@ -25,6 +35,7 @@ from latinplex.lsgraph import (
     verify_domatic_partition,
 )
 from latinplex.plexes import (
+    _column_orbit_maps,
     check_transversal,
     enumerate_transversals,
     find_kplex,
@@ -34,12 +45,35 @@ from latinplex.plexes import (
 )
 from latinplex.constructions import domatic_family_cells
 
-from conftest import corpus_up_to
+from conftest import NO_TRANSVERSAL_6, corpus_up_to, non_group_square
 from oracles import brute_is_k_dominating, neighbors_of
 
 
 def all_cells(n):
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+
+
+def _group_tables():
+    """Cyclic 1-6, the q-steps to order 6 and twostep(2), each with two
+    seeded full isotopes: every one is cell-transitive."""
+    bases = [(f"cyclic({n})", gen_cyclic(n)) for n in range(1, 7)]
+    bases += [(f"qstep({m},{q})", gen_qstep(m, q)) for m, q in ((2, 2), (2, 3), (3, 2))]
+    bases.append(("twostep(2)", gen_two_step_pow2(2)))
+    rng = random.Random(20261019)
+    tables = []
+    for label, sq in bases:
+        tables.append((label, sq))
+        tables += [(f"{label}#{t}", apply_isotopy(sq, Isotopy.random(sq.order, rng)))
+                   for t in range(2)]
+    return tables
+
+
+GROUP_TABLES = _group_tables()
+NON_GROUP = [("non-group-orbit-1", non_group_square(1)), ("non-group-orbit-2", non_group_square(2)),
+             ("no-transversal-6", LatinSquare(NO_TRANSVERSAL_6))]
+#: squares where gamma_k_exact must give the same (value, cells) with and
+#: without the root orbit cut
+UNCUT_CASES = corpus_up_to(6) + NON_GROUP
 
 
 class TestGraphStructure:
@@ -287,10 +321,63 @@ class TestGammaExact:
             gamma_k_exact(build_graph(gen_cyclic(4)), 3)
         assert re.search(r"gamma_3: \d+ nodes, stopped at size 5, lower bound 4", caplog.text)
 
+    @pytest.mark.parametrize("sq, field", [
+        (gen_cyclic(6), "868 nodes, stopped at size 6, lower bound 5, 1 root orbit"),
+        (non_group_square(1), "5485 nodes, stopped at size 6, lower bound 5, 36 root orbits"),
+    ], ids=["cyclic(6)", "non-group-orbit-1"])
+    def test_logs_root_orbits(self, caplog, sq, field):
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            gamma_k_exact(build_graph(sq), 2)
+        assert f"gamma_2: {field}\n" in caplog.text
+
+    def test_negative_k_refused(self):
+        g = build_graph(gen_cyclic(3))
+        with pytest.raises(ValueError):
+            gamma_k_exact(g, -1)
+        assert gamma_k_exact(g, 0) == (0, ())
+
+    def test_root_orbit_cut_changes_no_answer(self, monkeypatch):
+        # the cut only skips root branches that re-prove an earlier one, so
+        # the search with the identity group alone returns the same sets
+        cut = {(label, k): gamma_k_exact(build_graph(sq), k)
+               for label, sq in UNCUT_CASES for k in (1, 2, 3)}
+        monkeypatch.setattr(lsgraph, "_cell_automorphisms",
+                            lambda grid, n: [list(range(n * n))])
+        uncut = {(label, k): gamma_k_exact(build_graph(sq), k)
+                 for label, sq in UNCUT_CASES for k in (1, 2, 3)}
+        assert cut == uncut
+
     def test_refusal_above_6(self):
         g = build_graph(gen_cyclic(7))
         with pytest.raises(OrderTooLargeError):
             gamma_k_exact(g, 3)
+
+
+class TestCellAutomorphisms:
+    @pytest.mark.parametrize("label,sq", GROUP_TABLES + NON_GROUP,
+                             ids=[label for label, _ in GROUP_TABLES + NON_GROUP])
+    def test_maps_are_free_graph_automorphisms(self, label, sq):
+        # free: only the identity fixes a cell, so every orbit has len(group)
+        # cells, which the DEBUG line's orbit count assumes
+        n = sq.order
+        adj = build_graph(sq).adj
+        group = _cell_automorphisms(sq.cells0, n)
+        transpose = [list(col) for col in zip(*sq.cells0)]
+        assert len({tuple(p) for p in group}) == len(group) == (
+            len(_column_orbit_maps(sq.cells0, n)) * len(_column_orbit_maps(transpose, n)))
+        for p in group:
+            assert p == list(range(n * n)) or all(p[v] != v for v in range(n * n))
+            for v in range(n * n):
+                image = sum(1 << p[u] for u in range(n * n) if adj[v] >> u & 1)
+                assert image == adj[p[v]]
+
+    @pytest.mark.parametrize("label,sq", GROUP_TABLES, ids=[label for label, _ in GROUP_TABLES])
+    def test_transitive_on_group_tables(self, label, sq):
+        n = sq.order
+        assert {p[0] for p in _cell_automorphisms(sq.cells0, n)} == set(range(n * n))
+
+    def test_identity_alone_without_autotopisms(self):
+        assert _cell_automorphisms(non_group_square(1).cells0, 6) == [list(range(36))]
 
 
 class TestEquivalence:

@@ -52,7 +52,14 @@ from latinplex.plexes import (
 from latinplex import plexes
 from latinplex.plexes import _counted_search, _labels_obstruct, _lattice_obstruction
 
-from conftest import CORPUS, QSTEP_PARAMS, backtrack_count, corpus_up_to
+from conftest import (
+    CORPUS,
+    NO_TRANSVERSAL_6,
+    QSTEP_PARAMS,
+    backtrack_count,
+    corpus_up_to,
+    non_group_square,
+)
 from oracles import (
     brute_first_kplex,
     brute_first_near,
@@ -211,20 +218,6 @@ ZERO_COUNT_CASES = (
 )
 
 
-def non_group_square(orbit: int) -> LatinSquare:
-    """An order-6 square that is no group table, whose column 1 has the given
-    orbit under the row-fixing autotopisms: 2 is cyclic(6) with the
-    intercalate at rows/columns {1,4} switched, 1 has no such autotopism."""
-    if orbit == 2:
-        rows = gen_cyclic(6).rows()
-        for r, c in ((0, 0), (0, 3), (3, 0), (3, 3)):
-            rows[r][c] = 4 if rows[r][c] == 1 else 1
-    else:
-        rows = [[3, 6, 5, 1, 4, 2], [4, 5, 6, 2, 1, 3], [5, 2, 1, 6, 3, 4],
-                [2, 1, 4, 3, 5, 6], [1, 3, 2, 4, 6, 5], [6, 4, 3, 5, 2, 1]]
-    return LatinSquare(rows)
-
-
 class TestEnumeration:
     @pytest.mark.parametrize(
         "square,count",
@@ -359,15 +352,13 @@ class TestEnumeration:
         assert a == b
 
 
-#: transversal-free squares with no lattice obstruction for k = 1 (the
-#: order-6 one has none for any k)
+#: a transversal-free square with no lattice obstruction for k = 1, like
+#: NO_TRANSVERSAL_6 (which has none for any k)
 NO_TRANSVERSAL_10 = [[1, 2, 7, 4, 5, 6, 3, 8, 9, 10], [2, 7, 4, 5, 6, 3, 8, 9, 10, 1],
                      [10, 4, 5, 6, 7, 8, 9, 3, 1, 2], [4, 5, 6, 7, 8, 9, 10, 1, 2, 3],
                      [5, 6, 10, 8, 9, 7, 1, 2, 3, 4], [6, 3, 8, 9, 10, 1, 2, 7, 4, 5],
                      [3, 8, 9, 10, 1, 2, 7, 4, 5, 6], [8, 9, 3, 1, 2, 10, 4, 5, 6, 7],
                      [9, 10, 1, 2, 3, 4, 5, 6, 7, 8], [7, 1, 2, 3, 4, 5, 6, 10, 8, 9]]
-NO_TRANSVERSAL_6 = [[1, 2, 3, 4, 5, 6], [2, 3, 5, 1, 6, 4], [3, 5, 6, 2, 4, 1],
-                    [4, 6, 1, 5, 3, 2], [5, 4, 2, 6, 1, 3], [6, 1, 4, 3, 2, 5]]
 
 
 def _spy_on_join(monkeypatch) -> list[int]:
