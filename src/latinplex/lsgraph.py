@@ -178,22 +178,21 @@ def gamma_k_lower_bound(n: int, k: int) -> int:
     return -(-num // den)
 
 
-def _cell_automorphisms(grid, n: int) -> list[list[int]]:
-    """The cell maps (i, j) -> (alpha(i), beta(j)) as permutations of the
-    row-major vertex ids: beta a column map of a row-fixing autotopism,
-    alpha a row map of a column-fixing one (the same maps of the transpose).
+def _cell_orbits(grid, n: int) -> list[int]:
+    """orbits[v]: the mask of the orbit of cell v = i*n + j under the cell
+    maps (i, j) -> (alpha(i), beta(j)), beta a column map of a row-fixing
+    autotopism, alpha a row map of a column-fixing one (the same maps of
+    the transpose): the row orbit of i times the column orbit of j.
 
     Each factor sends rows, columns and symbols to lines of the same kind,
-    so every product is a graph automorphism.  The two subgroups commute
-    and meet in the identity, so the products are |R|*|C| distinct maps.
-    Both factors act freely, so the products do too: every cell orbit has
-    |R|*|C| cells, a row orbit times a column orbit.  On a group table, or
-    any isotope of one, both act transitively and so does this group on
-    the n^2 cells.
+    so every such map is a graph automorphism.  Both factors act freely,
+    so every orbit has |R|*|C| cells.  On a group table, or any isotope of
+    one, both act transitively and every orbit is all n^2 cells.
     """
     betas = _column_orbit_maps(grid, n)
     alphas = _column_orbit_maps(list(zip(*grid)), n)
-    return [[a * n + b for a in alpha for b in beta] for alpha in alphas for beta in betas]
+    cols = [sum(1 << beta[j] for beta in betas) for j in range(n)]
+    return [sum(cols[j] << alpha[i] * n for alpha in alphas) for i in range(n) for j in range(n)]
 
 
 def gamma_k_exact(graph: LatinSquareGraph, k: int) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -208,12 +207,12 @@ def gamma_k_exact(graph: LatinSquareGraph, k: int) -> tuple[int, tuple[tuple[int
     incumbent meets gamma_k_lower_bound.  The greedy set seeds the
     incumbent.  k < 0 raises ValueError; k = 0 gives (0, ()).
 
-    The root marks out the whole orbit of each candidate once tried, under
-    the automorphisms of _cell_automorphisms, so a later root candidate in
-    that orbit is skipped.  This is sound because the root's out-set stays
-    a union of whole orbits: a set that avoids it and meets the orbit of
-    an earlier candidate c maps onto a set through c that avoids the same
-    out-set, of the same size, which the branch of c has already explored.
+    The root marks out the whole orbit of each candidate once tried, from
+    _cell_orbits, so a later root candidate in that orbit is skipped.  This
+    is sound because the root's out-set stays a union of whole orbits: a
+    set that avoids it and meets the orbit of an earlier candidate c maps
+    onto a set through c that avoids the same out-set, of the same size,
+    which the branch of c has already explored.
     On a cell-transitive square the first root branch is the only one.
     Deeper nodes are not cut: that would need the stabiliser of the set,
     and on a group table the stabiliser of one cell is already trivial.
@@ -294,14 +293,14 @@ def gamma_k_exact(graph: LatinSquareGraph, k: int) -> tuple[int, tuple[tuple[int
                 counts[u] -= 1
             if stop:
                 return True
-            out |= bit if S else sum(1 << p[c] for p in group)
+            out |= bit if S else orbit[c]
             cands &= ~out
         return False
 
     orbits = 0
     if best_size > lower:
-        group = _cell_automorphisms(graph.square.cells0, n)
-        orbits = N // len(group)
+        orbit = _cell_orbits(graph.square.cells0, n)
+        orbits = len(set(orbit))
         rec(0, 0, full, 0, k * N)
     log.debug("gamma_%d: %d nodes, stopped at size %d, lower bound %d, %d root orbit%s",
               k, nodes, best_size, lower, orbits, "" if orbits == 1 else "s")

@@ -274,7 +274,7 @@ _DEAD_STATES_MAX = 1 << 15
 
 class _OutOfChecks(Exception):
     """A counted search gave up after max_checks supply checks (args: nodes
-    visited, dead states kept, what give_up returned), or a quasi search restarts."""
+    visited, dead states kept, what give_up returned)."""
 
 
 def _counted_search(grid, k: int, max_checks: int | None = None, give_up=None
@@ -566,15 +566,6 @@ def _cell_labellings(grid) -> list[tuple[int, list[int], list[int], list[int]]]:
     return out
 
 
-def _lattice_obstruction(grid, k: int) -> tuple[int, list[int], list[int], list[int]] | None:
-    """The first labelling of _cell_labellings whose label sum times k is not
-    0 mod m, which proves that no k-plex exists; None if there is none.  As
-    they generate all labellings (one per invariant factor of the residuals'
-    Smith normal form, after substitution), None means no labelling obstructs."""
-    obstructing = (lab for lab in _cell_labellings(grid) if k * sum(map(sum, lab[1:])) % lab[0])
-    return next(obstructing, None)
-
-
 def _labels_hold(grid, labels) -> bool:
     """Re-check a labelling in O(n^2): every cell's three labels sum to 0 mod m."""
     m, rows, cols, syms = labels
@@ -583,15 +574,15 @@ def _labels_hold(grid, labels) -> bool:
                     for r, row in enumerate(grid) for c, s in enumerate(row)))
 
 
-def _labels_obstruct(grid, k: int, labels) -> bool:
-    """_labels_hold, and k times the sum of all labels is not 0 mod m."""
-    return _labels_hold(grid, labels) and k * sum(map(sum, labels[1:])) % labels[0] != 0
-
-
-def _obstruction(grid, k: int):
-    """_lattice_obstruction's labels if they pass _labels_obstruct, else None."""
-    labels = _lattice_obstruction(grid, k)
-    return labels if labels is not None and _labels_obstruct(grid, k, labels) else None
+def _obstruction(grid, k: int) -> tuple[int, list[int], list[int], list[int]] | None:
+    """The first labelling of _cell_labellings whose label sum times k is not
+    0 mod m and that passes _labels_hold: it proves that no k-plex exists.
+    None if there is none; as the labellings generate all others (one per
+    invariant factor of the residuals' Smith normal form, after
+    substitution), that means no labelling obstructs.  The sum is tested
+    first, so a k that no labelling obstructs pays no re-check."""
+    return next((lab for lab in _cell_labellings(grid)
+                 if k * sum(map(sum, lab[1:])) % lab[0] and _labels_hold(grid, lab)), None)
 
 
 def find_kplex(square: LatinSquare, k: int) -> CellSet | None:
@@ -605,7 +596,7 @@ def find_kplex(square: LatinSquare, k: int) -> CellSet | None:
     count states already searched in vain.  Pruning only removes provably
     dead branches, so the first solution stays the lex least.  A search
     still running after _LATTICE_AFTER_CHECKS supply checks asks for a
-    proof that none exists: for k >= 2 _lattice_obstruction, and it stops
+    proof that none exists: for k >= 2 _obstruction, and it stops
     with None only on labels that pass the O(n^2) re-check; for k = 1 the
     transversal count (that lattice test, else the join), and it stops with
     None only on a count of 0.  Otherwise it goes on to the end.
@@ -850,17 +841,15 @@ def find_near_transversal(square: LatinSquare) -> CellSet | None:
 
 
 def find_quasi_transversal(square: LatinSquare) -> CellSet | None:
-    """First quasi-transversal in deterministic order, or None by exhaustion.
-
-    After _LATTICE_AFTER_CHECKS nodes the search restarts with the lattice
-    cut of _quasi_search.  Orders above 12 raise OrderTooLargeError.
+    """First quasi-transversal in deterministic order, or None by exhaustion
+    of _quasi_search.  Orders above 12 raise OrderTooLargeError.
     """
     n = square.order
     if n < 3:
         return None
     if n > 12:
         raise OrderTooLargeError(f"exhaustive quasi search supports order <= 12, got {n}")
-    chosen = _quasi_search(square.cells0, _stop, _LATTICE_AFTER_CHECKS)
+    chosen = _quasi_search(square.cells0, _stop)
     if chosen is None:
         return None
     cs = CellSet(n, _chosen_cells(chosen), KIND_QUASI)
@@ -887,21 +876,18 @@ def _repeat_masks(n: int, labels, d: int) -> tuple[list[int], list[int]]:
     return symok, colok
 
 
-def _quasi_search(grid, visit, cut_after: int | None = None) -> list[tuple[int, ...]] | None:
+def _quasi_search(grid, visit) -> list[tuple[int, ...]] | None:
     """Walk the quasi-transversals: for doubled row d = 0, 1, ..., one cell
     per entry of rows 0..d, d, d+1..n-1, the second cell of row d right of
     its first.  mask holds the columns and symbols (bits n..) used, and
-    `open` those a later cell may repeat.  visit runs at every leaf with
-    chosen[r] the columns of row r; if it returns True the search stops and
-    returns chosen, else None.  A missing column needs a later cell whose
-    symbol is missing or open, and dually; a memo keeps up to
-    _DEAD_STATES_MAX states per doubled row (mask, open and, inside row d,
-    its first column) whose subtree held no leaf.  After cut_after nodes
-    (0: at once, None: never), if _cell_labellings has labels that pass
-    _labels_hold, the search restarts its doubled row with `open` cut to
-    the pairs of _repeat_masks: that drops no leaf and keeps dead states
-    dead, so leaves come in the same order.  A visit that can return False
-    needs cut_after 0 or None."""
+    `open` those a later cell may repeat, cut to the pairs of _repeat_masks
+    for the labellings of _cell_labellings that pass _labels_hold (the
+    lattice cut: it drops no leaf and keeps the branching order).  visit
+    runs at every leaf with chosen[r] the columns of row r; if it returns
+    True the search stops and returns chosen, else None.  A missing column
+    needs a later cell whose symbol is missing or open, and dually; a memo
+    keeps up to _DEAD_STATES_MAX states per doubled row (mask, open and,
+    inside row d, its first column) whose subtree held no leaf."""
     n = len(grid)
     shift = 2 * n
     full = (1 << shift) - 1
@@ -914,18 +900,11 @@ def _quasi_search(grid, visit, cut_after: int | None = None) -> list[tuple[int, 
             sups[-1][c] |= sb
             sups[-1][n + s] |= cb
     sups.reverse()
-    labels: list = []  # the labellings of the lattice cut once it is on
-    uncut = _repeat_masks(n, [], 0)
+    labels = [lab for lab in _cell_labellings(grid) if _labels_hold(grid, lab)]
+    log.debug("quasi search: %s", "lattice labels mod " + ",".join(str(lab[0]) for lab in labels)
+              if labels else "no labels")
     path = [0] * (n + 1)
     nodes = leaves = kept = 0
-
-    def cut_on() -> bool:
-        """Switch the lattice cut on; False if no labelling passes."""
-        labels[:] = [lab for lab in _cell_labellings(grid) if _labels_hold(grid, lab)]
-        moduli = ",".join(str(lab[0]) for lab in labels)
-        log.debug("quasi search: %s after %d nodes",
-                  f"lattice labels mod {moduli}" if labels else "no labels", nodes)
-        return bool(labels)
 
     def chosen() -> list[tuple[int, ...]]:
         return [(c,) for c in path[:d]] + [(path[d], path[d + 1])] + [(c,) for c in path[d + 2:]]
@@ -933,8 +912,6 @@ def _quasi_search(grid, visit, cut_after: int | None = None) -> list[tuple[int, 
     def rec(i: int, mask: int, open_: int, todo) -> bool:
         nonlocal nodes, leaves
         nodes += 1
-        if nodes == cut_after and cut_on():
-            raise _OutOfChecks
         if i > n:
             leaves += 1
             return visit(chosen())
@@ -972,18 +949,11 @@ def _quasi_search(grid, visit, cut_after: int | None = None) -> list[tuple[int, 
                 dead.add(key)
         return False
 
-    if cut_after == 0:
-        cut_on()
     for d in range(n):  # rows[i]: the row of entry i; n past the last, with no cell
         rows = [*range(d + 1), *range(d, n + 1)]
         dead: set[int] = set()
-        while True:
-            symok, colok = _repeat_masks(n, labels, d) if labels else uncut
-            try:  # a doubled row with no pair for its repeats has no leaf
-                found = any(symok) and rec(0, 0, full, cells[0])
-            except _OutOfChecks:
-                continue
-            break
+        symok, colok = _repeat_masks(n, labels, d)
+        found = any(symok) and rec(0, 0, full, cells[0])  # no pair for the repeats: no leaf
         kept += len(dead)
         if found:
             break
@@ -1013,9 +983,9 @@ def max_disjoint_quasi_transversals(square: LatinSquare) -> tuple[int, tuple[Cel
 
 def _all_quasis(square: LatinSquare) -> list[tuple[tuple[int, ...], ...]]:
     """Every quasi-transversal as its rows' 0-based column tuples, in the
-    order find_quasi_transversal meets them (the lattice cut on from the start)."""
+    order find_quasi_transversal meets them."""
     found: list[tuple[tuple[int, ...], ...]] = []
-    _quasi_search(square.cells0, lambda chosen: found.append(tuple(chosen)), 0)
+    _quasi_search(square.cells0, lambda chosen: found.append(tuple(chosen)))
     return found
 
 

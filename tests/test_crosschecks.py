@@ -80,6 +80,16 @@ class TestGammaOracle:
         g = build_graph(sq)
         assert gamma_k_exact(g, 1)[0] == brute_gamma_k(sq, 1)
 
+    @pytest.mark.parametrize("n,k,gamma", [(5, 1, 3), (5, 2, 5), (6, 1, 3)],
+                             ids=["cyclic(5)-1", "cyclic(5)-2", "cyclic(6)-1"])
+    def test_root_orbit_cut_matches_subset_scan(self, n, k, gamma):
+        # a cyclic square is cell-transitive, so the root of gamma_k_exact
+        # tries one cell; the scan tries every set of each size up to gamma.
+        # At order 5 the greedy set already has size gamma; at order 6, k = 1
+        # it has 4, so only a sound root cut finds the 3
+        sq = gen_cyclic(n)
+        assert gamma_k_exact(build_graph(sq), k)[0] == brute_gamma_k(sq, k) == gamma
+
 
 class TestFormulaRule:
     @pytest.mark.parametrize("claim,case", [

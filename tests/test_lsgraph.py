@@ -20,7 +20,7 @@ from latinplex.errors import (
     OrderTooLargeError,
 )
 from latinplex.lsgraph import (
-    _cell_automorphisms,
+    _cell_orbits,
     build_graph,
     domatic_upper_bound,
     gamma_k_exact,
@@ -341,8 +341,7 @@ class TestGammaExact:
         # the search with the identity group alone returns the same sets
         cut = {(label, k): gamma_k_exact(build_graph(sq), k)
                for label, sq in UNCUT_CASES for k in (1, 2, 3)}
-        monkeypatch.setattr(lsgraph, "_cell_automorphisms",
-                            lambda grid, n: [list(range(n * n))])
+        monkeypatch.setattr(lsgraph, "_cell_orbits", lambda grid, n: [1 << v for v in range(n * n)])
         uncut = {(label, k): gamma_k_exact(build_graph(sq), k)
                  for label, sq in UNCUT_CASES for k in (1, 2, 3)}
         assert cut == uncut
@@ -353,6 +352,15 @@ class TestGammaExact:
             gamma_k_exact(g, 3)
 
 
+def _cell_maps(grid, n: int) -> list[list[int]]:
+    """The cell maps (i, j) -> (alpha(i), beta(j)) as permutations of the
+    vertex ids: beta a column map of a row-fixing autotopism, alpha one of a
+    column-fixing autotopism (a column map of the transpose)."""
+    betas = _column_orbit_maps(grid, n)
+    alphas = _column_orbit_maps([list(col) for col in zip(*grid)], n)
+    return [[a * n + b for a in alpha for b in beta] for alpha in alphas for beta in betas]
+
+
 class TestCellAutomorphisms:
     @pytest.mark.parametrize("label,sq", GROUP_TABLES + NON_GROUP,
                              ids=[label for label, _ in GROUP_TABLES + NON_GROUP])
@@ -361,23 +369,25 @@ class TestCellAutomorphisms:
         # cells, which the DEBUG line's orbit count assumes
         n = sq.order
         adj = build_graph(sq).adj
-        group = _cell_automorphisms(sq.cells0, n)
-        transpose = [list(col) for col in zip(*sq.cells0)]
-        assert len({tuple(p) for p in group}) == len(group) == (
-            len(_column_orbit_maps(sq.cells0, n)) * len(_column_orbit_maps(transpose, n)))
+        group = _cell_maps(sq.cells0, n)
+        assert len({tuple(p) for p in group}) == len(group)
         for p in group:
             assert p == list(range(n * n)) or all(p[v] != v for v in range(n * n))
             for v in range(n * n):
                 image = sum(1 << p[u] for u in range(n * n) if adj[v] >> u & 1)
                 assert image == adj[p[v]]
+        assert _cell_orbits(sq.cells0, n) == [
+            sum(1 << u for u in {p[v] for p in group}) for v in range(n * n)]
 
     @pytest.mark.parametrize("label,sq", GROUP_TABLES, ids=[label for label, _ in GROUP_TABLES])
     def test_transitive_on_group_tables(self, label, sq):
         n = sq.order
-        assert {p[0] for p in _cell_automorphisms(sq.cells0, n)} == set(range(n * n))
+        assert {p[0] for p in _cell_maps(sq.cells0, n)} == set(range(n * n))
+        assert _cell_orbits(sq.cells0, n) == [(1 << n * n) - 1] * (n * n)
 
     def test_identity_alone_without_autotopisms(self):
-        assert _cell_automorphisms(non_group_square(1).cells0, 6) == [list(range(36))]
+        assert _cell_maps(non_group_square(1).cells0, 6) == [list(range(36))]
+        assert _cell_orbits(non_group_square(1).cells0, 6) == [1 << v for v in range(36)]
 
 
 class TestEquivalence:

@@ -50,7 +50,7 @@ from latinplex.plexes import (
     sweep_squares,
 )
 from latinplex import plexes
-from latinplex.plexes import _counted_search, _labels_obstruct, _lattice_obstruction
+from latinplex.plexes import _counted_search, _labels_hold, _obstruction
 
 from conftest import (
     CORPUS,
@@ -325,11 +325,11 @@ class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(7, 133), (8, 0)])
     def test_labels_failing_the_recheck_never_count_0(self, monkeypatch, caplog, n, count):
         # a wrong labelling from the normal-form code must not become a 0:
-        # the count falls through to the join
-        bogus = (2, [1] * n, [0] * n, [0] * n)
-        assert not _labels_obstruct(gen_cyclic(n).cells0, 1, bogus)
+        # its sum obstructs, the re-check rejects it, the count falls through to the join
+        bogus = (3, [1] + [0] * (n - 1), [0] * n, [0] * n)
+        assert not _labels_hold(gen_cyclic(n).cells0, bogus)
         asked = []
-        monkeypatch.setattr(plexes, "_lattice_obstruction", lambda grid, k: asked.append(k) or bogus)
+        monkeypatch.setattr(plexes, "_cell_labellings", lambda grid: asked.append(1) or [bogus])
         with caplog.at_level(logging.DEBUG, logger="latinplex"):
             assert enumerate_transversals(gen_cyclic(n), cap=0).count == count
         assert asked == [1]
@@ -415,7 +415,7 @@ class TestKPlexSearch:
 
     def test_transversal_search_out_of_checks_asks_the_join(self, monkeypatch, caplog):
         sq = LatinSquare(NO_TRANSVERSAL_10)
-        assert _lattice_obstruction(sq.cells0, 1) is None
+        assert _obstruction(sq.cells0, 1) is None
         with pytest.raises(plexes._OutOfChecks) as out:
             _counted_search(sq.cells0, 1, 256, lambda: True)
         assert out.value.args[0] == 150  # nodes visited when it gave up
@@ -427,7 +427,7 @@ class TestKPlexSearch:
 
     def test_transversal_search_exhausted_within_checks(self, monkeypatch):
         sq = LatinSquare(NO_TRANSVERSAL_6)
-        assert all(_lattice_obstruction(sq.cells0, k) is None for k in range(1, 7))
+        assert all(_obstruction(sq.cells0, k) is None for k in range(1, 7))
         chosen, nodes, _ = _counted_search(sq.cells0, 1, 256, lambda: True)
         assert chosen is None and nodes == 71
         joins = _spy_on_join(monkeypatch)
@@ -457,7 +457,7 @@ class TestLatticeObstruction:
                              ids=[label for label, _, _ in HALL_PAIGE_CASES])
     def test_hall_paige_agreement(self, label, sq, cyclic_sylow2):
         for k in (1, 2, 3):
-            labels = _lattice_obstruction(sq.cells0, k)
+            labels = _obstruction(sq.cells0, k)
             assert (labels is not None) == (cyclic_sylow2 and k % 2 == 1), k
             if labels is not None:
                 m, *lists = labels
@@ -466,7 +466,7 @@ class TestLatticeObstruction:
     @pytest.mark.parametrize("label,sq", corpus_up_to(8), ids=[label for label, _ in corpus_up_to(8)])
     def test_labels_pass_naive_oracle(self, label, sq):
         for k in range(1, sq.order + 1):
-            labels = _lattice_obstruction(sq.cells0, k)
+            labels = _obstruction(sq.cells0, k)
             if labels is not None:
                 m, *lists = labels
                 assert labels_obstruct(sq, k, m, lists), k
@@ -475,7 +475,7 @@ class TestLatticeObstruction:
         obstructed = 0
         for label, sq in corpus_up_to(5):
             for k in range(1, sq.order + 1):
-                if _lattice_obstruction(sq.cells0, k) is not None:
+                if _obstruction(sq.cells0, k) is not None:
                     obstructed += 1
                     assert brute_first_kplex(sq, k) is None, (label, k)
         assert obstructed
@@ -486,31 +486,31 @@ class TestLatticeObstruction:
             if sq.order != 6:
                 continue
             for k in range(1, 7):
-                if _lattice_obstruction(sq.cells0, k) is not None:
+                if _obstruction(sq.cells0, k) is not None:
                     obstructed += 1
                     assert _counted_search(sq.cells0, k)[0] is None, (label, k)
         assert obstructed
 
     def test_one_changed_label_is_rejected(self):
         grid = gen_cyclic(6).cells0
-        m, *lists = _lattice_obstruction(grid, 3)
-        assert _labels_obstruct(grid, 3, (m, *lists))
+        m, *lists = _obstruction(grid, 3)
+        assert _labels_hold(grid, (m, *lists))
         for which in range(3):
             for i in range(6):
                 tampered = [list(labels) for labels in lists]
                 tampered[which][i] = (tampered[which][i] + 1) % m
-                assert not _labels_obstruct(grid, 3, (m, *tampered)), (which, i)
+                assert not _labels_hold(grid, (m, *tampered)), (which, i)
 
     def test_labels_failing_the_recheck_only_cost_time(self, monkeypatch):
         # a wrong labelling from the normal-form code must not become a None
         sq = gen_qstep(2, 5)  # its 2-plex search runs past the allowance
         expected = find_kplex(sq, 2)
-        bogus = (2, [1] * 10, [0] * 10, [0] * 10)
-        assert not _labels_obstruct(sq.cells0, 2, bogus)
+        bogus = (3, [1] + [0] * 9, [0] * 10, [0] * 10)  # its sum obstructs k = 2
+        assert not _labels_hold(sq.cells0, bogus)
         asked = []
-        monkeypatch.setattr(plexes, "_lattice_obstruction", lambda grid, k: asked.append(k) or bogus)
+        monkeypatch.setattr(plexes, "_cell_labellings", lambda grid: asked.append(1) or [bogus])
         assert expected is not None and find_kplex(sq, 2) == expected
-        assert asked == [2]
+        assert asked == [1]
 
 
 def _with_isotopes(cases, count: int, seed: int):
@@ -561,7 +561,7 @@ class TestCellLabellings:
         n, grid = sq.order, sq.cells0
         new, old = plexes._cell_labellings(grid), echelon_cell_labellings(grid)
         for k in range(1, n + 1):
-            assert (_lattice_obstruction(grid, k) is None) == all(
+            assert (_obstruction(grid, k) is None) == all(
                 k * sum(map(sum, lists)) % m == 0 for m, *lists in old), k
         for d in range(n):
             assert plexes._repeat_masks(n, new, d) == plexes._repeat_masks(n, old, d), d
@@ -576,7 +576,7 @@ class TestCellLabellings:
         iso = _with_isotopes([("qstep(2,6)", gen_qstep(2, 6))], 3, 18)[3][1]
         with caplog.at_level(logging.DEBUG, logger="latinplex"):
             find_quasi_transversal(iso)
-        assert "quasi search: lattice labels mod 2,6 after 256 nodes" in caplog.text
+        assert "quasi search: lattice labels mod 2,6\n" in caplog.text
 
     def test_smith_normal_form(self):
         # diag(4, 6) ~ diag(2, 12); the columns of V map the generators onto them
@@ -926,9 +926,10 @@ SWEEP_CASES = [*sweep_squares(3, 12, ("cyclic", "qstep"), 0, 0),
 ENUMERATION_CASES = [(label, sq) for label, sq in corpus_up_to(6) if sq.order >= 3] + LEMMA_CASES[-2:]
 
 
-def _collect_quasis(grid, cut_after) -> list[list[tuple[int, ...]]]:
+def _quasis(grid) -> list[list[tuple[int, ...]]]:
+    """Every leaf of _quasi_search, in its order."""
     found: list[list[tuple[int, ...]]] = []
-    plexes._quasi_search(grid, found.append, cut_after)
+    plexes._quasi_search(grid, found.append)
     return found
 
 
@@ -957,31 +958,34 @@ class TestQuasiLatticeCut:
     def test_torsion_free_squares_have_no_labelling(self, label, sq):
         assert plexes._cell_labellings(sq.cells0) == []
 
-    def test_labelled_and_unlabelled_first_witness_agree(self):
-        for label, sq in SWEEP_CASES:
-            grid = sq.cells0
-            plain = plexes._quasi_search(grid, plexes._stop)
-            assert plexes._quasi_search(grid, plexes._stop, 0) == plain, label
-            assert find_quasi_transversal(sq).cells == plexes._chosen_cells(plain), label
+    def test_labelled_and_unlabelled_first_witness_agree(self, monkeypatch):
+        labelled = [plexes._quasi_search(sq.cells0, plexes._stop) for _, sq in SWEEP_CASES]
+        for (label, sq), first in zip(SWEEP_CASES, labelled):
+            assert find_quasi_transversal(sq).cells == plexes._chosen_cells(first), label
+        monkeypatch.setattr(plexes, "_cell_labellings", lambda grid: [])
+        for (label, sq), first in zip(SWEEP_CASES, labelled):
+            assert plexes._quasi_search(sq.cells0, plexes._stop) == first, label
 
     @pytest.mark.parametrize("label,sq", ENUMERATION_CASES,
                              ids=[label for label, _ in ENUMERATION_CASES])
-    def test_labelled_and_unlabelled_enumerations_agree(self, label, sq):
-        every = _collect_quasis(sq.cells0, None)
-        assert _collect_quasis(sq.cells0, 0) == every
+    def test_labelled_and_unlabelled_enumerations_agree(self, monkeypatch, label, sq):
+        every = _quasis(sq.cells0)
         assert plexes._all_quasis(sq) == [tuple(q) for q in every]
+        monkeypatch.setattr(plexes, "_cell_labellings", lambda grid: [])
+        assert _quasis(sq.cells0) == every
 
-    @pytest.mark.parametrize("square,moduli", [(gen_cyclic(12), "12"), (gen_qstep(2, 6), "2,6")],
+    @pytest.mark.parametrize("square,moduli,nodes", [(gen_cyclic(12), "12", 18),
+                                                     (gen_qstep(2, 6), "2,6", 98)],
                              ids=["cyclic(12)", "qstep(2,6)"])
-    def test_cut_logs_its_labels_at_debug(self, caplog, square, moduli):
+    def test_cut_logs_its_labels_at_debug(self, caplog, square, moduli, nodes):
         with caplog.at_level(logging.DEBUG, logger="latinplex"):
             find_quasi_transversal(square)
-        assert f"quasi search: lattice labels mod {moduli} after 256 nodes" in caplog.text
-        nodes = re.findall(r"quasi search: (\d+) nodes, \d+ dead states", caplog.text)
-        assert len(nodes) == 1 and 256 < int(nodes[0]) < 400
+        assert caplog.messages[0] == f"quasi search: lattice labels mod {moduli}"
+        assert re.fullmatch(rf"quasi search: {nodes} nodes, \d+ dead states", caplog.messages[1])
+        assert len(caplog.messages) == 2
 
     def test_labels_failing_the_recheck_are_never_used(self, monkeypatch, caplog):
-        sq = gen_cyclic(12)  # its search runs past the allowance
+        sq = gen_cyclic(12)
         expected = find_quasi_transversal(sq)
         n = sq.order
         d, c, s = (x - 1 for x in quasi_profile(sq, expected))
@@ -994,7 +998,9 @@ class TestQuasiLatticeCut:
         with caplog.at_level(logging.DEBUG, logger="latinplex"):
             assert find_quasi_transversal(sq) == expected
         assert asked == [1]
-        assert "quasi search: no labels after 256 nodes" in caplog.text
+        assert caplog.messages[0] == "quasi search: no labels"
+        # the uncut search: 3,167 nodes against 18 with the square's own labels
+        assert re.fullmatch(r"quasi search: 3167 nodes, \d+ dead states", caplog.messages[1])
 
 
 class TestDisjointQuasis:
