@@ -17,7 +17,8 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, zip_longest
+from itertools import zip_longest
+from operator import le
 
 from .core import MAX_EXHAUSTIVE_ORDER, LatinSquare
 from .errors import (
@@ -268,96 +269,94 @@ def _partial_search(grid, rows, visit, skips: int = 0, colmask: int = 0,
     return path[:] if found else None
 
 
-#: most keys a dead-state memo of the row searches stores; once full it takes no more
+#: most keys the quasi search's dead-state memo stores per doubled row; once full it takes no more
 _DEAD_STATES_MAX = 1 << 15
 
 
 class _OutOfChecks(Exception):
     """A counted search gave up after max_checks supply checks (args: nodes
-    visited, dead states kept, what give_up returned)."""
+    visited, what give_up returned)."""
+
+
+def _supplies(grid) -> list[list[int]]:
+    """sups[r][x]: the symbols (bits n + s) of column x, or the columns of
+    symbol x - n, in rows r..n-1; sups[n] is all 0."""
+    n = len(grid)
+    sups = [[0] * 2 * n]
+    for row in reversed(grid):
+        sup = sups[-1][:]
+        for c, s in enumerate(row):
+            x = n + s
+            sup[c] |= 1 << x
+            sup[x] |= 1 << c
+        sups.append(sup)
+    sups.reverse()
+    return sups
 
 
 def _counted_search(grid, k: int, max_checks: int | None = None, give_up=None
-                    ) -> tuple[list[tuple[int, ...]] | None, int, int]:
+                    ) -> tuple[list[tuple[int, ...]] | None, int]:
     """The first choice of k cells per row that uses every column and symbol
     exactly k times, rows in order, each through the combinations of its
-    usable columns in lexicographic order.  Each short symbol (column) needs
-    enough later rows whose cell for it lies in a column (has a symbol)
-    below k; a memo keeps up to _DEAD_STATES_MAX count states (they fix the
-    row reached) whose subtree held no leaf.  Returns chosen (chosen[r] the
-    columns of row r) or None, the nodes visited and the dead states kept.
-    After max_checks supply checks (one per combination the memo lets
-    through: the search's work) it calls give_up() once and raises
+    usable columns in lexicographic order.  Each line (column, or symbol at
+    n + s) with need[x] uses left needs that many later cells on it whose
+    other line is open (has uses left); a line meets each row once, so
+    they are the popcount of its suffix mask in _supplies and the open
+    mask.  A row stops its combinations once it skips a cell that a line
+    needs (need above the rows left), as the check fails on all of them.
+    Returns chosen (chosen[r] the columns of row r) or None, and the nodes
+    (rows entered) visited.  After max_checks supply checks (one per full
+    combination: the search's work) it calls give_up() once and raises
     _OutOfChecks if that returns a true value, else it goes on."""
     n = len(grid)
-    col_cnt = [0] * n
-    sym_cnt = [0] * n
-    chosen: list[tuple[int, ...]] = []
-    nodes = 0
-    # line[x][r]: the cell of row r in symbol / column x
-    sym_col = list(zip(*(sorted(range(n), key=row.__getitem__) for row in grid)))
-    lines = ((sym_cnt, col_cnt, sym_col), (col_cnt, sym_cnt, list(zip(*grid))))
-    # a state key packs each count in `width` bits: column c, then symbol s
-    width = k.bit_length()
-    unit = [1 << width * i for i in range(2 * n)]
-    dead: set[int] = set()
+    sups = _supplies(grid)
+    need = [k] * 2 * n
+    open_ = (1 << 2 * n) - 1  # the lines with uses left
+    path: list[int] = []
+    nodes = 1
     checks = 0
 
-    def supplies_hold(row: int) -> bool:
-        later = range(row + 1, n)
-        for cnt, other, line in lines:
-            for x in range(n):
-                need = k - cnt[x]
-                if need > n - row - 1:
-                    return False
-                if need > 0:
-                    cells = line[x]
-                    avail = 0
-                    for r in later:
-                        if other[cells[r]] < k:
-                            avail += 1
-                            if avail == need:
-                                break
-                    if avail < need:
-                        return False
-        return True
-
-    def rec(row: int, key: int) -> bool:
-        nonlocal nodes, checks
-        nodes += 1
-        if row == n:
-            return True
-        grow = grid[row]
-        allowed = [c for c in range(n) if col_cnt[c] < k and sym_cnt[grow[c]] < k]
-        for combo in combinations(allowed, k):
-            after = key
-            for c in combo:
-                after += unit[c] + unit[n + grow[c]]
-            if after in dead:
-                continue
-            for c in combo:
-                col_cnt[c] += 1
-                sym_cnt[grow[c]] += 1
-            if checks == max_checks and (why := give_up()):
-                raise _OutOfChecks(nodes, len(dead), why)
-            checks += 1
-            if supplies_hold(row):
-                chosen.append(combo)
-                if rec(row + 1, after):
-                    return True
-                chosen.pop()
-                if len(dead) < _DEAD_STATES_MAX:
-                    dead.add(after)
-            for c in combo:
-                col_cnt[c] -= 1
-                sym_cnt[grow[c]] -= 1
+    def rec(row: int, start: int, left: int) -> bool:
+        """Take `left` more cells of row `row` from column `start` on, then
+        the rows below."""
+        nonlocal nodes, checks, open_
+        rest = n - row - 1
+        grow, sup = grid[row], sups[row + 1]
+        for c in range(start, n - left + 1):
+            x = n + grow[c]
+            if open_ >> c & open_ >> x & 1:
+                need[c] -= 1
+                need[x] -= 1
+                shut = (need[c] == 0) << c | (need[x] == 0) << x
+                open_ ^= shut
+                path.append(c)
+                if left > 1:
+                    if rec(row, c + 1, left - 1):
+                        return True
+                else:
+                    if checks == max_checks and (why := give_up()):
+                        raise _OutOfChecks(nodes, why)
+                    checks += 1
+                    # rows fill the lowest columns first, so the highest lines
+                    # fail most: test them first
+                    if all(map(le, reversed(need),
+                               map(int.bit_count, map(open_.__and__, reversed(sup))))):
+                        nodes += 1
+                        if not rest or rec(row + 1, 0, k):  # the last row done: a k-plex
+                            return True
+                path.pop()
+                open_ ^= shut
+                need[c] += 1
+                need[x] += 1
+            if need[c] > rest or need[x] > rest:  # no later row can make up this cell
+                break
         return False
 
     try:
-        found = rec(0, 0)
+        found = rec(0, 0, k)
     finally:
-        del rec  # rec refers to itself: free its memo now, not at the next full collection
-    return (chosen if found else None), nodes, len(dead)
+        del rec  # rec refers to itself: free its state now, not at the next full collection
+    return ([tuple(path[r:r + k]) for r in range(0, n * k, k)] if found else None), nodes
 
 
 def _chosen_cells(chosen) -> tuple[tuple[int, int], ...]:
@@ -590,13 +589,12 @@ def find_kplex(square: LatinSquare, k: int) -> CellSet | None:
     a re-checked lattice obstruction.
 
     Rows are processed in order, each choosing k columns, by the counted
-    kernel with every count exactly k: quotas, a supply check that every
-    deficient symbol still has enough remaining rows whose cell for it sits
-    in a non-full column (and dually for columns), and a bounded memo of the
-    count states already searched in vain.  Pruning only removes provably
-    dead branches, so the first solution stays the lex least.  A search
-    still running after _LATTICE_AFTER_CHECKS supply checks asks for a
-    proof that none exists: for k >= 2 _obstruction, and it stops
+    kernel with every count exactly k: quotas, and a supply check that every
+    short column and symbol still has enough later cells on it whose other
+    line is short too, one popcount of its suffix mask per line.  Pruning
+    only removes provably dead branches, so the first solution stays the lex
+    least.  A search still running after _LATTICE_AFTER_CHECKS supply checks
+    asks for a proof that none exists: for k >= 2 _obstruction, and it stops
     with None only on labels that pass the O(n^2) re-check; for k = 1 the
     transversal count (that lattice test, else the join), and it stops with
     None only on a count of 0.  Otherwise it goes on to the end.
@@ -610,17 +608,17 @@ def find_kplex(square: LatinSquare, k: int) -> CellSet | None:
     give_up = ((lambda: not _count_transversals(grid, n)) if k == 1
                else (lambda: _obstruction(grid, k)))
     try:
-        chosen, nodes, dead = _counted_search(grid, k, _LATTICE_AFTER_CHECKS, give_up)
+        chosen, nodes = _counted_search(grid, k, _LATTICE_AFTER_CHECKS, give_up)
     except _OutOfChecks as out:
-        nodes, dead, proof = out.args
-        log.debug("%d-plex search: %d nodes, %d dead states", k, nodes, dead)
+        nodes, proof = out.args
+        log.debug("%d-plex search: %d nodes", k, nodes)
         if k == 1:
             log.debug("1-plex search: transversal count 0 after %d nodes", nodes)
         else:
             log.debug("%d-plex search: lattice obstruction mod %d after %d nodes",
                       k, proof[0], nodes)
         return None
-    log.debug("%d-plex search: %d nodes, %d dead states", k, nodes, dead)
+    log.debug("%d-plex search: %d nodes", k, nodes)
     if chosen is None:
         return None
     cells = _chosen_cells(chosen)
@@ -892,14 +890,7 @@ def _quasi_search(grid, visit) -> list[tuple[int, ...]] | None:
     shift = 2 * n
     full = (1 << shift) - 1
     cells = [[(c, 1 << c, 1 << n + s, s) for c, s in enumerate(row)] for row in grid] + [[]]
-    # sups[r][x]: the symbols of column x, or the columns of symbol x - n, in rows r..
-    sups = [[0] * shift]
-    for row in cells[n - 1::-1]:
-        sups.append(sups[-1][:])
-        for c, cb, sb, s in row:
-            sups[-1][c] |= sb
-            sups[-1][n + s] |= cb
-    sups.reverse()
+    sups = _supplies(grid)
     labels = [lab for lab in _cell_labellings(grid) if _labels_hold(grid, lab)]
     log.debug("quasi search: %s", "lattice labels mod " + ",".join(str(lab[0]) for lab in labels)
               if labels else "no labels")
@@ -987,12 +978,6 @@ def _all_quasis(square: LatinSquare) -> list[tuple[tuple[int, ...], ...]]:
     found: list[tuple[tuple[int, ...], ...]] = []
     _quasi_search(square.cells0, lambda chosen: found.append(tuple(chosen)))
     return found
-
-
-def _all_quasi_cellsets(square: LatinSquare) -> list[CellSet]:
-    """Every quasi-transversal as a validated CellSet, in enumeration order."""
-    n = square.order
-    return [CellSet(n, _chosen_cells(q), KIND_QUASI) for q in _all_quasis(square)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 These never share code paths with the engines they check: transversal
 counting walks every permutation diagonal, domination checks expand
-neighborhoods cell by cell, existence questions scan all subsets.
+neighborhoods cell by cell, existence questions scan all subsets.  The one
+exception, all_quasi_cellsets, is a helper that lists the quasi engine's
+own enumeration for tests of other engines; it checks nothing.
 """
 
 import itertools
@@ -277,3 +279,11 @@ def echelon_cell_labellings(grid):
             out.append((m, [col[where0[row[0]]] for row in grid], col,
                         [-col[where0[s]] % m for s in range(n)]))
     return out
+
+
+def all_quasi_cellsets(square):
+    """Every quasi-transversal of plexes._all_quasis as a validated CellSet,
+    in enumeration order."""
+    from latinplex.plexes import KIND_QUASI, CellSet, _all_quasis, _chosen_cells
+
+    return [CellSet(square.order, _chosen_cells(q), KIND_QUASI) for q in _all_quasis(square)]

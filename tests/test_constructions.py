@@ -325,12 +325,12 @@ class TestTransforms:
         # quasi-transversals whose doubled row, column and symbol pairs are
         # pairwise disjoint admit no two-cell deletion to a near-transversal
         from latinplex.lsgraph import induced_degrees
-        from latinplex.plexes import _all_quasi_cellsets
+        from oracles import all_quasi_cellsets
 
         sq = gen_cyclic(5)
         bad = next(
             q
-            for q in _all_quasi_cellsets(sq)
+            for q in all_quasi_cellsets(sq)
             if max(induced_degrees(sq, q.cells).values()) == 1
         )
         with pytest.raises(NotConstructibleError):
@@ -358,9 +358,9 @@ class TestTransforms:
 
     def test_transversal_in_quasi_none_for_cyclic4(self):
         sq = gen_cyclic(4)
-        from latinplex.plexes import _all_quasi_cellsets
+        from oracles import all_quasi_cellsets
 
-        for quasi in _all_quasi_cellsets(sq)[:25]:
+        for quasi in all_quasi_cellsets(sq)[:25]:
             assert transversal_in_quasi(sq, quasi) is None
 
     def test_transversal_in_quasi_found_when_seeded(self):

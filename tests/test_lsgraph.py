@@ -253,11 +253,11 @@ class TestIndependentDomination:
         # exist and those are (2,3)-independent dominating
         sq = gen_qstep(2, 3)
         g = build_graph(sq)
-        from latinplex.plexes import _all_quasi_cellsets
+        from oracles import all_quasi_cellsets
 
         assert any(
             is_lk_independent_dominating(g, q, 2, 3).verdict
-            for q in _all_quasi_cellsets(sq)
+            for q in all_quasi_cellsets(sq)
         )
 
 
@@ -494,12 +494,12 @@ class TestQuasi3dsCorrespondence:
         assert report.is_quasi and report.is_3ds and report.forward_ok
 
     def test_every_quasi_is_3ds_small_orders(self):
-        from latinplex.plexes import _all_quasi_cellsets
+        from oracles import all_quasi_cellsets
 
         for n in (3, 4, 5):
             sq = gen_cyclic(n)
             g = build_graph(sq)
-            for q in _all_quasi_cellsets(sq):
+            for q in all_quasi_cellsets(sq):
                 assert is_k_dominating(g, q, 3).verdict, (n, q.cells)
 
     def test_exhaustive_scan_cyclic4(self):

@@ -61,6 +61,7 @@ from conftest import (
     non_group_square,
 )
 from oracles import (
+    all_quasi_cellsets,
     brute_first_kplex,
     brute_first_near,
     brute_labelling_count,
@@ -391,10 +392,10 @@ class TestKPlexSearch:
         # would too, but they sum to k*n(n-1)/2 = n/2 mod n for n even, k odd
         assert find_kplex(gen_cyclic(6), 3) is None
 
-    def test_logs_nodes_and_dead_states_at_debug(self, caplog):
+    def test_logs_nodes_at_debug(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="latinplex"):
             find_kplex(gen_cyclic(6), 3)
-        assert re.search(r"3-plex search: \d+ nodes, [1-9]\d* dead states", caplog.text)
+        assert any(re.fullmatch(r"3-plex search: [1-9]\d* nodes", m) for m in caplog.messages)
 
     def test_logs_lattice_obstruction_at_debug(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="latinplex"):
@@ -418,18 +419,18 @@ class TestKPlexSearch:
         assert _obstruction(sq.cells0, 1) is None
         with pytest.raises(plexes._OutOfChecks) as out:
             _counted_search(sq.cells0, 1, 256, lambda: True)
-        assert out.value.args[0] == 150  # nodes visited when it gave up
+        assert out.value.args[0] == 153  # nodes visited when it gave up
         joins = _spy_on_join(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="latinplex"):
             assert find_kplex(sq, 1) is None
         assert joins == [10]
-        assert "1-plex search: transversal count 0 after 150 nodes" in caplog.text
+        assert "1-plex search: transversal count 0 after 153 nodes" in caplog.text
 
     def test_transversal_search_exhausted_within_checks(self, monkeypatch):
         sq = LatinSquare(NO_TRANSVERSAL_6)
         assert all(_obstruction(sq.cells0, k) is None for k in range(1, 7))
-        chosen, nodes, _ = _counted_search(sq.cells0, 1, 256, lambda: True)
-        assert chosen is None and nodes == 71
+        chosen, nodes = _counted_search(sq.cells0, 1, 256, lambda: True)
+        assert chosen is None and nodes == 75
         joins = _spy_on_join(monkeypatch)
         assert find_kplex(sq, 1) is None
         assert joins == []
@@ -882,6 +883,11 @@ NEAR_CASES = corpus_up_to(6)
 QUASI_CASES = [(label, sq) for label, sq in corpus_up_to(5) if sq.order >= 3]
 KPLEX_CASES = [(label, sq) for label, sq in corpus_up_to(5) if sq.order >= 2]
 THREE_PLEX_CASES = [(label, sq) for label, sq in KPLEX_CASES if sq.order >= 3]
+FOUR_PLEX_CASES = [(label, sq) for label, sq in KPLEX_CASES if sq.order >= 4]
+#: order-6 squares that are no group table; brute force is quick for k = 1, 5, 6 only
+ORDER_SIX_KPLEX_CASES = [("no-transversal-6", LatinSquare(NO_TRANSVERSAL_6)),
+                         ("non-group-orbit-1", non_group_square(1)),
+                         ("non-group-orbit-2", non_group_square(2))]
 
 
 class TestSearchOrder:
@@ -894,10 +900,8 @@ class TestSearchOrder:
 
     @pytest.mark.parametrize("label,sq", QUASI_CASES, ids=[label for label, _ in QUASI_CASES])
     def test_quasi_is_least_by_doubled_row_then_rows(self, label, sq):
-        from latinplex.plexes import _all_quasi_cellsets
-
         every = brute_quasis(sq)
-        assert [q.cells for q in _all_quasi_cellsets(sq)] == every
+        assert [q.cells for q in all_quasi_cellsets(sq)] == every
         assert find_quasi_transversal(sq).cells == every[0]
 
     @pytest.mark.parametrize("label,sq", KPLEX_CASES, ids=[label for label, _ in KPLEX_CASES])
@@ -913,6 +917,18 @@ class TestSearchOrder:
     def test_three_plex_is_lex_least(self, label, sq):
         assert _cells(find_kplex(sq, 3)) == brute_first_kplex(sq, 3)
 
+    @pytest.mark.parametrize("label,sq", FOUR_PLEX_CASES,
+                             ids=[label for label, _ in FOUR_PLEX_CASES])
+    def test_larger_kplex_is_lex_least(self, label, sq):
+        for k in range(4, sq.order + 1):
+            assert _cells(find_kplex(sq, k)) == brute_first_kplex(sq, k), k
+
+    @pytest.mark.parametrize("label,sq", ORDER_SIX_KPLEX_CASES,
+                             ids=[label for label, _ in ORDER_SIX_KPLEX_CASES])
+    @pytest.mark.parametrize("k", [1, 5, 6])
+    def test_kplex_is_lex_least_at_order_six(self, label, sq, k):
+        assert _cells(find_kplex(sq, k)) == brute_first_kplex(sq, k)
+
 
 #: squares whose cell lattice has no torsion, so no labelling cuts their quasi search
 UNLABELLED = [("no-transversal-6", LatinSquare(NO_TRANSVERSAL_6)),
@@ -924,6 +940,23 @@ LEMMA_CASES = QUASI_CASES + UNLABELLED[:1] + [
 SWEEP_CASES = [*sweep_squares(3, 12, ("cyclic", "qstep"), 0, 0),
                *sweep_squares(10, 12, ("isotopes",), 2, 17)]
 ENUMERATION_CASES = [(label, sq) for label, sq in corpus_up_to(6) if sq.order >= 3] + LEMMA_CASES[-2:]
+
+
+class TestSupplies:
+    """The suffix masks the k-plex and quasi searches read their supplies from."""
+
+    @pytest.mark.parametrize("label,sq", corpus_up_to(6) + UNLABELLED,
+                             ids=[label for label, _ in corpus_up_to(6) + UNLABELLED])
+    def test_suffix_masks_match_their_definition(self, label, sq):
+        n = sq.order
+        sups = plexes._supplies(sq.cells0)
+        assert len(sups) == n + 1
+        for r in range(n + 1):
+            below = [(c, s) for row in sq.cells0[r:] for c, s in enumerate(row)]
+            symbols_of = [sum(1 << n + s for c, s in below if c == x) for x in range(n)]
+            columns_of = [sum(1 << c for c, s in below if s == x) for x in range(n)]
+            assert sups[r] == symbols_of + columns_of, r
+        assert sups[n] == [0] * 2 * n
 
 
 def _quasis(grid) -> list[list[tuple[int, ...]]]:
