@@ -325,6 +325,8 @@ def square_from_json_dict(obj: dict) -> LatinSquare:
     if not isinstance(obj, dict) or "rows" not in obj:
         raise FormatError("square JSON needs a 'rows' field")
     sq = LatinSquare(obj["rows"])
+    if "order" in obj and type(obj["order"]) is not int:  # a bool is not an int here
+        raise FormatError(f"order must be a JSON integer, got {obj['order']!r}")
     if "order" in obj and obj["order"] != sq.order:
         raise FormatError(f"declared order {obj['order']} != grid order {sq.order}")
     return sq

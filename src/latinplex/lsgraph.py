@@ -172,10 +172,8 @@ def is_lk_independent_dominating(
 
 
 def gamma_k_lower_bound(n: int, k: int) -> int:
-    """k*N/(k+Delta) rounded up, with N = n^2 and Delta = 3(n-1)."""
-    num = k * n * n
-    den = k + 3 * (n - 1)
-    return -(-num // den)
+    """k*N/(k+Delta) rounded up, with N = n^2 and Delta = 3(n-1); 0 when k = 0."""
+    return -(-k * n * n // (k + 3 * (n - 1))) if k else 0
 
 
 def _cell_orbits(grid, n: int) -> list[int]:
@@ -204,8 +202,11 @@ def gamma_k_exact(graph: LatinSquareGraph, k: int) -> tuple[int, tuple[tuple[int
     tried.  A node is cut when its size plus ceil(D / R) reaches the
     incumbent, D being the total deficit and R the largest deficit one
     undecided vertex can still remove, and the search stops as soon as the
-    incumbent meets gamma_k_lower_bound.  The greedy set seeds the
-    incumbent.  k < 0 raises ValueError; k = 0 gives (0, ()).
+    incumbent meets gamma_k_lower_bound.  The gain of a vertex is the
+    deficit it removes on joining the set; the bound's R, each branch and
+    the greedy seed of the incumbent all use it, the seed taking at each
+    step the first vertex of largest gain until no vertex is short.
+    k < 0 raises ValueError; k = 0 gives (0, ()).
 
     The root marks out the whole orbit of each candidate once tried, from
     _cell_orbits, so a later root candidate in that orbit is skipped.  This
@@ -229,34 +230,31 @@ def gamma_k_exact(graph: LatinSquareGraph, k: int) -> tuple[int, tuple[tuple[int
     lower = gamma_k_lower_bound(n, k)
 
     neighbors = [tuple(u for u in range(N) if (adj[v] >> u) & 1) for v in range(N)]
-
-    def greedy() -> int:
-        S = 0
-        counts = [0] * N
-        while True:
-            deficit = [
-                (k - counts[v]) if counts[v] < k and not (S >> v) & 1 else 0 for v in range(N)
-            ]
-            if not any(deficit):
-                return S
-            best_red, best_v = -1, -1
-            for v in range(N):
-                if (S >> v) & 1:
-                    continue
-                red = deficit[v]
-                for u in neighbors[v]:
-                    if not (S >> u) & 1 and counts[u] < k:
-                        red += 1
-                if red > best_red:
-                    best_red, best_v = red, v
-            S |= 1 << best_v
-            for u in neighbors[best_v]:
-                counts[u] += 1
-
-    best_mask = greedy()
-    best_size = best_mask.bit_count()
-    full = (1 << N) - 1
     counts = [0] * N
+
+    def gain(u: int, short: int) -> int:
+        """The deficit that u removes on joining the set: one per short
+        neighbour, plus its own when u is short."""
+        g = (adj[u] & short).bit_count()
+        return g + k - counts[u] if short >> u & 1 else g
+
+    def take(c: int, short: int) -> int:
+        """Count c at each neighbour; short without c and the vertices c completes."""
+        short &= ~(1 << c)
+        for u in neighbors[c]:
+            counts[u] += 1
+            if counts[u] == k:
+                short &= ~(1 << u)
+        return short
+
+    full = (1 << N) - 1
+    best_mask, short = 0, full if k else 0
+    while short:
+        c = max((u for u in range(N) if not best_mask >> u & 1), key=lambda u: gain(u, short))
+        best_mask |= 1 << c
+        short = take(c, short)
+    best_size = best_mask.bit_count()
+    counts = [0] * N  # the search starts from the empty set
     nodes = 0
 
     def rec(S: int, out: int, short: int, size: int, D: int) -> bool:
@@ -268,12 +266,7 @@ def gamma_k_exact(graph: LatinSquareGraph, k: int) -> tuple[int, tuple[tuple[int
             best_size, best_mask = size, S
             return size <= lower
         free = full & ~(S | out)
-        reach, rest = 0, free
-        while rest:
-            u = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            gain = (adj[u] & short).bit_count() + (k - counts[u] if short >> u & 1 else 0)
-            reach = max(reach, gain)
+        reach = max((gain(u, short) for u in range(N) if free >> u & 1), default=0)
         if not reach or size + -(-D // reach) >= best_size:
             return False
         v = (short & -short).bit_length() - 1
@@ -282,13 +275,7 @@ def gamma_k_exact(graph: LatinSquareGraph, k: int) -> tuple[int, tuple[tuple[int
             bit = cands & -cands
             cands ^= bit
             c = bit.bit_length() - 1
-            gain = (adj[c] & short).bit_count() + (k - counts[c] if short & bit else 0)
-            left = short & ~bit
-            for u in neighbors[c]:
-                counts[u] += 1
-                if counts[u] == k:
-                    left &= ~(1 << u)
-            stop = rec(S | bit, out, left, size + 1, D - gain)
+            stop = rec(S | bit, out, take(c, short), size + 1, D - gain(c, short))
             for u in neighbors[c]:
                 counts[u] -= 1
             if stop:

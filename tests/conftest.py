@@ -76,6 +76,19 @@ def non_group_square(orbit: int) -> LatinSquare:
     return LatinSquare(rows)
 
 
+def conjugate(square: LatinSquare, perm: tuple[int, int, int]) -> LatinSquare:
+    """The conjugate whose cell for each (row, column, symbol) triple t of the
+    square is (t[perm[0]], t[perm[1]], t[perm[2]]); the six perms of
+    (0, 1, 2) give the six conjugates, (1, 0, 2) the transpose."""
+    n = square.order
+    rows = [[0] * n for _ in range(n)]
+    for r, row in enumerate(square.rows(), 1):
+        for c, s in enumerate(row, 1):
+            t = (r, c, s)
+            rows[t[perm[0]] - 1][t[perm[1]] - 1] = t[perm[2]]
+    return LatinSquare(rows)
+
+
 def corpus_up_to(max_order: int):
     return [(label, sq) for label, sq in CORPUS if sq.order <= max_order]
 

@@ -255,6 +255,12 @@ class TestSerialization:
         with pytest.raises(FormatError):
             square_from_json_dict({"order": 3, "rows": [[1, 2], [2, 1]]})
 
+    @pytest.mark.parametrize("order", [True, "1", 1.0], ids=["bool", "string", "float"])
+    def test_json_order_must_be_an_integer(self, order):
+        # True == 1 and 1.0 == 1, and "1" printed as 1 in the mismatch message
+        with pytest.raises(FormatError, match=f"order must be a JSON integer, got {order!r}"):
+            square_from_json_dict({"order": order, "rows": [[1]]})
+
     def test_load_sniffs_format(self):
         sq = gen_cyclic(4)
         assert load_square_text(format_ls(sq)) == sq

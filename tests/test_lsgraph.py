@@ -1,3 +1,4 @@
+import itertools
 import logging
 import random
 import re
@@ -45,7 +46,7 @@ from latinplex.plexes import (
 )
 from latinplex.constructions import domatic_family_cells
 
-from conftest import NO_TRANSVERSAL_6, corpus_up_to, non_group_square
+from conftest import NO_TRANSVERSAL_6, conjugate, corpus_up_to, non_group_square
 from oracles import brute_is_k_dominating, neighbors_of
 
 
@@ -281,6 +282,7 @@ class TestGammaExact:
     def test_lower_bound_formula(self):
         assert gamma_k_lower_bound(4, 3) == 4  # ceil(48/12)
         assert gamma_k_lower_bound(6, 3) == 6  # ceil(108/18)
+        assert gamma_k_lower_bound(1, 0) == 0  # 0/0 at order 1
 
     def test_matches_brute_force_tiny(self):
         from oracles import brute_gamma_k
@@ -321,20 +323,35 @@ class TestGammaExact:
             gamma_k_exact(build_graph(gen_cyclic(4)), 3)
         assert re.search(r"gamma_3: \d+ nodes, stopped at size 5, lower bound 4", caplog.text)
 
-    @pytest.mark.parametrize("sq, field", [
-        (gen_cyclic(6), "868 nodes, stopped at size 6, lower bound 5, 1 root orbit"),
-        (non_group_square(1), "5485 nodes, stopped at size 6, lower bound 5, 36 root orbits"),
-    ], ids=["cyclic(6)", "non-group-orbit-1"])
-    def test_logs_root_orbits(self, caplog, sq, field):
+    @pytest.mark.parametrize("sq, k, field, seed", [
+        (gen_cyclic(6), 2, "868 nodes, stopped at size 6, lower bound 5, 1 root orbit", None),
+        (non_group_square(1), 2, "5485 nodes, stopped at size 6, lower bound 5, 36 root orbits", None),
+        (gen_cyclic(6), 3, "267 nodes, stopped at size 7, lower bound 6, 1 root orbit", None),
+        # no node runs, so the witness is the greedy seed, which takes at
+        # each step the first vertex of largest gain
+        (gen_qstep(2, 2), 3, "0 nodes, stopped at size 4, lower bound 4, 0 root orbits",
+         ((1, 1), (2, 3), (3, 4), (4, 2))),
+    ], ids=["cyclic(6)", "non-group-orbit-1", "cyclic(6)-gamma3", "qstep(2,2)-gamma3"])
+    def test_logs_root_orbits(self, caplog, sq, k, field, seed):
         with caplog.at_level(logging.DEBUG, logger="latinplex"):
-            gamma_k_exact(build_graph(sq), 2)
-        assert f"gamma_2: {field}\n" in caplog.text
+            _, witness = gamma_k_exact(build_graph(sq), k)
+        assert f"gamma_{k}: {field}\n" in caplog.text
+        assert seed in (None, witness)
 
     def test_negative_k_refused(self):
-        g = build_graph(gen_cyclic(3))
-        with pytest.raises(ValueError):
-            gamma_k_exact(g, -1)
-        assert gamma_k_exact(g, 0) == (0, ())
+        for n in (1, 3):  # at order 1 the lower bound for k = 0 is 0/0
+            g = build_graph(gen_cyclic(n))
+            with pytest.raises(ValueError):
+                gamma_k_exact(g, -1)
+            assert gamma_k_exact(g, 0) == (0, ())
+
+    @pytest.mark.parametrize("sq", [sq for _, sq in corpus_up_to(5)] + [LatinSquare(NO_TRANSVERSAL_6)],
+                             ids=[label for label, _ in corpus_up_to(5)] + ["no-transversal-6"])
+    def test_gamma_agrees_on_all_six_conjugates(self, sq):
+        # all six conjugates have the same graph, so gamma_k cannot differ
+        gammas = {perm: tuple(gamma_k_exact(build_graph(conjugate(sq, perm)), k)[0] for k in (1, 2, 3))
+                  for perm in itertools.permutations(range(3))}
+        assert len(set(gammas.values())) == 1, gammas
 
     def test_root_orbit_cut_changes_no_answer(self, monkeypatch):
         # the cut only skips root branches that re-prove an earlier one, so
