@@ -11,8 +11,15 @@ import argparse
 import json
 import sys
 
-from . import constructions as cons
-from .core import LatinSquare, format_ls, load_square_text, square_to_json_dict
+from .core import (
+    GENERATORS,
+    LatinSquare,
+    format_ls,
+    load_square_text,
+    square_descriptor,
+    square_from_descriptor,
+    square_to_json_dict,
+)
 from .errors import LatinSquareError, OrderTooLargeError, OrderTooSmallError
 from .plexes import (
     SWEEP_GENERATORS,
@@ -30,6 +37,10 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_REFUSED = 2
 EXIT_NOT_FOUND = 3
+
+#: the names of constructions.CLAIMS, in its order: parsing arguments must not import it
+CLAIM_NAMES = ("twostep-decomp", "3ds-q1", "3ds-qgen", "domatic-cyclic",
+               "2plex-q1", "2plex-m2", "2plex-gen", "qt-nt-transforms")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -59,10 +70,10 @@ def _load_square(args) -> LatinSquare:
 
 
 def cmd_gen(args) -> int:
-    _, names = cons.GENERATORS[args.kind]
+    _, names = GENERATORS[args.kind]
     try:
-        square = cons.square_from_descriptor(
-            cons.square_descriptor(args.kind, **{name: getattr(args, name) for name in names})
+        square = square_from_descriptor(
+            square_descriptor(args.kind, **{name: getattr(args, name) for name in names})
         )
     except OrderTooSmallError as exc:  # an out-of-range argument, not an invalid input
         raise ValueError(str(exc)) from None
@@ -131,6 +142,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import constructions as cons
     if args.stdin:
         text = sys.stdin.read()
     else:
@@ -156,6 +168,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from . import constructions as cons
     _, build, names = cons.CLAIMS[args.claim]
     cert = build(*(_require(args, name) for name in names))
     _emit_json(cert.to_json_dict(), args.out)
@@ -164,8 +177,8 @@ def cmd_construct(args) -> int:
 
 def _require(args, name: str):
     if name == "square":  # the square --gen names, from that generator's options
-        _, names = cons.GENERATORS[args.gen]
-        return cons.square_descriptor(args.gen, **{p: _require(args, p) for p in names})
+        _, names = GENERATORS[args.gen]
+        return square_descriptor(args.gen, **{p: _require(args, p) for p in names})
     value = getattr(args, name)
     if value is None:
         raise LatinSquareError(f"claim {args.claim!r} needs --{name}")
@@ -209,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a square")
-    p_gen.add_argument("kind", choices=tuple(cons.GENERATORS))
+    p_gen.add_argument("kind", choices=tuple(GENERATORS))
     p_gen.add_argument("n", type=int, nargs="?", help="order (cyclic)")
     p_gen.add_argument("--m", type=int)
     p_gen.add_argument("--q", type=int)
@@ -234,12 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_cons = sub.add_parser("construct", help="run an explicit construction")
-    p_cons.add_argument("claim", choices=tuple(cons.CLAIMS))
+    p_cons.add_argument("claim", choices=CLAIM_NAMES)
     p_cons.add_argument("--n", type=int)
     p_cons.add_argument("--m", type=int)
     p_cons.add_argument("--q", type=int)
     p_cons.add_argument("--k", type=int)
-    p_cons.add_argument("--gen", choices=tuple(cons.GENERATORS), default="cyclic")
+    p_cons.add_argument("--gen", choices=tuple(GENERATORS), default="cyclic")
     _add_common(p_cons)
     p_cons.set_defaults(func=cmd_construct)
 

@@ -17,7 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import LatinSquare, gen_cyclic, gen_qstep, gen_two_step_pow2
+from .core import (
+    GENERATORS,
+    LatinSquare,
+    gen_cyclic,
+    gen_qstep,
+    gen_two_step_pow2,
+    square_descriptor,
+    square_from_descriptor,
+)
 from .errors import (
     FormatError,
     InvalidCellSetError,
@@ -26,7 +34,8 @@ from .errors import (
     StructureMismatchError,
     ValidationFailureError,
 )
-from .lsgraph import build_graph, domatic_upper_bound, is_k_dominating
+# .plexes before .lsgraph, which imports it too: compiling plexes inside lsgraph's
+# import raises the peak memory of a full import
 from .plexes import (
     KIND_CELLS,
     KIND_KPLEX,
@@ -43,6 +52,7 @@ from .plexes import (
     find_near_transversal,
     quasi_profile,
 )
+from .lsgraph import build_graph, domatic_upper_bound, is_k_dominating
 
 #: plain (row, column) cells, 1-based
 Cells = tuple[tuple[int, int], ...]
@@ -111,45 +121,6 @@ class WitnessCertificate:
             )
         except (KeyError, TypeError, AttributeError, ValueError, FormatError) as exc:
             raise FormatError(f"malformed certificate: {type(exc).__name__}: {exc}") from None
-
-
-#: square generator name -> (generator, its parameter names in call order)
-GENERATORS = {
-    "cyclic": (gen_cyclic, ("n",)),
-    "qstep": (gen_qstep, ("m", "q")),
-    "twostep": (gen_two_step_pow2, ("k",)),
-}
-
-
-def square_descriptor(generator: str, **params) -> dict:
-    return {"generator": generator, "params": dict(sorted(params.items()))}
-
-
-def square_from_descriptor(desc: dict) -> LatinSquare:
-    """Rebuild the square of a certificate from its descriptor.
-
-    The descriptor is untrusted input: it must be an object holding either
-    inline ``rows`` or a known generator with integer parameters.  Orders
-    above MAX_INPUT_ORDER are refused by the generators.
-    """
-    if not isinstance(desc, dict):
-        raise FormatError(f"square descriptor must be an object, got {type(desc).__name__}")
-    if "rows" in desc:
-        return LatinSquare(desc["rows"])
-    name = desc.get("generator")
-    if not isinstance(name, str) or name not in GENERATORS:
-        raise StructureMismatchError(f"unknown square descriptor {desc!r}")
-    params = desc.get("params")
-    if not isinstance(params, dict):
-        raise FormatError(f"square generator {name!r} needs a 'params' object")
-    generator, names = GENERATORS[name]
-    for p in names:
-        if type(params.get(p)) is not int:  # refuses bool and None as well
-            raise FormatError(
-                f"square generator {name!r} needs an integer parameter {p!r}, "
-                f"got {params.get(p)!r}"
-            )
-    return generator(*(params[p] for p in names))
 
 
 def _wrap(x: int, n: int) -> int:

@@ -23,6 +23,7 @@ from .errors import (
     OrderTooLargeError,
     OrderTooSmallError,
     RowRepeatError,
+    StructureMismatchError,
     SymbolOutOfRangeError,
 )
 
@@ -330,6 +331,45 @@ def square_from_json_dict(obj: dict) -> LatinSquare:
     if "order" in obj and obj["order"] != sq.order:
         raise FormatError(f"declared order {obj['order']} != grid order {sq.order}")
     return sq
+
+
+#: square generator name -> (generator, its parameter names in call order)
+GENERATORS = {
+    "cyclic": (gen_cyclic, ("n",)),
+    "qstep": (gen_qstep, ("m", "q")),
+    "twostep": (gen_two_step_pow2, ("k",)),
+}
+
+
+def square_descriptor(generator: str, **params) -> dict:
+    return {"generator": generator, "params": dict(sorted(params.items()))}
+
+
+def square_from_descriptor(desc: dict) -> LatinSquare:
+    """Rebuild the square of a certificate from its descriptor.
+
+    The descriptor is untrusted input: it must be an object holding either
+    inline ``rows`` or a known generator with integer parameters.  Orders
+    above MAX_INPUT_ORDER are refused by the generators.
+    """
+    if not isinstance(desc, dict):
+        raise FormatError(f"square descriptor must be an object, got {type(desc).__name__}")
+    if "rows" in desc:
+        return LatinSquare(desc["rows"])
+    name = desc.get("generator")
+    if not isinstance(name, str) or name not in GENERATORS:
+        raise StructureMismatchError(f"unknown square descriptor {desc!r}")
+    params = desc.get("params")
+    if not isinstance(params, dict):
+        raise FormatError(f"square generator {name!r} needs a 'params' object")
+    generator, names = GENERATORS[name]
+    for p in names:
+        if type(params.get(p)) is not int:  # refuses bool and None as well
+            raise FormatError(
+                f"square generator {name!r} needs an integer parameter {p!r}, "
+                f"got {params.get(p)!r}"
+            )
+    return generator(*(params[p] for p in names))
 
 
 def load_square_text(text: str) -> LatinSquare:

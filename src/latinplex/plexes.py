@@ -31,6 +31,8 @@ from .errors import (
 )
 
 log = logging.getLogger(__name__)
+# the package logger stays silent unless configured; every module that logs imports this one
+logging.getLogger(__package__).addHandler(logging.NullHandler())
 
 KIND_TRANSVERSAL = "transversal"
 KIND_PARTIAL = "partial-transversal"
@@ -1058,13 +1060,16 @@ def conjecture_sweep(
     Ryser and Rodney conjectures on the generated corpus).  Orders up to 12
     are accepted, the ceiling of the exhaustive quasi and 2-plex engines;
     sweeps above order 8 trade speed for coverage.  An unknown generator
-    name, or an order range that yields no square, raises ValueError: an
-    empty report is returned only for an empty range (max_order < min_order).
+    name, a negative isotope count, or an order range that yields no square,
+    raises ValueError: an empty report is returned only for an empty range
+    (max_order < min_order).
     """
     unknown = [g for g in generators if g not in SWEEP_GENERATORS]
     if unknown:
         choices = ",".join(SWEEP_GENERATORS)
         raise ValueError(f"unknown generator {unknown[0]!r}; choose from {choices}")
+    if isotopes < 0:
+        raise ValueError(f"isotopes must be at least 0, got {isotopes}")
     if max_order < min_order:
         return SweepReport(())
     if max_order > 12:

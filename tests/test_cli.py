@@ -411,8 +411,9 @@ class TestSweep:
         ["--generators", "foo", "--min-order", "5", "--max-order", "4"],
         ["--generators", "isotopes"],
         ["--generators", "qstep", "--min-order", "5", "--max-order", "5"],
+        ["--isotopes", "-1"],
     ], ids=["unknown", "one-unknown", "min-order-0", "unknown-empty-range",
-            "isotopes-zero", "qstep-prime-order"])
+            "isotopes-zero", "qstep-prime-order", "isotopes-negative"])
     def test_bad_arguments_are_usage_errors(self, args, capsys):
         assert main(["sweep", *args]) == 2
         captured = capsys.readouterr()

@@ -1,0 +1,189 @@
+"""The package namespace loads its submodules on first use, and a CLI
+process imports only the modules its subcommand runs."""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import latinplex
+from latinplex import cli, constructions, core
+from latinplex.core import format_ls, gen_cyclic
+
+from conftest import cli_env
+
+#: the public names of the package, by the submodule that defines them
+PUBLIC = {
+    "core": [
+        "Isotopy", "LatinSquare", "StepTypeSpec", "apply_isotopy", "format_ls", "gen_cyclic",
+        "gen_qstep", "gen_two_step_pow2", "is_qstep_type", "parse_ls", "validate",
+    ],
+    "plexes": [
+        "CellSet", "PlexCensus", "check_kplex", "check_near_transversal",
+        "check_quasi_transversal", "check_transversal", "complement_plex", "conjecture_sweep",
+        "enumerate_transversals", "extendibility_report", "find_kplex", "find_near_transversal",
+        "find_orthogonal_mate", "find_quasi_transversal", "max_disjoint_quasi_transversals",
+        "max_disjoint_transversals",
+    ],
+    "lsgraph": [
+        "DominationCertificate", "LatinSquareGraph", "build_graph", "gamma_k_exact",
+        "has_mate_coloring", "is_k_dominating", "is_lk_independent_dominating",
+        "quasi_3ds_correspondence", "transversal_equivalence_check", "verify_domatic_partition",
+    ],
+    "constructions": [
+        "WitnessCertificate", "build_2plex_general", "build_2plex_m2", "build_2plex_q1",
+        "build_3ds_q1", "build_3ds_qgen", "build_domatic_partition_cyclic", "decompose_two_step",
+        "near_from_quasi", "quasi_from_near", "quasi_from_transversal", "transversal_in_quasi",
+        "verify_certificate",
+    ],
+}
+NAMES = [name for names in PUBLIC.values() for name in names]
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          timeout=120, env=cli_env(), stdin=subprocess.DEVNULL)
+
+
+class TestPackageSurface:
+    def test_fifty_names(self):
+        assert len(NAMES) == len(set(NAMES)) == 50
+        assert sorted(latinplex.__all__) == sorted(NAMES)
+        assert latinplex.__version__ == "0.1.0"
+
+    @pytest.mark.parametrize("module,name", [(m, n) for m, names in PUBLIC.items() for n in names])
+    def test_name_is_the_module_object(self, module, name):
+        source = importlib.import_module(f"latinplex.{module}")
+        assert getattr(latinplex, name) is getattr(source, name)
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from latinplex import *", namespace)
+        assert set(NAMES) <= namespace.keys()
+
+    def test_dir_lists_every_name(self):
+        assert set(NAMES) <= set(dir(latinplex))
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            latinplex.no_such_name
+
+    def test_bare_import_loads_on_first_use(self):
+        code = """if True:
+            import json, logging, sys
+            import latinplex
+            loaded = sorted(m for m in sys.modules if m.startswith("latinplex"))
+            kplex = latinplex.find_kplex
+            handlers = [type(h).__name__ for h in logging.getLogger("latinplex").handlers]
+            modules = {m: getattr(latinplex, m) is sys.modules["latinplex." + m]
+                       for m in ("core", "plexes", "lsgraph", "constructions", "errors")}
+            print(json.dumps({"loaded": loaded, "kplex": kplex is latinplex.plexes.find_kplex,
+                              "handlers": handlers, "modules": modules}))
+        """
+        proc = run_python(code)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert got["loaded"] == ["latinplex"]
+        assert got["kplex"] and got["handlers"] == ["NullHandler"]
+        assert all(got["modules"].values()), got["modules"]
+
+
+class TestSingleSource:
+    def test_one_generator_registry(self):
+        assert constructions.GENERATORS is core.GENERATORS
+        assert constructions.square_descriptor is core.square_descriptor
+        assert constructions.square_from_descriptor is core.square_from_descriptor
+
+    def test_claim_names_follow_claims(self):
+        assert cli.CLAIM_NAMES == tuple(constructions.CLAIMS)
+
+    @pytest.mark.parametrize("command,text", [
+        ("gen", """\
+usage: latinplex gen [-h] [--m M] [--q Q] [--k K] [--format {text,json}]
+                     [--out OUT]
+                     {cyclic,qstep,twostep} [n]
+
+positional arguments:
+  {cyclic,qstep,twostep}
+  n                     order (cyclic)
+
+options:
+  -h, --help            show this help message and exit
+  --m M
+  --q Q
+  --k K
+  --format {text,json}
+  --out OUT             write output to this path
+"""),
+        ("construct", """\
+usage: latinplex construct [-h] [--n N] [--m M] [--q Q] [--k K]
+                           [--gen {cyclic,qstep,twostep}]
+                           [--format {text,json}] [--out OUT]
+                           {twostep-decomp,3ds-q1,3ds-qgen,domatic-cyclic,2plex-q1,2plex-m2,2plex-gen,qt-nt-transforms}
+
+positional arguments:
+  {twostep-decomp,3ds-q1,3ds-qgen,domatic-cyclic,2plex-q1,2plex-m2,2plex-gen,qt-nt-transforms}
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --m M
+  --q Q
+  --k K
+  --gen {cyclic,qstep,twostep}
+  --format {text,json}
+  --out OUT             write output to this path
+"""),
+    ])
+    def test_help_text(self, command, text, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == text
+
+
+#: run the CLI as `python -m` does, then report the latinplex modules it loaded
+FOOTPRINT = """if True:
+    import json, runpy, sys
+    report, sys.argv = sys.argv[1], ["latinplex", *sys.argv[2:]]
+    try:
+        runpy.run_module("latinplex.cli", run_name="__main__", alter_sys=True)
+    finally:
+        with open(report, "w") as fh:
+            json.dump(sorted(m for m in sys.modules if m.startswith("latinplex.")), fh)
+"""
+
+
+class TestImportFootprint:
+    @pytest.fixture
+    def files(self, tmp_path):
+        square = tmp_path / "sq5.ls"
+        square.write_text(format_ls(gen_cyclic(5)), encoding="utf-8")
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(constructions.build_3ds_q1(10).to_json_dict()),
+                        encoding="utf-8")
+        return {"square": str(square), "cert": str(cert)}
+
+    @pytest.mark.parametrize("argv,heavy", [
+        (["gen", "cyclic", "7"], False),
+        (["search", "near", "{square}"], False),
+        (["construct", "3ds-q1", "--n", "10"], True),
+        (["verify", "{cert}"], True),
+    ], ids=["gen", "search-near", "construct", "verify"])
+    def test_subcommand_loads_only_its_modules(self, argv, heavy, files, tmp_path):
+        argv = [a.format(**files) for a in argv]
+        report = tmp_path / "modules.json"
+        traced = run_python(FOOTPRINT, str(report), *argv)
+        normal = subprocess.run([sys.executable, "-m", "latinplex.cli", *argv],
+                                capture_output=True, text=True, timeout=120, env=cli_env(),
+                                stdin=subprocess.DEVNULL)
+        assert (traced.returncode, traced.stdout, traced.stderr) == (
+            normal.returncode, normal.stdout, normal.stderr)
+        assert normal.returncode == 0, normal.stderr
+        loaded = set(json.loads(report.read_text(encoding="utf-8")))
+        assert {"latinplex.core", "latinplex.plexes"} <= loaded
+        for module in ("latinplex.lsgraph", "latinplex.constructions"):
+            assert (module in loaded) == heavy, (module, sorted(loaded))
