@@ -186,8 +186,6 @@ def _require(args, name: str):
 
 
 def cmd_sweep(args) -> int:
-    if args.min_order < 1:
-        raise ValueError(f"--min-order must be at least 1, got {args.min_order}")
     report = conjecture_sweep(
         min_order=args.min_order,
         max_order=args.max_order,

@@ -271,10 +271,6 @@ def _partial_search(grid, rows, visit, skips: int = 0, colmask: int = 0,
     return path[:] if found else None
 
 
-#: most keys the quasi search's dead-state memo stores per doubled row; once full it takes no more
-_DEAD_STATES_MAX = 1 << 15
-
-
 class _OutOfChecks(Exception):
     """A counted search gave up after max_checks supply checks (args: nodes
     visited, what give_up returned)."""
@@ -885,28 +881,24 @@ def _quasi_search(grid, visit) -> list[tuple[int, ...]] | None:
     lattice cut: it drops no leaf and keeps the branching order).  visit
     runs at every leaf with chosen[r] the columns of row r; if it returns
     True the search stops and returns chosen, else None.  A missing column
-    needs a later cell whose symbol is missing or open, and dually; a memo
-    keeps up to _DEAD_STATES_MAX states per doubled row (mask, open and,
-    inside row d, its first column) whose subtree held no leaf."""
+    needs a later cell whose symbol is missing or open, and dually."""
     n = len(grid)
-    shift = 2 * n
-    full = (1 << shift) - 1
+    full = (1 << 2 * n) - 1
     cells = [[(c, 1 << c, 1 << n + s, s) for c, s in enumerate(row)] for row in grid] + [[]]
     sups = _supplies(grid)
     labels = [lab for lab in _cell_labellings(grid) if _labels_hold(grid, lab)]
     log.debug("quasi search: %s", "lattice labels mod " + ",".join(str(lab[0]) for lab in labels)
               if labels else "no labels")
     path = [0] * (n + 1)
-    nodes = leaves = kept = 0
+    nodes = 0
 
     def chosen() -> list[tuple[int, ...]]:
         return [(c,) for c in path[:d]] + [(path[d], path[d + 1])] + [(c,) for c in path[d + 2:]]
 
     def rec(i: int, mask: int, open_: int, todo) -> bool:
-        nonlocal nodes, leaves
+        nonlocal nodes
         nodes += 1
         if i > n:
-            leaves += 1
             return visit(chosen())
         sup, nxt = sups[rows[i + 1]], cells[rows[i + 1]]
         for j, (c, cb, sb, s) in enumerate(todo):
@@ -919,12 +911,8 @@ def _quasi_search(grid, visit) -> list[tuple[int, ...]] | None:
                 if not after & sb:
                     continue
                 after &= colok[s]
-            key = mask | cb | sb | after << shift
             if i == d:
-                key |= c + 1 << 2 * shift
                 nxt = todo[j + 1:]
-            if key in dead:
-                continue
             miss = (mask | cb | sb) ^ full
             free = miss | after
             while miss:  # every missing column and symbol keeps a supply
@@ -935,23 +923,18 @@ def _quasi_search(grid, visit) -> list[tuple[int, ...]] | None:
             if miss:
                 continue
             path[i] = c
-            before = leaves
             if rec(i + 1, mask | cb | sb, after, nxt):
                 return True
-            if leaves == before and len(dead) < _DEAD_STATES_MAX:
-                dead.add(key)
         return False
 
     for d in range(n):  # rows[i]: the row of entry i; n past the last, with no cell
         rows = [*range(d + 1), *range(d, n + 1)]
-        dead: set[int] = set()
         symok, colok = _repeat_masks(n, labels, d)
         found = any(symok) and rec(0, 0, full, cells[0])  # no pair for the repeats: no leaf
-        kept += len(dead)
         if found:
             break
-    del rec  # rec refers to itself: free its memo now, not at the next full collection
-    log.debug("quasi search: %d nodes, %d dead states", nodes, kept)
+    del rec  # rec refers to itself: free the search state now, not at the next full collection
+    log.debug("quasi search: %d nodes", nodes)
     return chosen() if found else None
 
 
@@ -1059,10 +1042,10 @@ def conjecture_sweep(
     counterexample row (none is expected; this probes the Brualdi-Stein-
     Ryser and Rodney conjectures on the generated corpus).  Orders up to 12
     are accepted, the ceiling of the exhaustive quasi and 2-plex engines;
-    sweeps above order 8 trade speed for coverage.  An unknown generator
-    name, a negative isotope count, or an order range that yields no square,
-    raises ValueError: an empty report is returned only for an empty range
-    (max_order < min_order).
+    sweeps above order 8 trade speed for coverage.  A min_order below 1, an
+    unknown generator name, a negative isotope count, or an order range that
+    yields no square, raises ValueError: an empty report is returned only
+    for an empty range (max_order < min_order).
     """
     unknown = [g for g in generators if g not in SWEEP_GENERATORS]
     if unknown:
@@ -1070,6 +1053,8 @@ def conjecture_sweep(
         raise ValueError(f"unknown generator {unknown[0]!r}; choose from {choices}")
     if isotopes < 0:
         raise ValueError(f"isotopes must be at least 0, got {isotopes}")
+    if min_order < 1:
+        raise ValueError(f"min_order must be at least 1, got {min_order}")
     if max_order < min_order:
         return SweepReport(())
     if max_order > 12:

@@ -412,8 +412,9 @@ class TestSweep:
         ["--generators", "isotopes"],
         ["--generators", "qstep", "--min-order", "5", "--max-order", "5"],
         ["--isotopes", "-1"],
+        ["--min-order", "0", "--max-order", "-1"],
     ], ids=["unknown", "one-unknown", "min-order-0", "unknown-empty-range",
-            "isotopes-zero", "qstep-prime-order", "isotopes-negative"])
+            "isotopes-zero", "qstep-prime-order", "isotopes-negative", "min-order-0-empty-range"])
     def test_bad_arguments_are_usage_errors(self, args, capsys):
         assert main(["sweep", *args]) == 2
         captured = capsys.readouterr()
