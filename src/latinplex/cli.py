@@ -20,7 +20,7 @@ from .core import (
     square_from_descriptor,
     square_to_json_dict,
 )
-from .errors import LatinSquareError, OrderTooLargeError, OrderTooSmallError
+from .errors import FormatError, LatinSquareError, OrderTooLargeError, OrderTooSmallError
 from .plexes import (
     SWEEP_GENERATORS,
     CellSet,
@@ -64,7 +64,7 @@ def _load_square(args) -> LatinSquare:
     if args.stdin:
         return load_square_text(sys.stdin.read())
     if not args.square:
-        raise LatinSquareError("provide a square path or --stdin")
+        raise ValueError("provide a square path or --stdin")
     with open(args.square, encoding="utf-8") as fh:
         return load_square_text(fh.read())
 
@@ -75,7 +75,7 @@ def cmd_gen(args) -> int:
         square = square_from_descriptor(
             square_descriptor(args.kind, **{name: getattr(args, name) for name in names})
         )
-    except OrderTooSmallError as exc:  # an out-of-range argument, not an invalid input
+    except (FormatError, OrderTooSmallError) as exc:  # a missing or out-of-range argument
         raise ValueError(str(exc)) from None
     if args.format == "json":
         _emit_json(square_to_json_dict(square), args.out)
@@ -147,7 +147,7 @@ def cmd_verify(args) -> int:
         text = sys.stdin.read()
     else:
         if not args.certificate:
-            raise LatinSquareError("provide a certificate path or --stdin")
+            raise ValueError("provide a certificate path or --stdin")
         with open(args.certificate, encoding="utf-8") as fh:
             text = fh.read()
     try:
@@ -181,7 +181,7 @@ def _require(args, name: str):
         return square_descriptor(args.gen, **{p: _require(args, p) for p in names})
     value = getattr(args, name)
     if value is None:
-        raise LatinSquareError(f"claim {args.claim!r} needs --{name}")
+        raise ValueError(f"claim {args.claim!r} needs --{name}")
     return value
 
 

@@ -156,45 +156,18 @@ def _formula_certificate(
 BASE4_DECOMPOSITION = ((0, 2, 3, 1), (1, 3, 2, 0), (2, 0, 1, 3), (3, 1, 0, 2))
 
 
-def _check_doubling_structure(grid: tuple[tuple[int, ...], ...]) -> None:
-    """Recursively require quadrants A, s(A) / s(A), A with s = +half."""
-    n = len(grid)
-    if n == 4:
-        base = tuple(tuple(x + 1 for x in row) for row in grid)
-        from .core import TWO_STEP_BASE_ROWS
-
-        if base != TWO_STEP_BASE_ROWS:
-            raise StructureMismatchError("order-4 block is not the doubling base square")
-        return
-    if n % 2:
-        raise StructureMismatchError(f"odd order {n} cannot carry the doubling structure")
-    h = n // 2
-    a11 = tuple(tuple(row[:h]) for row in grid[:h])
-    a12 = tuple(tuple(row[h:]) for row in grid[:h])
-    a21 = tuple(tuple(row[:h]) for row in grid[h:])
-    a22 = tuple(tuple(row[h:]) for row in grid[h:])
-    if a11 != a22:
-        raise StructureMismatchError("top-left and bottom-right quadrants differ")
-    shifted = tuple(tuple(x + h for x in row) for row in a11)
-    if a12 != shifted or a21 != shifted:
-        raise StructureMismatchError("off-diagonal quadrants are not the +half shift")
-    _check_doubling_structure(a11)
-
-
-def _decompose_perms(grid: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-    """Disjoint-transversal decomposition as column-permutations.
+def _decompose_perms(n: int) -> list[tuple[int, ...]]:
+    """Disjoint transversals of the order-n doubling square, as column-permutations.
 
     Each transversal T of the half square lifts to the pair
     T1 = T'_11 + T''_22 + X''_12 + X'_21 and T2 with the roles swapped,
     where X row-swaps the halves of T so the column sets complement.
     """
-    n = len(grid)
     if n == 4:
         return [list(p) for p in BASE4_DECOMPOSITION]
     h = n // 2
-    sub = _decompose_perms(tuple(tuple(row[:h]) for row in grid[:h]))
     out = []
-    for t in sub:
+    for t in _decompose_perms(h):
         x = [0] * h
         for r in range(h):
             x[(r + h // 2) % h] = t[r]
@@ -219,14 +192,18 @@ def _decompose_perms(grid: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]
 
 
 def decompose_two_step(square: LatinSquare) -> tuple[CellSet, ...]:
-    """Full decomposition of a doubling-family square into n disjoint transversals."""
+    """Full decomposition of a doubling-family square into n disjoint transversals.
+
+    The doubling square of order 2^k is the table of Z_2^k, cell (i, j)
+    holding symbol i XOR j, all 0-based; any other square raises
+    StructureMismatchError.
+    """
     n = square.order
     if n < 4 or n & (n - 1):
         raise StructureMismatchError(f"order {n} is not a power of two >= 4")
-    _check_doubling_structure(square.cells0)
-    parts = tuple(
-        tuple((r + 1, c + 1) for r, c in enumerate(p)) for p in _decompose_perms(square.cells0)
-    )
+    if any(s != i ^ j for i, row in enumerate(square.cells0) for j, s in enumerate(row)):
+        raise StructureMismatchError(f"square is not the doubling square of order {n}")
+    parts = tuple(tuple((r + 1, c + 1) for r, c in enumerate(p)) for p in _decompose_perms(n))
     _require_rule("twostep-decomp", square, parts, "lifted decomposition")
     return tuple(CellSet(n, p, KIND_TRANSVERSAL) for p in parts)
 
@@ -633,13 +610,17 @@ def _twostep_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]:
 
 
 def _domatic_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]:
-    """n-1 3-dominating sets partitioning the cells."""
+    """n-1 3-dominating sets partitioning the cells; domination, O(n^2) per
+    part, is checked only on n-1 parts that partition the cells."""
     n = square.order
     issues = [] if len(parts) == n - 1 else [f"expected {n - 1} parts, got {len(parts)}"]
+    issues += _partition_issues(n, parts)
+    if issues:
+        return issues
     graph = build_graph(square)
     for idx, cells in enumerate(parts):
         issues += _not_3_dominating(graph, f"part {idx + 1}", cells)
-    return issues + _partition_issues(n, parts)
+    return issues
 
 
 def _3ds_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]:

@@ -659,8 +659,8 @@ def _max_packing(what: str, n: int, masks: list[int], size: int, ceiling: int,
     the goal at each find.  A node branches on the free cell in the fewest
     live masks (those inside the free cells): one of them covers it, or it
     becomes a hole.  It is cut when fewer live masks remain than are still
-    needed, when a row has fewer free cells than that, or when it has more
-    holes than the n*n - goal*size cells a goal-family leaves uncovered.
+    needed, when a row has fewer free cells than that, or when fewer free
+    cells remain than the needed masks cover.
     """
     cells = n * n
     holders = [0] * cells  # holders[b]: bitmask of the masks covering cell b
@@ -680,7 +680,7 @@ def _max_packing(what: str, n: int, masks: list[int], size: int, ceiling: int,
     chosen: list[int] = []
     nodes = 0
 
-    def rec(free: int, live: int, holes: int) -> bool:
+    def rec(free: int, live: int) -> bool:
         """Extend chosen inside free from live; True once goal passes ceiling."""
         nonlocal best, goal, nodes
         nodes += 1
@@ -690,7 +690,7 @@ def _max_packing(what: str, n: int, masks: list[int], size: int, ceiling: int,
             if goal > ceiling:
                 return True
         need = goal - len(chosen)
-        if live.bit_count() < need or holes > cells - goal * size:
+        if live.bit_count() < need or free.bit_count() < need * size:
             return False
         for row in row_masks:
             if (free & row).bit_count() < need:
@@ -717,13 +717,13 @@ def _max_packing(what: str, n: int, masks: list[int], size: int, ceiling: int,
                 left &= ~holders[bit.bit_length() - 1]
                 mask ^= bit
             chosen.append(i)
-            if rec(free & ~masks[i], left, holes):
+            if rec(free & ~masks[i], left):
                 return True
             chosen.pop()
-        return rec(free & ~(1 << cell), live & ~holders[cell], holes + 1)
+        return rec(free & ~(1 << cell), live & ~holders[cell])
 
     if len(best) < ceiling:
-        rec((1 << cells) - 1, (1 << len(masks)) - 1, 0)
+        rec((1 << cells) - 1, (1 << len(masks)) - 1)
     del rec  # rec refers to itself: free its state now, not at the next full collection
     if len(best) <= floor:
         best = []

@@ -360,9 +360,15 @@ class TestConstruct:
         assert "unrecognized arguments: --seed 1" in err
 
     def test_missing_param_errors(self):
-        code, out, err = run_cli(["construct", "3ds-q1"])
-        assert code == 1
-        assert "needs --n" in err
+        for args, message in [
+            (["construct", "3ds-q1"], "claim '3ds-q1' needs --n"),
+            (["gen", "qstep", "--m", "4"], "needs an integer parameter 'q', got None"),
+            (["search", "near"], "provide a square path or --stdin"),
+            (["verify"], "provide a certificate path or --stdin"),
+        ]:
+            code, out, err = run_cli(args)
+            assert (code, out) == (2, ""), args
+            assert err.startswith("usage error: ") and message in err, args
 
     def test_bad_param_value_is_usage_error(self):
         code, out, err = run_cli(["construct", "3ds-q1", "--n", "5"])

@@ -27,7 +27,7 @@ from latinplex.constructions import (
     transversal_in_quasi,
     verify_certificate,
 )
-from latinplex.core import gen_cyclic, gen_qstep, gen_two_step_pow2
+from latinplex.core import Isotopy, apply_isotopy, gen_cyclic, gen_qstep, gen_two_step_pow2
 from latinplex.errors import NotConstructibleError, StructureMismatchError
 from latinplex.lsgraph import build_graph, gamma_k_exact, is_k_dominating
 from latinplex.plexes import (
@@ -90,12 +90,17 @@ class TestTwoStepDecomposition:
         assert tuple(transversals[i] for i in solution) == BASE4_DECOMPOSITION
 
     def test_structure_mismatch_rejected(self):
-        with pytest.raises(StructureMismatchError):
-            decompose_two_step(gen_cyclic(4))
-        with pytest.raises(StructureMismatchError):
-            decompose_two_step(gen_cyclic(8))
-        with pytest.raises(StructureMismatchError):
-            decompose_two_step(gen_cyclic(6))
+        squares = [gen_cyclic(4), gen_cyclic(8), gen_cyclic(6)]
+        # a symbol- or row-permuted doubling square is no longer the XOR table,
+        # and no isotope of Z_2 x Z_4 or Z_4 x Z_4 ever is
+        for base in (gen_two_step_pow2(3), gen_two_step_pow2(4), gen_qstep(2, 4), gen_qstep(4, 4)):
+            n = base.order
+            ident, shift = tuple(range(1, n + 1)), (*range(2, n + 1), 1)
+            squares += [apply_isotopy(base, Isotopy(ident, ident, shift)),
+                        apply_isotopy(base, Isotopy(shift, ident, ident))]
+        for sq in squares:
+            with pytest.raises(StructureMismatchError):
+                decompose_two_step(sq)
 
     def test_certificate(self):
         cert = construct_twostep_decomposition(3)
@@ -427,6 +432,12 @@ class TestTransforms:
         assert ok, issues
 
 
+def _near_meeting_quasi(obj: dict) -> None:
+    """Swap a 2-plex certificate's near sub-witness for the square's first
+    near-transversal, which on cyclic(6) lies inside the formula's quasi."""
+    obj["witness"][1] = find_near_transversal(square_from_descriptor(obj["square"])).to_json_dict()
+
+
 class TestCertificates:
     def certs(self):
         return [
@@ -494,6 +505,27 @@ class TestCertificates:
         ok, issues = verify_certificate(WitnessCertificate.from_json_dict(obj))
         assert not ok
         assert issues == ["parts do not cover the square"]
+
+    @pytest.mark.parametrize("build, tamper, issues", [
+        pytest.param(lambda: build_3ds_q1(6), lambda obj: obj.update(witness=[obj["witness"]] * 2),
+                     ["expected a single witness set"], id="3ds-two-sets"),
+        pytest.param(lambda: build_2plex_q1(6), lambda obj: obj.update(witness=obj["witness"][:2]),
+                     ["expected 1 or 3 witness sets, got 2"], id="2plex-two-parts"),
+        pytest.param(lambda: build_2plex_q1(6), _near_meeting_quasi,
+                     ["sub-witnesses intersect", "union witness differs from S union S'"],
+                     id="2plex-near-meets-quasi"),
+        pytest.param(lambda: build_qt_nt_transforms(gen_cyclic(4)),
+                     lambda obj: obj.update(witness=obj["witness"][:2]),
+                     ["expected (near, quasi, near) witnesses"], id="qt-nt-two-parts"),
+        # parts that cannot partition the square are not checked for domination
+        pytest.param(lambda: build_domatic_partition_cyclic(6),
+                     lambda obj: obj["witness"].append({"kind": "cell-set", "cells": []}),
+                     ["expected 5 parts, got 6"], id="domatic-extra-empty-part"),
+    ])
+    def test_shape_rejections(self, build, tamper, issues):
+        obj = json.loads(json.dumps(build().to_json_dict()))
+        tamper(obj)
+        assert verify_certificate(WitnessCertificate.from_json_dict(obj)) == (False, issues)
 
     def test_kind_cardinality_mismatch_rejected(self):
         cert = build_2plex_q1(4)

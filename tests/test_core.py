@@ -125,14 +125,23 @@ class TestGenerators:
         ]
 
     def test_twostep_order8_quadrants(self):
-        sq = gen_two_step_pow2(3)
-        rows = sq.rows()
-        a = [r[:4] for r in rows[:4]]
-        assert a == gen_two_step_pow2(2).rows()
-        sigma = [[x + 4 for x in r] for r in a]
-        assert [r[4:] for r in rows[:4]] == sigma
-        assert [r[:4] for r in rows[4:]] == sigma
-        assert [r[4:] for r in rows[4:]] == a
+        # orders 8 to 64: each doubling step maps A to [[A, A + h], [A + h, A]]
+        for k in range(3, 7):
+            h = 1 << (k - 1)
+            rows = gen_two_step_pow2(k).rows()
+            a = [r[:h] for r in rows[:h]]
+            assert a == gen_two_step_pow2(k - 1).rows()
+            sigma = [[x + h for x in r] for r in a]
+            assert [r[h:] for r in rows[:h]] == sigma
+            assert [r[:h] for r in rows[h:]] == sigma
+            assert [r[h:] for r in rows[h:]] == a
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_twostep_is_the_xor_table(self, k):
+        # decompose_two_step recognizes the doubling square by this identity
+        n = 1 << k
+        assert gen_two_step_pow2(k).cells0 == tuple(
+            tuple(i ^ j for j in range(n)) for i in range(n))
 
     def test_twostep_too_small(self):
         with pytest.raises(OrderTooSmallError):
