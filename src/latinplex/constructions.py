@@ -610,8 +610,9 @@ def _twostep_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]:
 
 
 def _domatic_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]:
-    """n-1 3-dominating sets partitioning the cells; domination, O(n^2) per
-    part, is checked only on n-1 parts that partition the cells."""
+    """n-1 3-dominating sets partitioning the cells; domination is checked
+    only on n-1 parts that partition the cells, each part in time linear in
+    its size, n and the cells on the lines it misses."""
     n = square.order
     issues = [] if len(parts) == n - 1 else [f"expected {n - 1} parts, got {len(parts)}"]
     issues += _partition_issues(n, parts)

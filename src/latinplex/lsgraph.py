@@ -1,10 +1,10 @@
 """The Latin square graph and its k-domination structure.
 
 Vertices are the n^2 cells; two distinct cells are adjacent when they share
-a row, a column, or a symbol, giving a 3(n-1)-regular graph.  The graph is
-a view over one bitmask per row, column and symbol, so every neighbourhood
-is the union of three line masks; domination checks count the set's cells
-on each line instead.
+a row, a column, or a symbol.  Two distinct cells share at most one line,
+so the graph is strongly regular, (n^2, 3(n-1), n, 6) (Bose, Pacific J.
+Math. 13, 1963), and is answered from the cells' lines, with domination
+from the set's count on each line.
 """
 
 from __future__ import annotations
@@ -46,57 +46,68 @@ class LatinSquareGraph:
         self.num_vertices = self.n * self.n
 
     @cached_property
-    def _lines(self) -> tuple[list[int], list[int], list[int]]:
-        """Row, column and symbol masks: 3n masks of n^2 bits, 3n^3/8 bytes.
-        Symbol bits are set in byte buffers, since OR-ing n^2 single bits
-        into big integers would cost n^4/64 word copies."""
-        n = self.n
-        col0 = sum(1 << (i * n) for i in range(n))
-        syms = [bytearray(n * n // 8 + 1) for _ in range(n)]
-        for i, row in enumerate(self.square.cells0):
+    def _symbol_columns(self) -> list[list[int]]:
+        """[i][s]: the 0-based column of 0-based symbol s in row i."""
+        table = [[0] * self.n for _ in range(self.n)]
+        for where, row in zip(table, self.square.cells0):
             for j, s in enumerate(row):
-                v = i * n + j
-                syms[s][v >> 3] |= 1 << (v & 7)
-        return ([((1 << n) - 1) << (i * n) for i in range(n)],
-                [col0 << j for j in range(n)],
-                [int.from_bytes(b, "little") for b in syms])
-
-    def _neighbours(self, v: int) -> int:
-        i, j = divmod(v, self.n)
-        rows, cols, syms = self._lines
-        return (rows[i] | cols[j] | syms[self.square.cells0[i][j]]) & ~(1 << v)
+                where[s] = j
+        return table
 
     @cached_property
     def adj(self) -> list[int]:
-        """Neighbour mask of every vertex.  The list takes n^4/8 bytes, so
-        orders above MAX_EXHAUSTIVE_ORDER are refused."""
-        if self.n > MAX_EXHAUSTIVE_ORDER:
+        """Neighbour mask of every vertex: its row, column and symbol bits
+        without its own.  The list takes n^4/8 bytes, so orders above
+        MAX_EXHAUSTIVE_ORDER are refused."""
+        n = self.n
+        if n > MAX_EXHAUSTIVE_ORDER:
             raise OrderTooLargeError(
-                f"adjacency masks support order <= {MAX_EXHAUSTIVE_ORDER}, got {self.n}"
+                f"adjacency masks support order <= {MAX_EXHAUSTIVE_ORDER}, got {n}"
             )
-        return [self._neighbours(v) for v in range(self.num_vertices)]
+        row0, col0 = (1 << n) - 1, sum(1 << (i * n) for i in range(n))
+        syms = [sum(1 << (i * n + where[s]) for i, where in enumerate(self._symbol_columns))
+                for s in range(n)]
+        return [(row0 << (i * n) | col0 << j | syms[s]) & ~(1 << (i * n + j))
+                for i, row in enumerate(self.square.cells0) for j, s in enumerate(row)]
 
     def vertex_index(self, i: int, j: int) -> int:
         """Row-major vertex id of cell (i, j), 1-based input.  A cell
         outside the square raises InvalidCellSetError."""
-        bad = _in_range(self.n, [(i, j)])
-        if bad:
-            raise InvalidCellSetError(bad)
+        _checked_cells(self.n, [(i, j)])
         return (i - 1) * self.n + (j - 1)
 
     def cell_of(self, v: int) -> tuple[int, int]:
         i, j = divmod(v, self.n)
         return i + 1, j + 1
 
+    def _shared_lines(self, a: tuple[int, int], b: tuple[int, int]) -> int:
+        """Lines the cells share: 3 if a == b, else at most 1."""
+        (i, j), (k, m) = (divmod(self.vertex_index(*cell), self.n) for cell in (a, b))
+        grid = self.square.cells0
+        return (i == k) + (j == m) + (grid[i][j] == grid[k][m])
+
     def adjacent(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
-        return bool(self._neighbours(self.vertex_index(*a)) >> self.vertex_index(*b) & 1)
+        return self._shared_lines(a, b) == 1
 
     def degree(self, cell: tuple[int, int]) -> int:
-        return self._neighbours(self.vertex_index(*cell)).bit_count()
+        self.vertex_index(*cell)
+        return 3 * (self.n - 1)
 
     def common_neighbor_count(self, a: tuple[int, int], b: tuple[int, int]) -> int:
-        u, v = self.vertex_index(*a), self.vertex_index(*b)
-        return (self._neighbours(u) & self._neighbours(v)).bit_count()
+        """Strongly regular: 3(n-1) for a cell and itself, n if adjacent, else 6."""
+        shared = self._shared_lines(a, b)
+        if shared == 3:
+            return 3 * (self.n - 1)
+        return self.n if shared else 6
+
+
+def _checked_cells(order: int, cells) -> tuple[tuple[int, int], ...]:
+    """The cells, sorted; one outside the square or repeated raises InvalidCellSetError."""
+    cs = _as_cells(cells)
+    bad = _in_range(order, cs)
+    if bad:
+        raise InvalidCellSetError(bad)
+    return cs
 
 
 def build_graph(square: LatinSquare) -> LatinSquareGraph:
@@ -123,32 +134,40 @@ class DominationCertificate:
 
 def is_k_dominating(graph: LatinSquareGraph, cells, k: int) -> DominationCertificate:
     """Every vertex outside the set needs at least k neighbors inside.
-    Cells outside the square or repeated raise InvalidCellSetError."""
-    cs = _as_cells(cells)
-    bad = _in_range(graph.n, cs)
-    if bad:
-        raise InvalidCellSetError(bad)
+    Cells outside the square or repeated raise InvalidCellSetError.
+
+    An outside cell shares one line with each neighbour, so its neighbours
+    in the set number the set's counts on its row, column and symbol; it is
+    short only on a line of count <= (k - 1) // 3.  Only those lines' cells
+    are checked, row-major: O(|cells| + n + their cells), plus the graph's
+    one O(n^2) table once a symbol line is low.
+    """
+    cs = _checked_cells(graph.n, cells)
     in_set = set(cs)
     rows, cols, syms = _line_counts(graph.square, cs)
+    low = (k - 1) // 3
+    n = graph.n
+    low_cols = [j for j in range(n) if cols[j + 1] <= low]
+    low_syms = [s for s in range(n) if syms[s + 1] <= low]
     deficient = []
-    # a set cell neighbours a vertex outside the set iff it shares a line
-    # with it, and two distinct cells share at most one line, so the
-    # tallies add up to |N(v) cap S| exactly
-    for i, row in enumerate(graph.square.cells0, 1):
-        for j, s in enumerate(row, 1):
-            cnt = rows[i] + cols[j] + syms[s + 1]
-            if cnt < k and (i, j) not in in_set:
-                deficient.append((i, j, cnt))
+    for i, row in enumerate(graph.square.cells0):
+        if rows[i + 1] <= low:
+            js = range(n)
+        elif low_syms:
+            js = sorted({*low_cols, *(graph._symbol_columns[i][s] for s in low_syms)})
+        else:
+            js = low_cols
+        for j in js:
+            cnt = rows[i + 1] + cols[j + 1] + syms[row[j] + 1]
+            if cnt < k and (i + 1, j + 1) not in in_set:
+                deficient.append((i + 1, j + 1, cnt))
     return DominationCertificate(k, None, cs, not deficient, tuple(deficient))
 
 
 def induced_degrees(square: LatinSquare, cells) -> dict[tuple[int, int], int]:
     """Degree of each set cell in the subgraph induced by the set.
     Cells outside the square or repeated raise InvalidCellSetError."""
-    cs = _as_cells(cells)
-    bad = _in_range(square.order, cs)
-    if bad:
-        raise InvalidCellSetError(bad)
+    cs = _checked_cells(square.order, cells)
     rows, cols, syms = _line_counts(square, cs)
     grid = square.cells0
     # each of the three tallies counts the cell itself once
@@ -343,9 +362,11 @@ def verify_domatic_partition(graph: LatinSquareGraph, parts, k: int) -> DomaticR
     A disjoint family is accepted whether or not it covers the vertex set;
     is_partition reports whether the parts exactly partition it (any
     disjoint family of kDS extends to a k-domatic partition of the same
-    size, so d_k >= number of parts either way).
+    size, so d_k >= number of parts either way).  Like is_k_dominating, a
+    part with a cell outside the square or a repeated cell raises
+    InvalidCellSetError; a cell in two parts is a failure.
     """
-    norm = [tuple(sorted(_as_cells(p))) for p in parts]
+    norm = [_checked_cells(graph.n, p) for p in parts]
     failures: list[str] = []
     seen: dict[tuple[int, int], int] = {}
     for idx, p in enumerate(norm):

@@ -2,6 +2,7 @@ import itertools
 import logging
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -106,19 +107,19 @@ class TestGraphStructure:
         g = build_graph(gen_cyclic(4))
         assert g.common_neighbor_count((1, 1), (1, 2)) == 4
 
-    def test_common_neighbors_all_adjacent_pairs(self):
-        # adjacent cells share exactly one of row/column/symbol and have
-        # exactly n common neighbors
+    def test_common_neighbors_all_pairs(self):
+        # the expected counts come from neighbourhoods expanded cell by cell,
+        # so the strongly regular parameters (n^2, 3(n-1), n, 6) are checked,
+        # not assumed: every ordered pair, a == b and non-adjacent ones too
         for label, sq in corpus_up_to(8):
-            n = sq.order
-            if n < 2:
-                continue
             g = build_graph(sq)
-            cells = all_cells(n)
-            for idx, a in enumerate(cells):
-                for b in cells[idx + 1 :]:
-                    if g.adjacent(a, b):
-                        assert g.common_neighbor_count(a, b) == n, (label, a, b)
+            cells = all_cells(sq.order)
+            nbrs = {c: neighbors_of(sq, c) for c in cells}
+            for a in cells:
+                assert g.degree(a) == len(nbrs[a]), (label, a)
+                for b in cells:
+                    assert g.adjacent(a, b) == (b in nbrs[a]), (label, a, b)
+                    assert g.common_neighbor_count(a, b) == len(nbrs[a] & nbrs[b]), (label, a, b)
 
     def test_adjacency_matches_oracle(self):
         sq = gen_qstep(2, 3)
@@ -135,6 +136,18 @@ class TestGraphStructure:
             for v, mask in enumerate(g.adj):
                 got = {g.cell_of(u) for u in range(n * n) if mask >> u & 1}
                 assert got == neighbors_of(sq, g.cell_of(v)), (label, v)
+
+    def test_queries_build_no_line_tables(self):
+        g = build_graph(gen_cyclic(256))
+        tracemalloc.start()
+        try:
+            assert g.degree((3, 5)) == 765
+            assert g.adjacent((1, 1), (2, 256))
+            assert g.common_neighbor_count((1, 1), (2, 3)) == 6
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_materialized_refusal(self):
         with pytest.raises(OrderTooLargeError):
@@ -205,7 +218,8 @@ class TestDomination:
             for _ in range(4):
                 pick = set(rng.sample(cells, rng.randint(1, 2 * n)))
                 meets = {v: len(neighbors_of(sq, v) & pick) for v in cells}
-                for k in (1, 3, 4):
+                # thresholds (k - 1) // 3 from -1 to 2
+                for k in (0, 1, 3, 4, 7):
                     expected = [(i, j, meets[i, j]) for i, j in cells
                                 if (i, j) not in pick and meets[i, j] < k]
                     assert list(is_k_dominating(g, pick, k).deficient) == expected, label
@@ -465,6 +479,14 @@ class TestDomaticVerification:
         g = build_graph(gen_cyclic(3))
         report = verify_domatic_partition(g, [all_cells(3), [(1, 1)]], 1)
         assert not report.verdict and not report.is_partition
+
+    @pytest.mark.parametrize("parts,message", [
+        ([[(1, 1), (1, 1), (2, 2)]], r"duplicate cell \(1, 1\)"),
+        ([[(1, 1)], [(2, 2), (5, 1)]], r"cell \(5,1\) outside 1..4"),
+    ], ids=["repeated-cell", "cell-outside"])
+    def test_bad_cells_rejected(self, parts, message):
+        with pytest.raises(InvalidCellSetError, match=message):
+            verify_domatic_partition(build_graph(gen_cyclic(4)), parts, 3)
 
     def test_partial_family_flagged(self):
         sq = gen_two_step_pow2(2)
