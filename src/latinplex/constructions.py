@@ -15,7 +15,7 @@ instead, with the discrepancy recorded on the certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     GENERATORS,
@@ -75,6 +75,9 @@ class WitnessCertificate:
     provenance: str
     verdict: bool
     notes: tuple[str, ...] = ()
+    #: (repr of the square descriptor, the square from_json_dict built from it)
+    _parsed: tuple[str, LatinSquare] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def witness_list(self) -> tuple[CellSet, ...]:
         if isinstance(self.witness, CellSet):
@@ -111,7 +114,7 @@ class WitnessCertificate:
                 wit = tuple(CellSet.from_json_dict(n, w) for w in raw)
             if not isinstance(obj["verdict"], bool):
                 raise TypeError(f"verdict must be a JSON boolean, got {obj['verdict']!r}")
-            return cls(
+            cert = cls(
                 obj["claim"],
                 obj["square"],
                 wit,
@@ -121,6 +124,8 @@ class WitnessCertificate:
             )
         except (KeyError, TypeError, AttributeError, ValueError, FormatError) as exc:
             raise FormatError(f"malformed certificate: {type(exc).__name__}: {exc}") from None
+        object.__setattr__(cert, "_parsed", (repr(cert.square), sq))
+        return cert
 
 
 def _wrap(x: int, n: int) -> int:
@@ -688,7 +693,9 @@ CLAIMS = {
 def verify_certificate(cert: WitnessCertificate) -> tuple[bool, list[str]]:
     """Re-validate a certificate from its serialized content alone, with
     the rule its builder applied."""
-    square = square_from_descriptor(cert.square)
+    parsed = cert._parsed  # from_json_dict's square, unless the descriptor changed since
+    square = (parsed[1] if parsed and parsed[0] == repr(cert.square)
+              else square_from_descriptor(cert.square))
     if not isinstance(cert.claim, str) or cert.claim not in CLAIMS:
         return False, [f"unknown claim {cert.claim!r}"]
     rule, _, _ = CLAIMS[cert.claim]

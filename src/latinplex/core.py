@@ -38,8 +38,11 @@ class LatinSquare:
     """An order-n Latin square over symbols 1..n.
 
     Construction refuses more than MAX_INPUT_ORDER rows before it looks at
-    any entry, then validates the defining property and reports the first
-    offending row or column.  Instances are immutable and hashable.
+    any entry, then raises for the first defect: every entry must be an int
+    (not a bool) in 1..n, then every row, then every column, must hold each
+    symbol once, and the error names the first failing entry, row or
+    column.  Accepting a grid costs O(n^2) work in a few C-level set passes.
+    Instances are immutable and hashable.
     """
 
     __slots__ = ("_cells", "_order")
@@ -53,25 +56,24 @@ class LatinSquare:
         _refuse_above_input_limit(n)
         if n == 0 or any(len(r) != n for r in grid):
             raise NotSquareError(f"expected n rows of n entries, got {[len(r) for r in grid]}")
-        for r in grid:
-            for x in r:
-                if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= n:
-                    raise SymbolOutOfRangeError(f"entry {x!r} outside 1..{n}")
-        for i, r in enumerate(grid):
-            seen = set()
-            for x in r:
-                if x in seen:
-                    raise RowRepeatError(i + 1, x)
-                seen.add(x)
-        for j in range(n):
-            seen = set()
-            for i in range(n):
-                x = grid[i][j]
-                if x in seen:
-                    raise ColumnRepeatError(j + 1, x)
-                seen.add(x)
+        # exact types first, as 1 == 1.0 == True in a set; a refused grid is
+        # diagnosed line by line, scanning entries only in a failing line
+        symbols = set(range(1, n + 1))
+        if not (all(set(map(type, r)) == {int} and set(r) == symbols for r in grid)
+                and all(len(set(c)) == n for c in zip(*grid))):
+            for r in grid:
+                if set(map(type, r)) != {int} or not symbols.issuperset(r):
+                    for x in r:  # an int subclass such as an IntEnum member passes
+                        if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= n:
+                            raise SymbolOutOfRangeError(f"entry {x!r} outside 1..{n}")
+            for i, r in enumerate(grid):
+                if len(set(r)) != n:
+                    raise RowRepeatError(i + 1, _first_repeat(r))
+            for j, c in enumerate(zip(*grid)):
+                if len(set(c)) != n:
+                    raise ColumnRepeatError(j + 1, _first_repeat(c))
         self._order = n
-        self._cells = tuple(tuple(x - 1 for x in r) for r in grid)
+        self._cells = tuple(tuple([x - 1 for x in r]) for r in grid)
 
     @property
     def order(self) -> int:
@@ -102,6 +104,14 @@ class LatinSquare:
     def __str__(self) -> str:
         w = len(str(self._order))
         return "\n".join(" ".join(str(x + 1).rjust(w) for x in r) for r in self._cells)
+
+
+def _first_repeat(line):
+    seen = set()
+    for x in line:
+        if x in seen:
+            return x
+        seen.add(x)
 
 
 def validate(grid) -> LatinSquare:
@@ -135,7 +145,8 @@ def gen_cyclic(n: int) -> LatinSquare:
     if n < 1:
         raise OrderTooSmallError("order must be at least 1")
     _refuse_above_input_limit(n)
-    return LatinSquare([[((i + j) % n) + 1 for j in range(n)] for i in range(n)])
+    base = list(range(1, n + 1)) * 2
+    return LatinSquare([base[i:i + n] for i in range(n)])
 
 
 def gen_qstep(m: int, q: int) -> LatinSquare:
@@ -149,16 +160,11 @@ def gen_qstep(m: int, q: int) -> LatinSquare:
         raise OrderTooSmallError("m and q must be positive")
     n = m * q
     _refuse_above_input_limit(n)
-    grid = []
-    for r in range(n):
-        i, s = divmod(r, q)
-        row = []
-        for c in range(n):
-            j, t = divmod(c, q)
-            block_class = (i + j) % m
-            row.append(block_class * q + ((s + t) % q) + 1)
-        grid.append(row)
-    return LatinSquare(grid)
+    # strips[s]: row s of the q-by-q blocks of classes 0..m-1, written twice;
+    # row i*q + s is that row rotated left by i blocks
+    base = list(range(1, q + 1)) * 2
+    strips = [[k * q + x for k in range(m) for x in base[s:s + q]] * 2 for s in range(q)]
+    return LatinSquare([strips[s][i * q:i * q + n] for i in range(m) for s in range(q)])
 
 
 #: order-4 table of the elementary abelian group, the doubling base.
@@ -258,12 +264,11 @@ def apply_isotopy(square: LatinSquare, iso: Isotopy) -> LatinSquare:
     n = square.order
     if iso.order != n:
         raise DimensionMismatchError(f"isotopy on 1..{iso.order} applied to order {n}")
-    cells = square.cells0
-    grid = [[0] * n for _ in range(n)]
-    for i in range(n):
-        fi = iso.f[i] - 1
-        for j in range(n):
-            grid[fi][iso.g[j] - 1] = iso.h[cells[i][j]]
+    h = iso.h
+    cols = sorted(range(n), key=iso.g.__getitem__)  # cols[c]: the j with g(j) = c + 1
+    grid = [None] * n
+    for fi, row in zip(iso.f, square.cells0):
+        grid[fi - 1] = [h[row[j]] for j in cols]
     return LatinSquare(grid)
 
 
@@ -299,7 +304,7 @@ def parse_ls(text: str) -> LatinSquare:
             raise FormatError(f"expected {n} rows, found {r}")
         parts = lines[idx].split()
         try:
-            grid.append([int(p) for p in parts])
+            grid.append(list(map(int, parts)))
         except ValueError:
             raise FormatError(f"row {r + 1} contains a non-integer token") from None
         idx += 1

@@ -10,6 +10,15 @@ own enumeration for tests of other engines; it checks nothing.
 import itertools
 from math import gcd
 
+from latinplex.core import MAX_INPUT_ORDER
+from latinplex.errors import (
+    ColumnRepeatError,
+    NotSquareError,
+    OrderTooLargeError,
+    RowRepeatError,
+    SymbolOutOfRangeError,
+)
+
 
 def permutation_diagonal_count(square) -> int:
     """Number of transversals by iterating all n! permutation diagonals."""
@@ -21,6 +30,39 @@ def permutation_diagonal_count(square) -> int:
         if len(symbols) == n:
             count += 1
     return count
+
+
+def three_loop_cells0(rows):
+    """The Latin square validator as three per-cell loops, the reference for
+    LatinSquare's set-based check: the same errors for the same defects in
+    the same order, else the 0-based grid LatinSquare stores."""
+    try:
+        grid = [list(r) for r in rows]
+    except TypeError:
+        raise NotSquareError("rows must be a sequence of sequences") from None
+    n = len(grid)
+    if n > MAX_INPUT_ORDER:
+        raise OrderTooLargeError(f"order {n} exceeds the input limit {MAX_INPUT_ORDER}")
+    if n == 0 or any(len(r) != n for r in grid):
+        raise NotSquareError(f"expected n rows of n entries, got {[len(r) for r in grid]}")
+    for r in grid:
+        for x in r:
+            if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= n:
+                raise SymbolOutOfRangeError(f"entry {x!r} outside 1..{n}")
+    for i, r in enumerate(grid):
+        seen = set()
+        for x in r:
+            if x in seen:
+                raise RowRepeatError(i + 1, x)
+            seen.add(x)
+    for j in range(n):
+        seen = set()
+        for i in range(n):
+            x = grid[i][j]
+            if x in seen:
+                raise ColumnRepeatError(j + 1, x)
+            seen.add(x)
+    return tuple(tuple(x - 1 for x in r) for r in grid)
 
 
 def neighbors_of(square, cell):

@@ -28,7 +28,7 @@ from latinplex.constructions import (
     verify_certificate,
 )
 from latinplex.core import Isotopy, apply_isotopy, gen_cyclic, gen_qstep, gen_two_step_pow2
-from latinplex.errors import NotConstructibleError, StructureMismatchError
+from latinplex.errors import NotConstructibleError, StructureMismatchError, SymbolOutOfRangeError
 from latinplex.lsgraph import build_graph, gamma_k_exact, is_k_dominating
 from latinplex.plexes import (
     check_kplex,
@@ -471,6 +471,30 @@ class TestCertificates:
         ok, issues = verify_certificate(tampered)
         assert not ok
         assert issues
+
+    def test_verify_reuses_the_parsed_square(self, monkeypatch):
+        import latinplex.constructions as cons
+        cert = WitnessCertificate.from_json_dict(build_3ds_q1(8).to_json_dict())
+        monkeypatch.setattr(cons, "square_from_descriptor", lambda desc: pytest.fail("rebuilt"))
+        assert verify_certificate(cert) == (True, [])
+
+    @pytest.mark.parametrize("build, change", [
+        (lambda: build_3ds_qgen(2, 3), lambda sq: sq["params"].update(m=3, q=2)),
+        (lambda: build_3ds_q1(8), lambda sq: sq.update(generator="twostep", params={"k": 3})),
+    ], ids=["params", "generator"])
+    def test_verify_sees_a_descriptor_changed_after_parsing(self, build, change):
+        cert = WitnessCertificate.from_json_dict(build().to_json_dict())
+        change(cert.square)
+        fresh = WitnessCertificate.from_json_dict(json.loads(json.dumps(cert.to_json_dict())))
+        assert verify_certificate(cert) == verify_certificate(fresh)
+        assert not verify_certificate(cert)[0]
+
+    def test_verify_sees_inline_rows_changed_after_parsing(self):
+        # True == 1, so an equality test would miss this change
+        cert = WitnessCertificate.from_json_dict(build_qt_nt_transforms(gen_cyclic(5)).to_json_dict())
+        cert.square["rows"][0][0] = True
+        with pytest.raises(SymbolOutOfRangeError):
+            verify_certificate(cert)
 
     #: a valid value for every builder parameter name in the claim table
     SAMPLE_PARAMS = {"n": 6, "m": 4, "q": 3, "k": 3,

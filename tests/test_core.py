@@ -1,3 +1,4 @@
+import enum
 import json
 import random
 
@@ -31,6 +32,24 @@ from latinplex.errors import (
 )
 
 from conftest import CORPUS, corpus_up_to
+from oracles import three_loop_cells0
+
+
+class Sym(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+    THREE = 3
+
+
+def validator_outcome(fn, rows):
+    """(error type, message, row/column/symbol with their types), or the cells."""
+    try:
+        cells = fn(rows)
+    except Exception as exc:
+        attrs = [(a, type(getattr(exc, a)), getattr(exc, a))
+                 for a in ("row", "column", "symbol") if hasattr(exc, a)]
+        return type(exc), str(exc), attrs
+    return cells
 
 
 class TestValidate:
@@ -64,6 +83,57 @@ class TestValidate:
             validate([[1, 2], [2, 3]])
         with pytest.raises(SymbolOutOfRangeError):
             validate([[0, 1], [1, 0]])
+
+    # a set treats True == 1 == 1.0, so these must be refused entry by entry
+    @pytest.mark.parametrize("rows", [
+        [[True, 2], [2, 1]],
+        [[1.0, 2], [2, 1]],
+        [[1, None], [2, 1]],
+        [[1, 2], [2, [1]]],
+    ], ids=["bool", "float", "None", "unhashable"])
+    def test_set_equal_entries_refused(self, rows):
+        with pytest.raises(SymbolOutOfRangeError):
+            validate(rows)
+
+    def test_int_enum_entries_accepted_as_plain_ints(self):
+        sq = validate([[Sym.ONE, Sym.TWO, Sym.THREE], [Sym.TWO, Sym.THREE, Sym.ONE],
+                       [Sym.THREE, Sym.ONE, Sym.TWO]])
+        assert sq == gen_cyclic(3)
+        assert {type(x) for r in sq.cells0 for x in r} == {int}
+
+    def test_range_defect_reported_before_an_earlier_row_repeat(self):
+        with pytest.raises(SymbolOutOfRangeError, match="entry 4 outside 1..3"):
+            validate([[1, 1, 3], [2, 3, 1], [3, 1, 4]])
+
+    def test_row_repeat_reported_before_an_earlier_column_repeat(self):
+        with pytest.raises(RowRepeatError) as exc:
+            validate([[1, 2, 3], [1, 2, 3], [3, 1, 1]])
+        assert (exc.value.row, exc.value.symbol) == (3, 1)
+
+    def test_matches_the_three_loop_reference(self):
+        # seeded grids of orders 1-5: Latin squares with a few entries
+        # replaced or swapped within a row or a column, some made IntEnum
+        rng = random.Random(20261020)
+        odd = [True, False, 1.0, 2.5, None, "1", [1], 0, -1, 6, Sym.ONE, Sym.THREE]
+        for _ in range(3000):
+            n = rng.randint(1, 5)
+            rows = apply_isotopy(gen_cyclic(n), Isotopy.random(n, rng)).rows()
+            for _ in range(rng.randint(0, 3)):
+                i, i2, j, j2 = (rng.randrange(n) for _ in range(4))
+                kind = rng.randrange(4)
+                if kind == 0:
+                    rows[i][j] = rng.randint(1, n)
+                elif kind == 1:
+                    rows[i][j] = rng.choice(odd)
+                elif kind == 2:
+                    rows[i][j], rows[i][j2] = rows[i][j2], rows[i][j]
+                else:
+                    rows[i][j], rows[i2][j] = rows[i2][j], rows[i][j]
+            if rng.random() < 0.2:
+                rows = [[Sym(x) if type(x) is int and 1 <= x <= 3 else x for x in r]
+                        for r in rows]
+            got = validator_outcome(lambda g: LatinSquare(g).cells0, rows)
+            assert got == validator_outcome(three_loop_cells0, rows), rows
 
     def test_idempotent_on_accepted(self):
         for _, sq in corpus_up_to(6):
@@ -142,6 +212,20 @@ class TestGenerators:
         n = 1 << k
         assert gen_two_step_pow2(k).cells0 == tuple(
             tuple(i ^ j for j in range(n)) for i in range(n))
+
+    def test_cyclic_is_the_sum_table(self):
+        for n in range(1, 65):
+            assert gen_cyclic(n).cells0 == tuple(
+                tuple((i + j) % n for j in range(n)) for i in range(n)), n
+
+    def test_qstep_is_the_block_sum_table(self):
+        # the interval relabelling of Z_m x Z_q: block class (i//q + j//q) mod m,
+        # offset (i + j) mod q inside it
+        for m in range(1, 65):
+            for q in range(1, 64 // m + 1):
+                assert gen_qstep(m, q).cells0 == tuple(
+                    tuple(((i // q + j // q) % m) * q + (i + j) % q for j in range(m * q))
+                    for i in range(m * q)), (m, q)
 
     def test_twostep_too_small(self):
         with pytest.raises(OrderTooSmallError):
@@ -222,6 +306,17 @@ class TestIsotopy:
         with pytest.raises(DimensionMismatchError):
             apply_isotopy(gen_cyclic(3), Isotopy.identity(4))
 
+    def test_image_by_definition(self):
+        # M[f(i)][g(j)] = h(L[i][j]) for every cell
+        rng = random.Random(7)
+        for _, sq in corpus_up_to(8):
+            n = sq.order
+            iso = Isotopy.random(n, rng)
+            out = apply_isotopy(sq, iso)
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    assert out.symbol(iso.f[i - 1], iso.g[j - 1]) == iso.h[sq.symbol(i, j) - 1]
+
     def test_random_isotopies_preserve_latin(self):
         rng = random.Random(0)
         for n in range(3, 9):
@@ -250,6 +345,11 @@ class TestSerialization:
     def test_bad_header(self):
         with pytest.raises(FormatError):
             parse_ls("x\n1\n")
+
+    @pytest.mark.parametrize("token", ["1.5", "x"])
+    def test_non_integer_token(self, token):
+        with pytest.raises(FormatError, match="row 2 contains a non-integer token"):
+            parse_ls(f"2\n1 2\n{token} 1\n")
 
     def test_missing_rows(self):
         with pytest.raises(FormatError):
