@@ -573,9 +573,9 @@ def build_qt_nt_transforms(square: LatinSquare, desc: dict | None = None) -> Wit
 
 
 # ---------------------------------------------------------------------------
-# claim rules: what a certificate of each claim must show, over plain cell
-# tuples.  A builder accepts its output only if the rule passes, and
-# verify_certificate re-runs the same rule on the parsed JSON.
+# claim rules: what a certificate of each claim must show, over cell tuples
+# or CellSets.  A builder accepts its output only if the rule passes, and
+# verify_certificate re-runs the same rule on the parsed CellSets.
 
 
 def _failed(label: str, result: tuple[bool, str | None]) -> list[str]:
@@ -699,5 +699,5 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, list[str]]:
     if not isinstance(cert.claim, str) or cert.claim not in CLAIMS:
         return False, [f"unknown claim {cert.claim!r}"]
     rule, _, _ = CLAIMS[cert.claim]
-    issues = rule(square, tuple(w.cells for w in cert.witness_list()))
+    issues = rule(square, cert.witness_list())
     return not issues, issues

@@ -15,15 +15,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import MAX_EXHAUSTIVE_ORDER, LatinSquare
-from .errors import (
-    DimensionMismatchError,
-    InvalidCellSetError,
-    OrderTooLargeError,
-)
+from .errors import DimensionMismatchError, OrderTooLargeError
 from .plexes import (
+    KIND_CELLS,
+    CellSet,
     _as_cells,
     _column_orbit_maps,
-    _in_range,
     _line_counts,
     check_quasi_transversal,
     check_transversal,
@@ -101,13 +98,12 @@ class LatinSquareGraph:
         return self.n if shared else 6
 
 
-def _checked_cells(order: int, cells) -> tuple[tuple[int, int], ...]:
-    """The cells, sorted; one outside the square or repeated raises InvalidCellSetError."""
-    cs = _as_cells(cells)
-    bad = _in_range(order, cs)
-    if bad:
-        raise InvalidCellSetError(bad)
-    return cs
+def _checked_cells(order: int, cells) -> CellSet:
+    """The cells as a CellSet of the order; one outside the square or repeated
+    raises InvalidCellSetError.  A CellSet of the order passes as it is."""
+    if isinstance(cells, CellSet) and cells.square_order == order:
+        return cells
+    return CellSet(order, cells, KIND_CELLS)
 
 
 def build_graph(square: LatinSquare) -> LatinSquareGraph:
@@ -142,7 +138,7 @@ def is_k_dominating(graph: LatinSquareGraph, cells, k: int) -> DominationCertifi
     are checked, row-major: O(|cells| + n + their cells), plus the graph's
     one O(n^2) table once a symbol line is low.
     """
-    cs = _checked_cells(graph.n, cells)
+    cs = _checked_cells(graph.n, cells).cells
     in_set = set(cs)
     rows, cols, syms = _line_counts(graph.square, cs)
     low = (k - 1) // 3
@@ -167,7 +163,7 @@ def is_k_dominating(graph: LatinSquareGraph, cells, k: int) -> DominationCertifi
 def induced_degrees(square: LatinSquare, cells) -> dict[tuple[int, int], int]:
     """Degree of each set cell in the subgraph induced by the set.
     Cells outside the square or repeated raise InvalidCellSetError."""
-    cs = _checked_cells(square.order, cells)
+    cs = _checked_cells(square.order, cells).cells
     rows, cols, syms = _line_counts(square, cs)
     grid = square.cells0
     # each of the three tallies counts the cell itself once
@@ -384,7 +380,7 @@ def verify_domatic_partition(graph: LatinSquareGraph, parts, k: int) -> DomaticR
     verdict = not failures
     return DomaticReport(
         k,
-        tuple(norm),
+        tuple(p.cells for p in norm),
         verdict,
         covered,
         len(norm) if verdict else 0,

@@ -18,7 +18,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
-from operator import le
+from operator import add, le
 
 from .core import MAX_EXHAUSTIVE_ORDER, LatinSquare
 from .errors import (
@@ -84,6 +84,9 @@ class CellSet:
 
     def __len__(self) -> int:
         return len(self.cells)
+
+    def __iter__(self):
+        return iter(self.cells)
 
     def to_json_dict(self) -> dict:
         out = {"kind": self.kind}
@@ -648,27 +651,31 @@ def complement_plex(square: LatinSquare, plex: CellSet) -> CellSet:
 # disjoint packing: tau, orthogonal mates, quasi-transversal packing
 
 
-def _max_packing(what: str, n: int, masks: list[int], size: int, ceiling: int,
+def _max_packing(what: str, n: int, members, size: int, ceiling: int,
                  floor: int) -> list[int] | None:
     """Ascending indices of a largest family (at most `ceiling`) of pairwise
-    disjoint masks, or None when none has more than `floor` members.
+    disjoint members, or None when none has more than `floor` members.
 
-    Each mask has bit r*n + c for 0-based cell (r, c), holds `size` cells
-    and meets every row.  First fit in list order seeds the incumbent; one
-    branch-and-bound pass then seeks goal = incumbent + 1 masks, raising
-    the goal at each find.  A node branches on the free cell in the fewest
-    live masks (those inside the free cells): one of them covers it, or it
-    becomes a hole.  It is cut when fewer live masks remain than are still
-    needed, when a row has fewer free cells than that, or when fewer free
-    cells remain than the needed masks cover.
+    Each member yields its `size` 0-based cells r*n + c once and meets every
+    row.  First fit in list order seeds the incumbent, and a first fit of
+    `ceiling` is returned as it is: on squares with n row-fixing
+    autotopisms tau and the mate take it from _first_fit without a list,
+    and come here only when it stops between 0 and n.  One branch-and-bound
+    pass then seeks goal = incumbent + 1 members, raising the goal at each
+    find.  A node branches on the free cell in the fewest live members
+    (those inside the free cells): one of them covers it, or it becomes a
+    hole.  It is cut when fewer live members remain than are still needed,
+    when a row has fewer free cells than that, or when fewer free cells
+    remain than the needed members cover.
     """
-    cells = n * n
-    holders = [0] * cells  # holders[b]: bitmask of the masks covering cell b
-    for i, mask in enumerate(masks):
-        while mask:
-            low = mask & -mask
-            holders[low.bit_length() - 1] |= 1 << i
-            mask ^= low
+    holders = [0] * (n * n)  # holders[b]: bitmask of the members covering cell b
+    masks = []  # masks[i]: bit b for each cell b of member i
+    for i, cells in enumerate(members):
+        bit, mask = 1 << i, 0
+        for b in cells:
+            holders[b] |= bit
+            mask |= 1 << b
+        masks.append(mask)
     best: list[int] = []
     used = 0
     for i, mask in enumerate(masks):
@@ -723,7 +730,7 @@ def _max_packing(what: str, n: int, masks: list[int], size: int, ceiling: int,
         return rec(free & ~(1 << cell), live & ~holders[cell])
 
     if len(best) < ceiling:
-        rec((1 << cells) - 1, (1 << len(masks)) - 1)
+        rec((1 << n * n) - 1, (1 << len(masks)) - 1)
     del rec  # rec refers to itself: free its state now, not at the next full collection
     if len(best) <= floor:
         best = []
@@ -731,26 +738,54 @@ def _max_packing(what: str, n: int, masks: list[int], size: int, ceiling: int,
     return best or None
 
 
-def _transversal_masks(square: LatinSquare) -> list[tuple[int, tuple[int, ...]]]:
-    """All transversals as (cell bitmask, column tuple), lex sorted: none on a
-    re-checked lattice obstruction, else rows 1..n-1 searched from the least
-    row-0 cell of each column orbit, each find mapped through every map of
-    _column_orbits (they act freely, so each transversal comes out once).
-    Only orders <= 8 come here: at most 384 transversals (McKay, McLeod & Wanless 2006)."""
-    n = square.order
-    grid = square.cells0
-    if _obstruction(grid, 1) is not None:
-        return []
-    maps, reps = _column_orbits(grid, n)
+def _all_transversals(grid, n: int, maps, reps) -> list[tuple[int, ...]]:
+    """All transversals as column tuples, lex sorted: rows 1..n-1 searched
+    from row-0 cell c for each c in reps, each find mapped through every map
+    in maps, as _column_orbits gives them (they act freely, so each
+    transversal comes out once).  Only orders <= 8 come here: at most 384
+    transversals (McKay, McLeod & Wanless 2006)."""
     found: list[tuple[int, ...]] = []
     for c in reps:
         _partial_search(grid, range(1, n), lambda path, c=c: found.append((c, *path)),
                         colmask=1 << c, symmask=1 << grid[0][c])
     log.debug("transversal collect: %d orbit representatives of %d columns, %d transversals",
               len(reps), n, len(found) * len(maps))
-    bits = [[1 << (r * n + c) for c in range(n)] for r in range(n)]
-    cols = sorted(tuple(map(alpha.__getitem__, t)) for alpha in maps for t in found)
-    return [(sum(map(list.__getitem__, bits, t)), t) for t in cols]
+    return sorted(tuple(map(alpha.__getitem__, t)) for alpha in maps for t in found)
+
+
+def _first_fit(grid, n: int) -> list[tuple[int, ...]]:
+    """First fit over the lex-sorted transversals (to n of them), as repeated
+    lex-least transversals avoiding the cells taken: each pick comes after
+    the last, and an earlier one disjoint from the picks would have been
+    picked.  A taken cell gets symbol n, which the symmask seed keeps out."""
+    free = [list(row) for row in grid]
+    picks: list[tuple[int, ...]] = []
+    while len(picks) < n and (cols := _partial_search(free, range(n), _stop, symmask=1 << n)):
+        picks.append(tuple(cols))
+        for row, c in zip(free, cols):
+            row[c] = n
+    return picks
+
+
+def _transversal_packing(square: LatinSquare, what: str, floor: int) -> list[tuple[int, ...]]:
+    """The family _max_packing picks over the lex-sorted transversals, as
+    column tuples, or [] if none beats `floor`; [] at once on a re-checked
+    lattice obstruction.  With n row-fixing autotopisms (a group table or an
+    isotope of one), tau = n iff a transversal exists, and the kernel keeps
+    a first fit of n as it is: so _first_fit answers when it takes n or
+    none, and else the list is built."""
+    n, grid = square.order, square.cells0
+    if (labels := _obstruction(grid, 1)) is not None:
+        log.debug("%s packing: 0, lattice obstruction mod %d", what, labels[0])
+        return []
+    maps, reps = _column_orbits(grid, n)
+    if len(maps) == n and len(picks := _first_fit(grid, n)) in (0, n):
+        log.debug("%s packing: first fit settles at %d of ceiling %d (%d row-fixing autotopisms)",
+                  what, len(picks), n, n)
+        return picks
+    found = _all_transversals(grid, n, maps, reps)
+    family = _max_packing(what, n, (map(add, range(0, n * n, n), t) for t in found), n, n, floor)
+    return [found[i] for i in family or ()]
 
 
 def max_disjoint_transversals(square: LatinSquare) -> tuple[int, tuple[CellSet, ...]]:
@@ -758,14 +793,16 @@ def max_disjoint_transversals(square: LatinSquare) -> tuple[int, tuple[CellSet, 
 
     The packing kernel runs over the full transversal list, seeded by first
     fit in lex order; deterministic first-optimum witness, listed in lex
-    order.  Orders above 8 are refused.
+    order.  With n row-fixing autotopisms, first fit runs alone first (the
+    lex-least transversal avoiding the cells taken, again and again) and
+    answers when it takes n or none: the same family, and no list.  Orders
+    above 8 are refused.
     """
     n = square.order
     if n > 8:
         raise OrderTooLargeError(f"exact tau packing supports order <= 8, got {n}")
-    found = _transversal_masks(square)
-    family = _max_packing("transversal", n, [m for m, _ in found], n, n, 0) or []
-    return len(family), tuple(_cols_to_cellset(n, found[i][1]) for i in family)
+    family = _transversal_packing(square, "transversal", 0)
+    return len(family), tuple(_cols_to_cellset(n, t) for t in family)
 
 
 def find_orthogonal_mate(square: LatinSquare) -> LatinSquare | None:
@@ -773,19 +810,19 @@ def find_orthogonal_mate(square: LatinSquare) -> LatinSquare | None:
 
     The packing kernel looks for n disjoint transversals, that is an exact
     cover of the cells; symbol k of the mate marks the k-th of them in lex
-    order.  None certifies that no decomposition exists.  Orders above 8
-    are refused.
+    order.  With n row-fixing autotopisms, first fit in lex order runs alone
+    first and answers when it takes n or none: the same mate.  None
+    certifies that no decomposition exists.  Orders above 8 are refused.
     """
     n = square.order
     if n > 8:
         raise OrderTooLargeError(f"mate search supports order <= 8, got {n}")
-    found = _transversal_masks(square)
-    family = _max_packing("mate", n, [m for m, _ in found], n, n, n - 1)
-    if family is None:
+    family = _transversal_packing(square, "mate", n - 1)
+    if not family:
         return None
     grid = [[0] * n for _ in range(n)]
-    for idx, i in enumerate(family):
-        for r, c in enumerate(found[i][1]):
+    for idx, cols in enumerate(family):
+        for r, c in enumerate(cols):
             grid[r][c] = idx + 1
     mate = LatinSquare(grid)
     pairs = {(square.cells0[i][j], mate.cells0[i][j]) for i in range(n) for j in range(n)}
@@ -952,8 +989,8 @@ def max_disjoint_quasi_transversals(square: LatinSquare) -> tuple[int, tuple[Cel
     if n < 3:
         return 0, ()
     quasis = _all_quasis(square)
-    masks = [sum(1 << (r * n + c) for r, combo in enumerate(q) for c in combo) for q in quasis]
-    family = _max_packing("quasi", n, masks, n + 1, n * n // (n + 1), 0) or []
+    members = ((r * n + c for r, combo in enumerate(q) for c in combo) for q in quasis)
+    family = _max_packing("quasi", n, members, n + 1, n * n // (n + 1), 0) or []
     return len(family), tuple(CellSet(n, _chosen_cells(quasis[i]), KIND_QUASI) for i in family)
 
 

@@ -37,6 +37,8 @@ from latinplex.lsgraph import (
     verify_domatic_partition,
 )
 from latinplex.plexes import (
+    KIND_CELLS,
+    CellSet,
     _column_orbit_maps,
     check_transversal,
     enumerate_transversals,
@@ -237,6 +239,15 @@ class TestDomination:
     def test_cells_outside_the_square_or_repeated_rejected(self, check, cells, message):
         with pytest.raises(InvalidCellSetError, match=message):
             check(gen_cyclic(4), cells)
+
+    def test_cellset_of_the_order_is_not_checked_again(self):
+        g = build_graph(gen_cyclic(6))
+        cs = CellSet(6, ((4, 5), (1, 1), (2, 3)), KIND_CELLS)
+        assert lsgraph._checked_cells(6, cs) is cs
+        assert is_k_dominating(g, cs, 2) == is_k_dominating(g, list(cs.cells), 2)
+        # a CellSet made for another order is checked against this one
+        with pytest.raises(InvalidCellSetError, match=r"cell \(7,7\) outside 1..6"):
+            is_k_dominating(g, CellSet(8, ((7, 7),), KIND_CELLS), 1)
 
 
 class TestIndependentDomination:
@@ -459,6 +470,7 @@ class TestDomaticVerification:
         report = verify_domatic_partition(g, family, 3)
         assert report.verdict and report.is_partition
         assert report.implied_lower_bound == 4
+        assert report.parts == tuple(t.cells for t in family)
         # equality: d_3 <= floor(16/4) = 4 once gamma_3 = 4 is known
         assert domatic_upper_bound(4, 4) == 4
 

@@ -661,8 +661,10 @@ class TestPacking:
         assert find_orthogonal_mate(sq) is None
 
     def test_logs_nodes_at_debug(self, caplog):
+        # an isotope of cyclic(7) on which first fit stops at 5, so the kernel runs
+        sq = apply_isotopy(gen_cyclic(7), Isotopy.random(7, random.Random(1)))
         with caplog.at_level(logging.DEBUG, logger="latinplex"):
-            max_disjoint_transversals(gen_cyclic(7))
+            max_disjoint_transversals(sq)
         assert re.search(r"transversal packing: \d+ nodes, stopped at 7 of ceiling 7", caplog.text)
 
     def test_refusal_above_8(self):
@@ -696,13 +698,51 @@ class TestMate:
             find_orthogonal_mate(gen_cyclic(9))
 
 
-def full_row_collection(sq: LatinSquare) -> list[tuple[int, tuple[int, ...]]]:
-    """Every transversal as (cell bitmask, column tuple), from the row search
-    over all rows: lex order, no autotopism used."""
-    n = sq.order
+def full_row_collection(sq: LatinSquare) -> list[tuple[int, ...]]:
+    """Every transversal as a column tuple, from the row search over all
+    rows: lex order, no autotopism used."""
     found: list[tuple[int, ...]] = []
-    plexes._partial_search(sq.cells0, range(n), lambda path: found.append(tuple(path)))
-    return [(sum(1 << (r * n + c) for r, c in enumerate(t)), t) for t in found]
+    plexes._partial_search(sq.cells0, range(sq.order), lambda path: found.append(tuple(path)))
+    return found
+
+
+def collect(sq: LatinSquare) -> list[tuple[int, ...]]:
+    """The collector's list, from the orbits of the square's column maps."""
+    return plexes._all_transversals(sq.cells0, sq.order, *plexes._column_orbits(sq.cells0, sq.order))
+
+
+def first_fit(found, n: int) -> list[tuple[int, ...]]:
+    """First fit over a transversal list, up to n members."""
+    picks, used = [], set()
+    for t in found:
+        cells = set(enumerate(t))
+        if len(picks) < n and not cells & used:
+            picks.append(t)
+            used |= cells
+    return picks
+
+
+def packed(sq: LatinSquare, floor: int) -> list[tuple[int, ...]]:
+    """The packing kernel's family over the full row list, as column tuples."""
+    n = sq.order
+    found = full_row_collection(sq)
+    family = plexes._max_packing("reference", n, [[r * n + c for r, c in enumerate(t)] for t in found],
+                                 n, n, floor)
+    return [found[i] for i in family or ()]
+
+
+def family_cols(family) -> list[tuple[int, ...]]:
+    return [tuple(c - 1 for _, c in w.cells) for w in family]
+
+
+def mate_from(family: list[tuple[int, ...]], n: int) -> list[list[int]] | None:
+    if not family:
+        return None
+    rows = [[0] * n for _ in range(n)]
+    for idx, t in enumerate(family):
+        for r, c in enumerate(t):
+            rows[r][c] = idx + 1
+    return rows
 
 
 #: the corpus to order 9 (cyclic(1) and cyclic(2) among it; the collector
@@ -715,18 +755,62 @@ COLLECTION_CASES = corpus_up_to(9) + [
 ]
 
 
+#: every order-5 to order-8 group table and seeded full isotopes of each
+FIRST_FIT_CASES = _with_isotopes(
+    [(label, sq) for label, sq in GROUP_CASES if 5 <= sq.order <= 8]
+    + [("twostep(3)", gen_two_step_pow2(3))], 5, 28)
+
+
 class TestTransversalCollection:
     @pytest.mark.parametrize("label,sq", COLLECTION_CASES, ids=[label for label, _ in COLLECTION_CASES])
     def test_orbit_collection_equals_full_row_search(self, label, sq):
-        found = plexes._transversal_masks(sq)
+        found = collect(sq)
         assert found == full_row_collection(sq)
         assert len(found) == plexes._join_transversals(sq.cells0, sq.order)
+
+    @pytest.mark.parametrize("label,sq", COLLECTION_CASES + FIRST_FIT_CASES,
+                             ids=[label for label, _ in COLLECTION_CASES + FIRST_FIT_CASES])
+    def test_first_fit_search_equals_first_fit_over_the_list(self, label, sq):
+        n = sq.order
+        picks = plexes._first_fit(sq.cells0, n)
+        assert picks == first_fit(full_row_collection(sq), n)
+        if n <= 8:  # settled by first fit or not, the kernel over the full list agrees
+            tau, family = max_disjoint_transversals(sq)
+            assert family_cols(family) == packed(sq, 0) and tau == len(family)
+            if len(picks) in (0, n):
+                assert family_cols(family) == picks
+            mate = find_orthogonal_mate(sq)
+            assert (mate and mate.rows()) == mate_from(packed(sq, n - 1), n)
+
+    @pytest.mark.parametrize("label,sq", [
+        ("orbit-1", non_group_square(1)), ("orbit-2", non_group_square(2)),
+        ("no-transversal-6", LatinSquare(NO_TRANSVERSAL_6))])
+    def test_squares_without_n_maps_never_take_first_fit(self, caplog, label, sq):
+        n = sq.order
+        assert len(plexes._column_orbit_maps(sq.cells0, n)) < n
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            tau, family = max_disjoint_transversals(sq)
+            mate = find_orthogonal_mate(sq)
+        assert "first fit" not in caplog.text
+        assert "transversal packing: " in caplog.text and "mate packing: " in caplog.text
+        assert family_cols(family) == packed(sq, 0) and tau == len(family)
+        assert (mate and mate.rows()) == mate_from(packed(sq, n - 1), n)
+
+    @pytest.mark.parametrize("search", [max_disjoint_transversals, find_orthogonal_mate],
+                             ids=["tau", "mate"])
+    def test_first_fit_logs_what_settled_it(self, caplog, search):
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            search(gen_two_step_pow2(3))
+        what = "transversal" if search is max_disjoint_transversals else "mate"
+        assert (f"{what} packing: first fit settles at 8 of ceiling 8 (8 row-fixing "
+                "autotopisms)") in caplog.text
+        assert "transversal collect" not in caplog.text
 
     def test_transversal_free_square_walks_its_orbits(self):
         # no lattice obstruction here, so the orbit walk itself returns []
         sq = LatinSquare(NO_TRANSVERSAL_6)
         assert plexes._obstruction(sq.cells0, 1) is None
-        assert plexes._transversal_masks(sq) == []
+        assert collect(sq) == []
 
     @pytest.mark.parametrize("label,sq", CORPUS, ids=[label for label, _ in CORPUS])
     def test_column_maps_act_freely(self, label, sq):
@@ -744,31 +828,35 @@ class TestTransversalCollection:
     @pytest.mark.parametrize("search", [max_disjoint_transversals, find_orthogonal_mate],
                              ids=["tau", "mate"])
     def test_collection_leaves_no_reference_cycles(self, search):
+        # first fit settles twostep(3); on this isotope it stops at 5 and the kernel runs
+        fallback = apply_isotopy(gen_two_step_pow2(3), Isotopy.random(8, random.Random(29)))
         gc.collect()
         gc.disable()
         try:
-            search(gen_two_step_pow2(3))
-            assert gc.collect() == 0
+            for sq in (gen_two_step_pow2(3), fallback):
+                search(sq)
+                assert gc.collect() == 0
         finally:
             gc.enable()
 
     @pytest.mark.parametrize("orbit,reps,count", [(2, 3, 32), (1, 6, 8)])
     def test_logs_orbit_representatives_at_debug(self, caplog, orbit, reps, count):
         with caplog.at_level(logging.DEBUG, logger="latinplex"):
-            assert len(plexes._transversal_masks(non_group_square(orbit))) == count
+            assert len(collect(non_group_square(orbit))) == count
         assert (f"transversal collect: {reps} orbit representatives of 6 columns, "
                 f"{count} transversals") in caplog.text
 
     def test_group_table_logs_one_representative(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="latinplex"):
-            max_disjoint_transversals(gen_two_step_pow2(3))
+            collect(gen_two_step_pow2(3))
         assert "transversal collect: 1 orbit representatives of 8 columns, 384 transversals" \
             in caplog.text
 
     def test_obstructed_square_logs_no_collection(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="latinplex"):
-            assert plexes._transversal_masks(gen_cyclic(8)) == []
+            assert max_disjoint_transversals(gen_cyclic(8)) == (0, ())
         assert "transversal collect" not in caplog.text
+        assert "transversal packing: 0, lattice obstruction mod 8" in caplog.text
 
 
 class TestExtendibility:
