@@ -105,9 +105,6 @@ class WitnessCertificate:
             sq = square_from_descriptor(obj["square"])
             n = sq.order
             raw = obj["witness"]
-            parts = [raw] if isinstance(raw, dict) else raw
-            if any(type(r) is not int or type(c) is not int for w in parts for r, c in w["cells"]):
-                raise TypeError("cell coordinates must be JSON integers")
             if isinstance(raw, dict):
                 wit: CellSet | tuple[CellSet, ...] = CellSet.from_json_dict(n, raw)
             else:

@@ -97,10 +97,17 @@ class CellSet:
 
     @classmethod
     def from_json_dict(cls, order: int, obj: dict) -> "CellSet":
+        """Parse a cell set; cell coordinates and k must be JSON integers
+        (a bool is not one here)."""
+        cells = []
+        for r, c in obj["cells"]:
+            if type(r) is not int or type(c) is not int:
+                raise TypeError("cell coordinates must be JSON integers")
+            cells.append((r, c))
         k = obj.get("k")
-        if k is not None and type(k) is not int:  # a bool is not an int here
+        if k is not None and type(k) is not int:
             raise FormatError(f"k must be a JSON integer, got {k!r}")
-        return cls(order, tuple((r, c) for r, c in obj["cells"]), obj["kind"], k)
+        return cls(order, cells, obj["kind"], k)
 
 
 def _as_cells(cells) -> tuple[tuple[int, int], ...]:
@@ -658,15 +665,13 @@ def _max_packing(what: str, n: int, members, size: int, ceiling: int,
 
     Each member yields its `size` 0-based cells r*n + c once and meets every
     row.  First fit in list order seeds the incumbent, and a first fit of
-    `ceiling` is returned as it is: on squares with n row-fixing
-    autotopisms tau and the mate take it from _first_fit without a list,
-    and come here only when it stops between 0 and n.  One branch-and-bound
-    pass then seeks goal = incumbent + 1 members, raising the goal at each
-    find.  A node branches on the free cell in the fewest live members
-    (those inside the free cells): one of them covers it, or it becomes a
-    hole.  It is cut when fewer live members remain than are still needed,
-    when a row has fewer free cells than that, or when fewer free cells
-    remain than the needed members cover.
+    `ceiling` is returned as it is.  One branch-and-bound pass then seeks
+    goal = incumbent + 1 members, raising the goal at each find.  A node
+    branches on the free cell in the fewest live members (those inside the
+    free cells): one of them covers it, or it becomes a hole.  It is cut
+    when fewer live members remain than are still needed, when a row has
+    fewer free cells than that, or when fewer free cells remain than the
+    needed members cover.
     """
     holders = [0] * (n * n)  # holders[b]: bitmask of the members covering cell b
     masks = []  # masks[i]: bit b for each cell b of member i
@@ -753,50 +758,40 @@ def _all_transversals(grid, n: int, maps, reps) -> list[tuple[int, ...]]:
     return sorted(tuple(map(alpha.__getitem__, t)) for alpha in maps for t in found)
 
 
-def _first_fit(grid, n: int) -> list[tuple[int, ...]]:
-    """First fit over the lex-sorted transversals (to n of them), as repeated
-    lex-least transversals avoiding the cells taken: each pick comes after
-    the last, and an earlier one disjoint from the picks would have been
-    picked.  A taken cell gets symbol n, which the symmask seed keeps out."""
-    free = [list(row) for row in grid]
-    picks: list[tuple[int, ...]] = []
-    while len(picks) < n and (cols := _partial_search(free, range(n), _stop, symmask=1 << n)):
-        picks.append(tuple(cols))
-        for row, c in zip(free, cols):
-            row[c] = n
-    return picks
-
-
 def _transversal_packing(square: LatinSquare, what: str, floor: int) -> list[tuple[int, ...]]:
-    """The family _max_packing picks over the lex-sorted transversals, as
-    column tuples, or [] if none beats `floor`; [] at once on a re-checked
-    lattice obstruction.  With n row-fixing autotopisms (a group table or an
-    isotope of one), tau = n iff a transversal exists, and the kernel keeps
-    a first fit of n as it is: so _first_fit answers when it takes n or
-    none, and else the list is built."""
+    """The tau family or the mate's transversals as column tuples, lex sorted,
+    or [] if none beats `floor`; [] at once on a re-checked lattice
+    obstruction.  With n row-fixing autotopisms (a group table or an isotope
+    of one) the family is the n images of the lex-least transversal, which
+    are pairwise disjoint, or [] when the row search finds none; else it is
+    the packing kernel's family over the collected list."""
     n, grid = square.order, square.cells0
     if (labels := _obstruction(grid, 1)) is not None:
         log.debug("%s packing: 0, lattice obstruction mod %d", what, labels[0])
         return []
     maps, reps = _column_orbits(grid, n)
-    if len(maps) == n and len(picks := _first_fit(grid, n)) in (0, n):
-        log.debug("%s packing: first fit settles at %d of ceiling %d (%d row-fixing autotopisms)",
-                  what, len(picks), n, n)
-        return picks
+    if len(maps) == n:
+        if (first := _partial_search(grid, range(n), _stop)) is None:
+            log.debug("%s packing: no transversal (%d row-fixing autotopisms)", what, n)
+            return []
+        log.debug("%s packing: %d images of the lex-least transversal (%d row-fixing autotopisms)",
+                  what, n, n)
+        # first starts at column 0 (some image does) and maps[j] sends 0 to j: lex order
+        return [tuple(map(alpha.__getitem__, first)) for alpha in maps]
     found = _all_transversals(grid, n, maps, reps)
     family = _max_packing(what, n, (map(add, range(0, n * n, n), t) for t in found), n, n, floor)
     return [found[i] for i in family or ()]
 
 
 def max_disjoint_transversals(square: LatinSquare) -> tuple[int, tuple[CellSet, ...]]:
-    """Exact maximum family of pairwise-disjoint transversals (tau).
+    """Exact maximum family of pairwise-disjoint transversals (tau), listed
+    in lex order.
 
-    The packing kernel runs over the full transversal list, seeded by first
-    fit in lex order; deterministic first-optimum witness, listed in lex
-    order.  With n row-fixing autotopisms, first fit runs alone first (the
-    lex-least transversal avoiding the cells taken, again and again) and
-    answers when it takes n or none: the same family, and no list.  Orders
-    above 8 are refused.
+    With n row-fixing autotopisms (a group table or an isotope of one) the
+    family is the n images of the lex-least transversal under them, or empty
+    when there is none.  Otherwise the packing kernel runs over the full
+    transversal list, seeded by first fit in lex order: a deterministic
+    first-optimum witness.  Orders above 8 are refused.
     """
     n = square.order
     if n > 8:
@@ -806,12 +801,13 @@ def max_disjoint_transversals(square: LatinSquare) -> tuple[int, tuple[CellSet, 
 
 
 def find_orthogonal_mate(square: LatinSquare) -> LatinSquare | None:
-    """Mate via a full decomposition into n disjoint transversals.
-
-    The packing kernel looks for n disjoint transversals, that is an exact
+    """Mate via a full decomposition into n disjoint transversals, an exact
     cover of the cells; symbol k of the mate marks the k-th of them in lex
-    order.  With n row-fixing autotopisms, first fit in lex order runs alone
-    first and answers when it takes n or none: the same mate.  None
+    order.
+
+    With n row-fixing autotopisms the decomposition is the n images of the
+    lex-least transversal, so a mate exists iff a transversal does;
+    otherwise the packing kernel looks for n disjoint transversals.  None
     certifies that no decomposition exists.  Orders above 8 are refused.
     """
     n = square.order

@@ -278,6 +278,16 @@ class TestVerify:
         assert main(["verify", str(path)]) == 1
         assert "malformed certificate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("coordinate", [2.0, True], ids=["float", "bool"])
+    def test_non_integer_cell_coordinate_fails_cleanly(self, coordinate, tmp_path, capsys):
+        cert = build_2plex_q1(4).to_json_dict()
+        cert["witness"][-1]["cells"][-1][1] = coordinate  # the last cell of the last part
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        assert main(["verify", str(path)]) == 1
+        assert capsys.readouterr().err == ("error: malformed certificate: TypeError: "
+                                           "cell coordinates must be JSON integers\n")
+
     def test_descriptor_order_below_range_is_invalid(self, tmp_path, capsys):
         # the value `gen cyclic -3` refuses as a usage error is, inside a
         # certificate, a validation failure

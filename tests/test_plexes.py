@@ -618,6 +618,11 @@ class TestComplement:
             complement_plex(sq, bad)
 
 
+#: an order-6 square with tau = 2 and one row-fixing autotopism
+TAU2_ROWS = [[3, 6, 5, 4, 1, 2], [1, 4, 6, 2, 5, 3], [2, 1, 3, 6, 4, 5], [5, 2, 1, 3, 6, 4],
+             [4, 5, 2, 1, 3, 6], [6, 3, 4, 5, 2, 1]]
+
+
 class TestPacking:
     def test_twostep2_tau_4(self):
         tau, family = max_disjoint_transversals(gen_two_step_pow2(2))
@@ -644,8 +649,7 @@ class TestPacking:
 
     @pytest.mark.parametrize("rows, want", [
         ([[3, 1, 4, 5, 2], [4, 3, 1, 2, 5], [5, 4, 2, 3, 1], [2, 5, 3, 1, 4], [1, 2, 5, 4, 3]], 1),
-        ([[3, 6, 5, 4, 1, 2], [1, 4, 6, 2, 5, 3], [2, 1, 3, 6, 4, 5], [5, 2, 1, 3, 6, 4],
-          [4, 5, 2, 1, 3, 6], [6, 3, 4, 5, 2, 1]], 2),
+        (TAU2_ROWS, 2),
         ([[4, 3, 6, 1, 5, 2], [3, 5, 2, 4, 1, 6], [2, 6, 3, 5, 4, 1], [1, 2, 4, 6, 3, 5],
           [6, 1, 5, 3, 2, 4], [5, 4, 1, 2, 6, 3]], 4),
     ], ids=["tau1", "tau2", "tau4"])
@@ -661,11 +665,10 @@ class TestPacking:
         assert find_orthogonal_mate(sq) is None
 
     def test_logs_nodes_at_debug(self, caplog):
-        # an isotope of cyclic(7) on which first fit stops at 5, so the kernel runs
-        sq = apply_isotopy(gen_cyclic(7), Isotopy.random(7, random.Random(1)))
+        # one row-fixing autotopism, so the packing kernel runs
         with caplog.at_level(logging.DEBUG, logger="latinplex"):
-            max_disjoint_transversals(sq)
-        assert re.search(r"transversal packing: \d+ nodes, stopped at 7 of ceiling 7", caplog.text)
+            max_disjoint_transversals(LatinSquare(TAU2_ROWS))
+        assert re.search(r"transversal packing: \d+ nodes, stopped at 2 of ceiling 6", caplog.text)
 
     def test_refusal_above_8(self):
         with pytest.raises(OrderTooLargeError):
@@ -711,17 +714,6 @@ def collect(sq: LatinSquare) -> list[tuple[int, ...]]:
     return plexes._all_transversals(sq.cells0, sq.order, *plexes._column_orbits(sq.cells0, sq.order))
 
 
-def first_fit(found, n: int) -> list[tuple[int, ...]]:
-    """First fit over a transversal list, up to n members."""
-    picks, used = [], set()
-    for t in found:
-        cells = set(enumerate(t))
-        if len(picks) < n and not cells & used:
-            picks.append(t)
-            used |= cells
-    return picks
-
-
 def packed(sq: LatinSquare, floor: int) -> list[tuple[int, ...]]:
     """The packing kernel's family over the full row list, as column tuples."""
     n = sq.order
@@ -729,6 +721,13 @@ def packed(sq: LatinSquare, floor: int) -> list[tuple[int, ...]]:
     family = plexes._max_packing("reference", n, [[r * n + c for r, c in enumerate(t)] for t in found],
                                  n, n, floor)
     return [found[i] for i in family or ()]
+
+
+def lex_least_images(sq: LatinSquare) -> list[tuple[int, ...]]:
+    """The lex-least transversal's images under the square's row-fixing
+    autotopisms, lex sorted; [] if it has no transversal."""
+    maps = plexes._column_orbit_maps(sq.cells0, sq.order)
+    return sorted(tuple(alpha[c] for c in t) for alpha in maps for t in full_row_collection(sq)[:1])
 
 
 def family_cols(family) -> list[tuple[int, ...]]:
@@ -755,8 +754,9 @@ COLLECTION_CASES = corpus_up_to(9) + [
 ]
 
 
-#: every order-5 to order-8 group table and seeded full isotopes of each
-FIRST_FIT_CASES = _with_isotopes(
+#: squares with n row-fixing autotopisms: the corpus to order 8, every
+#: order-5 to order-8 group table and seeded full isotopes of each
+N_MAPS_CASES = corpus_up_to(8) + _with_isotopes(
     [(label, sq) for label, sq in GROUP_CASES if 5 <= sq.order <= 8]
     + [("twostep(3)", gen_two_step_pow2(3))], 5, 28)
 
@@ -768,42 +768,57 @@ class TestTransversalCollection:
         assert found == full_row_collection(sq)
         assert len(found) == plexes._join_transversals(sq.cells0, sq.order)
 
-    @pytest.mark.parametrize("label,sq", COLLECTION_CASES + FIRST_FIT_CASES,
-                             ids=[label for label, _ in COLLECTION_CASES + FIRST_FIT_CASES])
-    def test_first_fit_search_equals_first_fit_over_the_list(self, label, sq):
+    @pytest.mark.parametrize("label,sq", N_MAPS_CASES, ids=[label for label, _ in N_MAPS_CASES])
+    def test_n_maps_family_is_the_images_of_the_lex_least_transversal(self, label, sq):
         n = sq.order
-        picks = plexes._first_fit(sq.cells0, n)
-        assert picks == first_fit(full_row_collection(sq), n)
-        if n <= 8:  # settled by first fit or not, the kernel over the full list agrees
-            tau, family = max_disjoint_transversals(sq)
-            assert family_cols(family) == packed(sq, 0) and tau == len(family)
-            if len(picks) in (0, n):
-                assert family_cols(family) == picks
-            mate = find_orthogonal_mate(sq)
-            assert (mate and mate.rows()) == mate_from(packed(sq, n - 1), n)
+        tau, family = max_disjoint_transversals(sq)
+        cols = family_cols(family)
+        assert cols == lex_least_images(sq)
+        assert len(cols) == n * len(full_row_collection(sq)[:1])
+        used = set()
+        for t in family:
+            assert check_transversal(sq, t)[0]
+            assert not used & set(t.cells)
+            used |= set(t.cells)
+        assert tau == len(packed(sq, 0))
+        mate = find_orthogonal_mate(sq)
+        assert (mate and mate.rows()) == mate_from(cols, n)
 
     @pytest.mark.parametrize("label,sq", [
         ("orbit-1", non_group_square(1)), ("orbit-2", non_group_square(2)),
         ("no-transversal-6", LatinSquare(NO_TRANSVERSAL_6))])
-    def test_squares_without_n_maps_never_take_first_fit(self, caplog, label, sq):
+    def test_squares_without_n_maps_take_the_packing_kernel(self, caplog, label, sq):
         n = sq.order
         assert len(plexes._column_orbit_maps(sq.cells0, n)) < n
         with caplog.at_level(logging.DEBUG, logger="latinplex"):
             tau, family = max_disjoint_transversals(sq)
             mate = find_orthogonal_mate(sq)
-        assert "first fit" not in caplog.text
+        assert "row-fixing autotopisms" not in caplog.text
         assert "transversal packing: " in caplog.text and "mate packing: " in caplog.text
         assert family_cols(family) == packed(sq, 0) and tau == len(family)
         assert (mate and mate.rows()) == mate_from(packed(sq, n - 1), n)
 
     @pytest.mark.parametrize("search", [max_disjoint_transversals, find_orthogonal_mate],
                              ids=["tau", "mate"])
-    def test_first_fit_logs_what_settled_it(self, caplog, search):
+    def test_n_maps_log_the_images(self, caplog, search):
         with caplog.at_level(logging.DEBUG, logger="latinplex"):
             search(gen_two_step_pow2(3))
         what = "transversal" if search is max_disjoint_transversals else "mate"
-        assert (f"{what} packing: first fit settles at 8 of ceiling 8 (8 row-fixing "
+        assert (f"{what} packing: 8 images of the lex-least transversal (8 row-fixing "
                 "autotopisms)") in caplog.text
+        assert "transversal collect" not in caplog.text
+
+    @pytest.mark.parametrize("search", [max_disjoint_transversals, find_orthogonal_mate],
+                             ids=["tau", "mate"])
+    def test_n_maps_log_no_transversal(self, caplog, monkeypatch, search):
+        # a group table without a transversal is obstructed by the lattice
+        # test; without it, the row search certifies the empty family
+        monkeypatch.setattr(plexes, "_obstruction", lambda grid, k: None)
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            result = search(gen_cyclic(6))
+        assert result == ((0, ()) if search is max_disjoint_transversals else None)
+        what = "transversal" if search is max_disjoint_transversals else "mate"
+        assert f"{what} packing: no transversal (6 row-fixing autotopisms)" in caplog.text
         assert "transversal collect" not in caplog.text
 
     def test_transversal_free_square_walks_its_orbits(self):
@@ -828,12 +843,12 @@ class TestTransversalCollection:
     @pytest.mark.parametrize("search", [max_disjoint_transversals, find_orthogonal_mate],
                              ids=["tau", "mate"])
     def test_collection_leaves_no_reference_cycles(self, search):
-        # first fit settles twostep(3); on this isotope it stops at 5 and the kernel runs
-        fallback = apply_isotopy(gen_two_step_pow2(3), Isotopy.random(8, random.Random(29)))
+        # twostep(3) takes the images of one transversal; the other two have
+        # fewer than n maps, so the collection and the kernel run
         gc.collect()
         gc.disable()
         try:
-            for sq in (gen_two_step_pow2(3), fallback):
+            for sq in (gen_two_step_pow2(3), LatinSquare(TAU2_ROWS), non_group_square(1)):
                 search(sq)
                 assert gc.collect() == 0
         finally:
