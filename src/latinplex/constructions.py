@@ -20,9 +20,6 @@ from dataclasses import dataclass, field
 from .core import (
     GENERATORS,
     LatinSquare,
-    gen_cyclic,
-    gen_qstep,
-    gen_two_step_pow2,
     square_descriptor,
     square_from_descriptor,
 )
@@ -43,7 +40,7 @@ from .plexes import (
     KIND_QUASI,
     KIND_TRANSVERSAL,
     CellSet,
-    _as_cells,
+    _cells,
     _line_counts,
     check_kplex,
     check_near_transversal,
@@ -141,12 +138,16 @@ def _require_rule(claim: str, square: LatinSquare, parts: tuple[Cells, ...], sou
 
 
 def _formula_certificate(
-    claim: str, square: LatinSquare, desc: dict, parts: tuple[Cells, ...], wrap
+    claim: str, desc: dict, formula, wrap, notes: tuple[str, ...] = ()
 ) -> WitnessCertificate:
-    """Certify `claim` with the formula's cell tuples, which must pass the
-    claim's rule; `wrap(n, parts)` tags them as CellSets."""
+    """Certify `claim` on the square of `desc`, built as verify_certificate
+    builds it and refused above MAX_INPUT_ORDER before `formula()` makes a
+    cell.  Its cell tuples must pass the rule; `wrap(n, parts)` tags them."""
+    square = square_from_descriptor(desc)
+    parts = formula()
     _require_rule(claim, square, parts, "formula")
-    return WitnessCertificate(claim, desc, wrap(square.order, parts), PROVENANCE_FORMULA, True)
+    return WitnessCertificate(
+        claim, desc, wrap(square.order, parts), PROVENANCE_FORMULA, True, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +212,11 @@ def decompose_two_step(square: LatinSquare) -> tuple[CellSet, ...]:
 
 
 def construct_twostep_decomposition(k: int) -> WitnessCertificate:
-    square = gen_two_step_pow2(k)
+    desc = square_descriptor("twostep", k=k)
+    square = square_from_descriptor(desc)
     return WitnessCertificate(
         claim="twostep-decomp",
-        square=square_descriptor("twostep", k=k),
+        square=desc,
         witness=decompose_two_step(square),
         provenance=PROVENANCE_FORMULA,
         verdict=True,
@@ -270,9 +272,8 @@ def build_3ds_q1(n: int) -> WitnessCertificate:
     """
     if n < 4 or n % 2:
         raise ValueError(f"construction needs even n >= 4, got {n}")
-    square = gen_cyclic(n)
     return _formula_certificate(
-        "3ds-q1", square, square_descriptor("cyclic", n=n), (_rodney1_cells(n)[0],), _as_quasi
+        "3ds-q1", square_descriptor("cyclic", n=n), lambda: (_rodney1_cells(n)[0],), _as_quasi
     )
 
 
@@ -280,9 +281,8 @@ def build_3ds_qgen(m: int, q: int) -> WitnessCertificate:
     """Size-(n+1) 3DS for the canonical q-step square, m even, q odd >= 3."""
     if m < 2 or m % 2 or q < 3 or q % 2 == 0:
         raise ValueError(f"construction needs even m >= 2 and odd q >= 3, got ({m},{q})")
-    square = gen_qstep(m, q)
     return _formula_certificate(
-        "3ds-qgen", square, square_descriptor("qstep", m=m, q=q), (_case2_cells(m, q),),
+        "3ds-qgen", square_descriptor("qstep", m=m, q=q), lambda: (_case2_cells(m, q),),
         _as_quasi,
     )
 
@@ -322,22 +322,15 @@ def build_domatic_partition_cyclic(n: int) -> WitnessCertificate:
     """
     if n < 4 or n % 2:
         raise ValueError(f"construction needs even n >= 4, got {n}")
-    square = gen_cyclic(n)
-    parts = tuple(domatic_family_cells(n))
-    _require_rule("domatic-cyclic", square, parts, "formula family")
     notes = (
         "printed extra cell (1, n/2) of the last part collides with the j=n/2 part; "
         "using (1, n), the unique cell completing the partition",
         f"d_3 >= {n - 1} from the family; d_3 <= floor({n * n}/{n + 1}) = "
         f"{domatic_upper_bound(n, n + 1)}; hence d_3 = {n - 1}",
     )
-    return WitnessCertificate(
-        claim="domatic-cyclic",
-        square=square_descriptor("cyclic", n=n),
-        witness=tuple(CellSet(n, p, KIND_CELLS) for p in parts),
-        provenance=PROVENANCE_FORMULA,
-        verdict=True,
-        notes=notes,
+    return _formula_certificate(
+        "domatic-cyclic", square_descriptor("cyclic", n=n), lambda: tuple(domatic_family_cells(n)),
+        lambda order, parts: tuple(CellSet(order, p, KIND_CELLS) for p in parts), notes,
     )
 
 
@@ -409,9 +402,8 @@ def build_2plex_q1(n: int) -> WitnessCertificate:
     """2-plex of the cyclic square, n even >= 4, as quasi + disjoint near."""
     if n < 4 or n % 2:
         raise ValueError(f"construction needs even n >= 4, got {n}")
-    square = gen_cyclic(n)
     return _formula_certificate(
-        "2plex-q1", square, square_descriptor("cyclic", n=n), _two_plex_parts(*_rodney1_cells(n)),
+        "2plex-q1", square_descriptor("cyclic", n=n), lambda: _two_plex_parts(*_rodney1_cells(n)),
         _as_two_plex,
     )
 
@@ -420,10 +412,9 @@ def build_2plex_m2(q: int) -> WitnessCertificate:
     """2-plex of the canonical 2-block-row q-step square, q odd >= 3."""
     if q < 3 or q % 2 == 0:
         raise ValueError(f"construction needs odd q >= 3, got {q}")
-    square = gen_qstep(2, q)
     return _formula_certificate(
-        "2plex-m2", square, square_descriptor("qstep", m=2, q=q),
-        _two_plex_parts(*_rodney2_cells(q)), _as_two_plex,
+        "2plex-m2", square_descriptor("qstep", m=2, q=q),
+        lambda: _two_plex_parts(*_rodney2_cells(q)), _as_two_plex,
     )
 
 
@@ -431,10 +422,9 @@ def build_2plex_general(m: int, q: int) -> WitnessCertificate:
     """2-plex of the canonical q-step square, m even >= 4, q odd >= 3."""
     if m < 4 or m % 2 or q < 3 or q % 2 == 0:
         raise ValueError(f"construction needs even m >= 4 and odd q >= 3, got ({m},{q})")
-    square = gen_qstep(m, q)
     return _formula_certificate(
-        "2plex-gen", square, square_descriptor("qstep", m=m, q=q),
-        _two_plex_parts(*_rodney3_cells(m, q)), _as_two_plex,
+        "2plex-gen", square_descriptor("qstep", m=m, q=q),
+        lambda: _two_plex_parts(*_rodney3_cells(m, q)), _as_two_plex,
     )
 
 
@@ -447,7 +437,7 @@ def quasi_from_transversal(square: LatinSquare, transversal) -> CellSet:
     its row, column and symbol exactly once, so the least one is taken.
     That cell is (1, 1), or (1, 2) when the transversal holds (1, 1)."""
     n = square.order
-    cells = _as_cells(transversal)
+    cells, _ = _cells(n, transversal)
     ok, why = check_transversal(square, cells)
     if not ok:
         raise NotConstructibleError(f"input is not a transversal: {why}")
@@ -470,7 +460,7 @@ def near_from_quasi(square: LatinSquare, quasi) -> CellSet:
     NotConstructible with a diagnosis.
     """
     n = square.order
-    cells = _as_cells(quasi)
+    cells, _ = _cells(n, quasi)
     _, _, ds = quasi_profile(square, cells)
     grid = square.cells0
     kept = tuple(c for c in cells if grid[c[0] - 1][c[1] - 1] + 1 != ds)
@@ -494,7 +484,7 @@ def quasi_from_near(square: LatinSquare, near) -> CellSet:
     n = square.order
     if n < 3:
         raise NotConstructibleError("quasi-transversal is vacuous below order 3")
-    cells = _as_cells(near)
+    cells, _ = _cells(n, near)
     ok, why = check_near_transversal(square, cells)
     if not ok:
         raise NotConstructibleError(f"input is not a near-transversal: {why}")
@@ -523,7 +513,7 @@ def transversal_in_quasi(square: LatinSquare, quasi) -> CellSet | None:
     that cell is the transversal; without such a cell there is none.
     """
     n = square.order
-    cells = _as_cells(quasi)
+    cells, _ = _cells(n, quasi)
     dr, dc, ds = quasi_profile(square, cells)
     if (dr, dc) not in cells or square.symbol(dr, dc) != ds:
         return None

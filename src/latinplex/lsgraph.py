@@ -19,7 +19,7 @@ from .errors import DimensionMismatchError, OrderTooLargeError
 from .plexes import (
     KIND_CELLS,
     CellSet,
-    _as_cells,
+    _cells,
     _column_orbit_maps,
     _line_counts,
     check_quasi_transversal,
@@ -70,7 +70,7 @@ class LatinSquareGraph:
     def vertex_index(self, i: int, j: int) -> int:
         """Row-major vertex id of cell (i, j), 1-based input.  A cell
         outside the square raises InvalidCellSetError."""
-        _checked_cells(self.n, [(i, j)])
+        CellSet(self.n, [(i, j)], KIND_CELLS)
         return (i - 1) * self.n + (j - 1)
 
     def cell_of(self, v: int) -> tuple[int, int]:
@@ -98,14 +98,6 @@ class LatinSquareGraph:
         return self.n if shared else 6
 
 
-def _checked_cells(order: int, cells) -> CellSet:
-    """The cells as a CellSet of the order; one outside the square or repeated
-    raises InvalidCellSetError.  A CellSet of the order passes as it is."""
-    if isinstance(cells, CellSet) and cells.square_order == order:
-        return cells
-    return CellSet(order, cells, KIND_CELLS)
-
-
 def build_graph(square: LatinSquare) -> LatinSquareGraph:
     """The Latin square graph of a validated square; every vertex has
     degree 3(n-1)."""
@@ -130,7 +122,8 @@ class DominationCertificate:
 
 def is_k_dominating(graph: LatinSquareGraph, cells, k: int) -> DominationCertificate:
     """Every vertex outside the set needs at least k neighbors inside.
-    Cells outside the square or repeated raise InvalidCellSetError.
+    Cells are taken as a CellSet of the graph's order: an outside or
+    repeated cell raises InvalidCellSetError, a non-integer coordinate TypeError.
 
     An outside cell shares one line with each neighbour, so its neighbours
     in the set number the set's counts on its row, column and symbol; it is
@@ -138,7 +131,7 @@ def is_k_dominating(graph: LatinSquareGraph, cells, k: int) -> DominationCertifi
     are checked, row-major: O(|cells| + n + their cells), plus the graph's
     one O(n^2) table once a symbol line is low.
     """
-    cs = _checked_cells(graph.n, cells).cells
+    cs = CellSet(graph.n, cells, KIND_CELLS).cells
     in_set = set(cs)
     rows, cols, syms = _line_counts(graph.square, cs)
     low = (k - 1) // 3
@@ -163,7 +156,7 @@ def is_k_dominating(graph: LatinSquareGraph, cells, k: int) -> DominationCertifi
 def induced_degrees(square: LatinSquare, cells) -> dict[tuple[int, int], int]:
     """Degree of each set cell in the subgraph induced by the set.
     Cells outside the square or repeated raise InvalidCellSetError."""
-    cs = _checked_cells(square.order, cells).cells
+    cs = CellSet(square.order, cells, KIND_CELLS).cells
     rows, cols, syms = _line_counts(square, cs)
     grid = square.cells0
     # each of the three tallies counts the cell itself once
@@ -330,7 +323,7 @@ def transversal_equivalence_check(square: LatinSquare, cells) -> EquivalenceRepo
     """Evaluate independently: size-n 3-dominating set, size-n (1,3)-IDS,
     and transversal; the three must agree for every input."""
     n = square.order
-    cs = _as_cells(cells)
+    cs, _ = _cells(n, cells)
     if len(cs) != n:
         raise DimensionMismatchError(f"expected {n} cells, got {len(cs)}")
     graph = build_graph(square)
@@ -358,11 +351,11 @@ def verify_domatic_partition(graph: LatinSquareGraph, parts, k: int) -> DomaticR
     A disjoint family is accepted whether or not it covers the vertex set;
     is_partition reports whether the parts exactly partition it (any
     disjoint family of kDS extends to a k-domatic partition of the same
-    size, so d_k >= number of parts either way).  Like is_k_dominating, a
-    part with a cell outside the square or a repeated cell raises
-    InvalidCellSetError; a cell in two parts is a failure.
+    size, so d_k >= number of parts either way).  Each part's cells are taken
+    as by is_k_dominating (InvalidCellSetError, TypeError); a cell in two
+    parts is a failure.
     """
-    norm = [_checked_cells(graph.n, p) for p in parts]
+    norm = [CellSet(graph.n, p, KIND_CELLS) for p in parts]
     failures: list[str] = []
     seen: dict[tuple[int, int], int] = {}
     for idx, p in enumerate(norm):
@@ -469,7 +462,7 @@ def quasi_3ds_correspondence(square: LatinSquare, cells) -> CorrespondenceReport
     reported, not assumed away.
     """
     n = square.order
-    cs = _as_cells(cells)
+    cs, _ = _cells(n, cells)
     if len(cs) != n + 1:
         raise DimensionMismatchError(f"expected {n + 1} cells, got {len(cs)}")
     graph = build_graph(square)

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import logging
 import random
-from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
-from operator import add, le
+from operator import add, index, le
 
 from .core import MAX_EXHAUSTIVE_ORDER, LatinSquare
 from .errors import (
@@ -48,9 +47,11 @@ _KINDS = (KIND_TRANSVERSAL, KIND_PARTIAL, KIND_NEAR, KIND_QUASI, KIND_KPLEX, KIN
 class CellSet:
     """A set of (row, column) cells of an order-n square, tagged with intent.
 
-    Cells are 1-based and stored sorted row-major.  Cardinality must match
-    the kind: n for a transversal, n-1 near, n+1 quasi, n*k for a k-plex;
-    partial-transversal and cell-set are unconstrained (up to n / n^2).
+    Cells are 1-based integer pairs, stored sorted row-major; an outside or
+    repeated cell raises InvalidCellSetError, a non-integer coordinate
+    TypeError.  Cardinality must match the kind: n for a transversal, n-1 near,
+    n+1 quasi, n*k for a k-plex; partial-transversal and cell-set are
+    unconstrained (up to n / n^2).
     """
 
     square_order: int
@@ -60,11 +61,10 @@ class CellSet:
 
     def __post_init__(self):
         n = self.square_order
-        cells = tuple(sorted((int(r), int(c)) for r, c in self.cells))
+        cells, bad = _cells(n, self.cells)
         object.__setattr__(self, "cells", cells)
         if self.kind not in _KINDS:
             raise InvalidCellSetError(f"unknown kind {self.kind!r}")
-        bad = _in_range(n, cells)
         if bad:
             raise InvalidCellSetError(bad)
         m = len(cells)
@@ -110,20 +110,19 @@ class CellSet:
         return cls(order, cells, obj["kind"], k)
 
 
-def _as_cells(cells) -> tuple[tuple[int, int], ...]:
-    if isinstance(cells, CellSet):
-        return cells.cells
-    return tuple(sorted((int(r), int(c)) for r, c in cells))
-
-
-def _in_range(order: int, cells) -> str | None:
-    for r, c in cells:
+def _cells(order: int, cells) -> tuple[tuple[tuple[int, int], ...], str | None]:
+    """The cells as sorted (row, column) int pairs, and their first defect: a
+    cell outside 1..order, else a repeated cell, else None.  A coordinate
+    without __index__ (a float, a string) raises TypeError.  A CellSet of
+    the order passes as it is, neither sorted nor checked again."""
+    if isinstance(cells, CellSet) and cells.square_order == order:
+        return cells.cells, None
+    cs = tuple(sorted((index(r), index(c)) for r, c in cells))
+    for r, c in cs:
         if not (1 <= r <= order and 1 <= c <= order):
-            return f"cell ({r},{c}) outside 1..{order}"
-    if len(set(cells)) != len(cells):
-        dup = next(x for x, m in Counter(cells).items() if m > 1)
-        return f"duplicate cell {dup}"
-    return None
+            return cs, f"cell ({r},{c}) outside 1..{order}"
+    dup = next((a for a, b in zip(cs, cs[1:]) if a == b), None)
+    return cs, None if dup is None else f"duplicate cell {dup}"
 
 
 def _line_counts(square: LatinSquare, cells) -> tuple[list[int], list[int], list[int]]:
@@ -147,8 +146,7 @@ def check_transversal(square: LatinSquare, cells) -> tuple[bool, str | None]:
 def check_kplex(square: LatinSquare, cells, k: int) -> tuple[bool, str | None]:
     """True iff every row, column and symbol occurs exactly k times."""
     n = square.order
-    cs = _as_cells(cells)
-    bad = _in_range(n, cs)
+    cs, bad = _cells(n, cells)
     if bad:
         return False, bad
     if len(cs) != n * k:
@@ -167,8 +165,7 @@ def check_kplex(square: LatinSquare, cells, k: int) -> tuple[bool, str | None]:
 def check_partial_transversal(square: LatinSquare, cells) -> tuple[bool, str | None]:
     """True iff rows, columns and symbols are pairwise distinct (any length <= n)."""
     n = square.order
-    cs = _as_cells(cells)
-    bad = _in_range(n, cs)
+    cs, bad = _cells(n, cells)
     if bad:
         return False, bad
     if len(cs) > n:
@@ -192,7 +189,7 @@ def check_partial_transversal(square: LatinSquare, cells) -> tuple[bool, str | N
 def check_near_transversal(square: LatinSquare, cells) -> tuple[bool, str | None]:
     """True iff the cells form a partial transversal of length exactly n-1."""
     n = square.order
-    cs = _as_cells(cells)
+    cs, _ = _cells(n, cells)
     if len(cs) != n - 1:
         return False, f"near-transversal needs {n - 1} cells, got {len(cs)}"
     return check_partial_transversal(square, cs)
@@ -208,8 +205,7 @@ def check_quasi_transversal(square: LatinSquare, cells) -> tuple[bool, str | Non
     n = square.order
     if n < 3:
         return False, "quasi-transversal is vacuous below order 3"
-    cs = _as_cells(cells)
-    bad = _in_range(n, cs)
+    cs, bad = _cells(n, cells)
     if bad:
         return False, bad
     if len(cs) != n + 1:
@@ -228,10 +224,11 @@ def check_quasi_transversal(square: LatinSquare, cells) -> tuple[bool, str | Non
 
 def quasi_profile(square: LatinSquare, cells) -> tuple[int, int, int]:
     """(doubled row, doubled column, doubled symbol) of a valid quasi-transversal."""
-    ok, why = check_quasi_transversal(square, cells)
+    cs, _ = _cells(square.order, cells)
+    ok, why = check_quasi_transversal(square, cs)
     if not ok:
         raise InvalidCellSetError(f"not a quasi-transversal: {why}")
-    return tuple(cnt.index(2, 1) for cnt in _line_counts(square, _as_cells(cells)))
+    return tuple(cnt.index(2, 1) for cnt in _line_counts(square, cs))
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +837,7 @@ def extendibility_report(square: LatinSquare, partial) -> str:
     n = square.order
     if n > 8:
         raise OrderTooLargeError(f"extendibility search supports order <= 8, got {n}")
-    cs = _as_cells(partial)
+    cs, _ = _cells(n, partial)
     ok, why = check_partial_transversal(square, cs)
     if not ok:
         raise InvalidPartialError(why)

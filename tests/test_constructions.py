@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import time
 from collections import Counter
 
 import pytest
@@ -28,7 +30,12 @@ from latinplex.constructions import (
     verify_certificate,
 )
 from latinplex.core import Isotopy, apply_isotopy, gen_cyclic, gen_qstep, gen_two_step_pow2
-from latinplex.errors import NotConstructibleError, StructureMismatchError, SymbolOutOfRangeError
+from latinplex.errors import (
+    NotConstructibleError,
+    OrderTooLargeError,
+    StructureMismatchError,
+    SymbolOutOfRangeError,
+)
 from latinplex.lsgraph import build_graph, gamma_k_exact, is_k_dominating
 from latinplex.plexes import (
     check_kplex,
@@ -557,3 +564,47 @@ class TestCertificates:
         del obj["witness"][0]["cells"][0]
         with pytest.raises(Exception):
             WitnessCertificate.from_json_dict(obj)
+
+
+#: the certify benchmark's builds, in its order (bench/corpus.py), then the
+#: transforms on cyclic(7)
+GOLDEN_BUILDS = (
+    [("twostep-decomp", (k,)) for k in (2, 3, 4, 5, 6)]
+    + [(claim, (n,)) for n in (4, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48, 64)
+       for claim in ("3ds-q1", "domatic-cyclic", "2plex-q1")]
+    + [(claim, (m, q)) for m in (2, 4, 6, 8) for q in (3, 5, 7, 9) if m * q <= 64
+       for claim in ("3ds-qgen", "2plex-gen") if claim == "3ds-qgen" or m >= 4]
+    + [("2plex-m2", (q,)) for q in (3, 5, 7, 9, 11, 13, 21, 31)]
+    + [("qt-nt-transforms", (square_descriptor("cyclic", n=7),))]
+)
+
+
+class TestCertificateBytes:
+    def test_certificate_bytes_are_pinned(self):
+        """The indented JSON of every build, each followed by a newline,
+        hashes to the value the builders have written since they were pinned."""
+        digest = hashlib.sha256()
+        for claim, args in GOLDEN_BUILDS:
+            cert = CLAIMS[claim][1](*args)
+            digest.update(json.dumps(cert.to_json_dict(), indent=2).encode() + b"\n")
+        assert len(GOLDEN_BUILDS) == 76
+        assert digest.hexdigest() == (
+            "77f463e72553e060e284bb8fcb35778bc0993f65201fcccf2bf84bdf078fe383")
+
+
+class TestBuilderRefusals:
+    @pytest.mark.parametrize("claim, args", [
+        ("3ds-q1", (10 ** 6,)),
+        ("3ds-qgen", (2, 10 ** 6 + 1)),
+        ("domatic-cyclic", (10 ** 6,)),
+        ("2plex-q1", (10 ** 6,)),
+        ("2plex-m2", (10 ** 6 + 1,)),
+        ("2plex-gen", (4, 10 ** 6 + 1)),
+        ("twostep-decomp", (40,)),
+    ])
+    def test_oversized_square_refused_before_any_cell(self, claim, args):
+        # the formula's cells at these orders would take minutes and gigabytes
+        start = time.perf_counter()
+        with pytest.raises(OrderTooLargeError, match="exceeds the input limit 1024"):
+            CLAIMS[claim][1](*args)
+        assert time.perf_counter() - start < 1.0

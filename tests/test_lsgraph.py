@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from latinplex import lsgraph
+from latinplex import lsgraph, plexes
 from latinplex.core import (
     Isotopy,
     LatinSquare,
@@ -40,6 +40,10 @@ from latinplex.plexes import (
     KIND_CELLS,
     CellSet,
     _column_orbit_maps,
+    check_kplex,
+    check_near_transversal,
+    check_partial_transversal,
+    check_quasi_transversal,
     check_transversal,
     enumerate_transversals,
     find_kplex,
@@ -240,14 +244,38 @@ class TestDomination:
         with pytest.raises(InvalidCellSetError, match=message):
             check(gen_cyclic(4), cells)
 
-    def test_cellset_of_the_order_is_not_checked_again(self):
-        g = build_graph(gen_cyclic(6))
+    def test_cellset_of_the_order_is_not_checked_again(self, monkeypatch):
+        sq = gen_cyclic(6)
+        g = build_graph(sq)
         cs = CellSet(6, ((4, 5), (1, 1), (2, 3)), KIND_CELLS)
-        assert lsgraph._checked_cells(6, cs) is cs
+        assert plexes._cells(6, cs) == (cs.cells, None)
+        assert plexes._cells(6, cs)[0] is cs.cells
+        normalise = plexes._cells
+        passed = []
+
+        def spy(order, cells):
+            out = normalise(order, cells)
+            if cells is cs:
+                passed.append(out[0] is cs.cells)
+            return out
+
+        monkeypatch.setattr(plexes, "_cells", spy)
+        for check in (check_transversal, check_partial_transversal, check_near_transversal,
+                      check_quasi_transversal, lambda sq, cells: check_kplex(sq, cells, 1)):
+            check(sq, cs)
+        assert passed == [True] * 5
+        assert is_k_dominating(g, cs, 2).cells is cs.cells
         assert is_k_dominating(g, cs, 2) == is_k_dominating(g, list(cs.cells), 2)
         # a CellSet made for another order is checked against this one
         with pytest.raises(InvalidCellSetError, match=r"cell \(7,7\) outside 1..6"):
             is_k_dominating(g, CellSet(8, ((7, 7),), KIND_CELLS), 1)
+        assert check_transversal(sq, CellSet(8, ((7, 7),), KIND_CELLS)) == (
+            False, "cell (7,7) outside 1..6")
+
+    def test_non_integer_coordinate_raises_type_error(self):
+        # truncated, these cells would be the main diagonal, a 3-dominating set
+        with pytest.raises(TypeError):
+            is_k_dominating(build_graph(gen_cyclic(3)), [(1.5, 1), (2, 2.2), (3, 3)], 3)
 
 
 class TestIndependentDomination:

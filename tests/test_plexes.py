@@ -25,6 +25,7 @@ from latinplex.errors import (
 from latinplex.plexes import (
     COMPLETABLE,
     EXTENDIBLE,
+    KIND_CELLS,
     KIND_KPLEX,
     KIND_NEAR,
     KIND_QUASI,
@@ -104,8 +105,32 @@ class TestCellSet:
                      KIND_KPLEX, 2)
         assert CellSet.from_json_dict(4, cs.to_json_dict()) == cs
 
+    @pytest.mark.parametrize("cells", [
+        [(1.9, 1), (2, 3)], [(1, 1), ("2", 3)], [(1, 1.0), (2, 2)],
+    ], ids=["float-row", "str-row", "integral-float-column"])
+    def test_non_integer_coordinate_raises_type_error(self, cells):
+        with pytest.raises(TypeError):
+            CellSet(3, cells, KIND_CELLS)
+
+    def test_int_subclass_coordinates_become_plain_ints(self):
+        class Coordinate(int):
+            pass
+
+        cs = CellSet(3, [(Coordinate(2), 3), (1, Coordinate(1))], KIND_CELLS)
+        assert cs.cells == ((1, 1), (2, 3))
+        assert {type(x) for cell in cs.cells for x in cell} == {int}
+
 
 class TestCheckers:
+    @pytest.mark.parametrize("check", [
+        check_transversal, check_near_transversal, check_partial_transversal,
+        check_quasi_transversal, lambda sq, cells: check_kplex(sq, cells, 1),
+    ], ids=["transversal", "near", "partial", "quasi", "kplex"])
+    def test_non_integer_coordinate_raises_type_error(self, check):
+        # truncated to (1, 1), these cells would be the main diagonal, a transversal
+        with pytest.raises(TypeError):
+            check(gen_cyclic(3), [(1.5, 1), (2, 2), (3, 3)])
+
     def test_constant_symbol_diagonal_rejected(self):
         # cells (1,1),(2,3),(3,2) of the cyclic square all carry symbol 1
         sq = gen_cyclic(3)
@@ -197,6 +222,16 @@ class TestCheckers:
         assert rows.count(dr) == 2
         syms = [sq.symbol(r, c) for r, c in quasi.cells]
         assert syms.count(ds) == 2
+
+    @pytest.mark.parametrize("check", [
+        check_quasi_transversal, check_partial_transversal, check_near_transversal,
+        lambda sq, cells: check_kplex(sq, cells, 1), quasi_profile,
+    ], ids=["quasi", "partial", "near", "kplex", "quasi_profile"])
+    def test_one_pass_iterable_reads_like_a_list(self, check):
+        # each function reads the cells once, so an iterator answers as a list does
+        sq = gen_cyclic(5)
+        cells = list(find_quasi_transversal(sq).cells)
+        assert check(sq, iter(cells)) == check(sq, cells)
 
 
 # Hall-Paige: the table of an abelian group of even order has a k-plex for
