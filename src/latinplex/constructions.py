@@ -1,11 +1,12 @@
 """Executable constructions: explicit witness formulas with validated output.
 
 Every builder evaluates its index formula (row/column indices reduced mod n
-into 1..n) and runs its claim's rule on the cells: it returns a certificate
-only when the rule passes and raises ValidationFailureError otherwise.  No
-builder searches; the transforms of qt-nt-transforms start from the first
-near-transversal the exhaustive search finds.  verify_certificate applies
-exactly the rule the builder applied (see CLAIMS).
+into 1..n) into the CellSets its certificate ships, and runs its claim's rule
+on them: it returns the certificate only when the rule passes and raises
+ValidationFailureError otherwise.  No builder searches; the transforms of
+qt-nt-transforms start from the first near-transversal the exhaustive search
+finds.  verify_certificate runs the same rule (see CLAIMS) on the same
+CellSets, parsed back from the certificate.
 
 Known defect handled here: the cyclic domatic family S_j pins its last
 extra cell at (1, n/2), which always collides with the T-family of
@@ -130,24 +131,32 @@ def _wrap_cells(cells, n: int) -> Cells:
     return tuple((_wrap(r, n), _wrap(c, n)) for r, c in cells)
 
 
-def _require_rule(claim: str, square: LatinSquare, parts: tuple[Cells, ...], source: str):
+def _certificate(claim: str, square: LatinSquare, desc: dict,
+                 witness: CellSet | tuple[CellSet, ...], notes: tuple[str, ...] = ()
+                 ) -> WitnessCertificate:
+    """The certificate of `claim` on `square` (described by `desc`) with this
+    witness, once the claim's rule passes on its witness_list(), the call
+    verify_certificate makes; a failing rule raises ValidationFailureError."""
+    cert = WitnessCertificate(claim, desc, witness, PROVENANCE_FORMULA, True, notes)
     rule, _, _ = CLAIMS[claim]
-    issues = rule(square, parts)
+    issues = rule(square, cert.witness_list())
     if issues:
-        raise ValidationFailureError(f"{claim}: {source} fails the claim's rule: {issues[0]}")
+        raise ValidationFailureError(f"{claim}: formula fails the claim's rule: {issues[0]}")
+    return cert
 
 
-def _formula_certificate(
-    claim: str, desc: dict, formula, wrap, notes: tuple[str, ...] = ()
-) -> WitnessCertificate:
+def _formula_certificate(claim: str, desc: dict, formula, notes: tuple[str, ...] = ()
+                         ) -> WitnessCertificate:
     """Certify `claim` on the square of `desc`, built as verify_certificate
     builds it and refused above MAX_INPUT_ORDER before `formula()` makes a
-    cell.  Its cell tuples must pass the rule; `wrap(n, parts)` tags them."""
+    cell, with the witness CellSets `formula()` returns.  A cell the
+    CellSets refuse fails the rule too."""
     square = square_from_descriptor(desc)
-    parts = formula()
-    _require_rule(claim, square, parts, "formula")
-    return WitnessCertificate(
-        claim, desc, wrap(square.order, parts), PROVENANCE_FORMULA, True, notes)
+    try:
+        witness = formula()
+    except InvalidCellSetError as exc:
+        raise ValidationFailureError(f"{claim}: formula fails the claim's rule: {exc}") from None
+    return _certificate(claim, square, desc, witness, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +203,8 @@ def _decompose_perms(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def decompose_two_step(square: LatinSquare) -> tuple[CellSet, ...]:
-    """Full decomposition of a doubling-family square into n disjoint transversals.
+def _twostep_certificate(square: LatinSquare, desc: dict) -> WitnessCertificate:
+    """The decomposition of a doubling-family square into n disjoint transversals.
 
     The doubling square of order 2^k is the table of Z_2^k, cell (i, j)
     holding symbol i XOR j, all 0-based; any other square raises
@@ -206,22 +215,22 @@ def decompose_two_step(square: LatinSquare) -> tuple[CellSet, ...]:
         raise StructureMismatchError(f"order {n} is not a power of two >= 4")
     if any(s != i ^ j for i, row in enumerate(square.cells0) for j, s in enumerate(row)):
         raise StructureMismatchError(f"square is not the doubling square of order {n}")
-    parts = tuple(tuple((r + 1, c + 1) for r, c in enumerate(p)) for p in _decompose_perms(n))
-    _require_rule("twostep-decomp", square, parts, "lifted decomposition")
-    return tuple(CellSet(n, p, KIND_TRANSVERSAL) for p in parts)
+    parts = tuple(CellSet(n, tuple((r, c + 1) for r, c in enumerate(p, 1)), KIND_TRANSVERSAL)
+                  for p in _decompose_perms(n))
+    return _certificate("twostep-decomp", square, desc, parts,
+                        (f"tau = {n} disjoint transversals of order {n}",))
+
+
+def decompose_two_step(square: LatinSquare) -> tuple[CellSet, ...]:
+    """Full decomposition of a doubling-family square into n disjoint
+    transversals; any other square raises StructureMismatchError."""
+    k = square.order.bit_length() - 1
+    return _twostep_certificate(square, square_descriptor("twostep", k=k)).witness
 
 
 def construct_twostep_decomposition(k: int) -> WitnessCertificate:
     desc = square_descriptor("twostep", k=k)
-    square = square_from_descriptor(desc)
-    return WitnessCertificate(
-        claim="twostep-decomp",
-        square=desc,
-        witness=decompose_two_step(square),
-        provenance=PROVENANCE_FORMULA,
-        verdict=True,
-        notes=(f"tau = {square.order} disjoint transversals of order {square.order}",),
-    )
+    return _twostep_certificate(square_from_descriptor(desc), desc)
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +269,6 @@ def _case2_cells(m: int, q: int) -> tuple[tuple[int, int], ...]:
     return _wrap_cells(cells, n)
 
 
-def _as_quasi(n: int, parts: tuple[Cells, ...]) -> CellSet:
-    return CellSet(n, parts[0], KIND_QUASI)
-
-
 def build_3ds_q1(n: int) -> WitnessCertificate:
     """Size-(n+1) 3-dominating set of the cyclic square, n even >= 4.
 
@@ -273,8 +278,8 @@ def build_3ds_q1(n: int) -> WitnessCertificate:
     if n < 4 or n % 2:
         raise ValueError(f"construction needs even n >= 4, got {n}")
     return _formula_certificate(
-        "3ds-q1", square_descriptor("cyclic", n=n), lambda: (_rodney1_cells(n)[0],), _as_quasi
-    )
+        "3ds-q1", square_descriptor("cyclic", n=n),
+        lambda: CellSet(n, _rodney1_cells(n)[0], KIND_QUASI))
 
 
 def build_3ds_qgen(m: int, q: int) -> WitnessCertificate:
@@ -282,9 +287,8 @@ def build_3ds_qgen(m: int, q: int) -> WitnessCertificate:
     if m < 2 or m % 2 or q < 3 or q % 2 == 0:
         raise ValueError(f"construction needs even m >= 2 and odd q >= 3, got ({m},{q})")
     return _formula_certificate(
-        "3ds-qgen", square_descriptor("qstep", m=m, q=q), lambda: (_case2_cells(m, q),),
-        _as_quasi,
-    )
+        "3ds-qgen", square_descriptor("qstep", m=m, q=q),
+        lambda: CellSet(m * q, _case2_cells(m, q), KIND_QUASI))
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +333,8 @@ def build_domatic_partition_cyclic(n: int) -> WitnessCertificate:
         f"{domatic_upper_bound(n, n + 1)}; hence d_3 = {n - 1}",
     )
     return _formula_certificate(
-        "domatic-cyclic", square_descriptor("cyclic", n=n), lambda: tuple(domatic_family_cells(n)),
-        lambda order, parts: tuple(CellSet(order, p, KIND_CELLS) for p in parts), notes,
-    )
+        "domatic-cyclic", square_descriptor("cyclic", n=n),
+        lambda: tuple(CellSet(n, p, KIND_CELLS) for p in domatic_family_cells(n)), notes)
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +391,10 @@ def _rodney3_cells(m: int, q: int):
     return _wrap_cells(s, n), _wrap_cells(sp, n)
 
 
-def _two_plex_parts(s: Cells, sp: Cells) -> tuple[Cells, Cells, Cells]:
-    """(quasi S, near S', their union) as the 2-plex claims' witness parts."""
-    return s, sp, tuple(sorted(set(s) | set(sp)))
-
-
-def _as_two_plex(n: int, parts: tuple[Cells, ...]) -> tuple[CellSet, CellSet, CellSet]:
-    s, sp, union = parts
-    return CellSet(n, s, KIND_QUASI), CellSet(n, sp, KIND_NEAR), CellSet(n, union, KIND_KPLEX, 2)
+def _two_plex(n: int, s: Cells, sp: Cells) -> tuple[CellSet, CellSet, CellSet]:
+    """(quasi S, near S', their union): the 2-plex claims' witness."""
+    return (CellSet(n, s, KIND_QUASI), CellSet(n, sp, KIND_NEAR),
+            CellSet(n, {*s, *sp}, KIND_KPLEX, 2))
 
 
 def build_2plex_q1(n: int) -> WitnessCertificate:
@@ -403,9 +402,7 @@ def build_2plex_q1(n: int) -> WitnessCertificate:
     if n < 4 or n % 2:
         raise ValueError(f"construction needs even n >= 4, got {n}")
     return _formula_certificate(
-        "2plex-q1", square_descriptor("cyclic", n=n), lambda: _two_plex_parts(*_rodney1_cells(n)),
-        _as_two_plex,
-    )
+        "2plex-q1", square_descriptor("cyclic", n=n), lambda: _two_plex(n, *_rodney1_cells(n)))
 
 
 def build_2plex_m2(q: int) -> WitnessCertificate:
@@ -414,8 +411,7 @@ def build_2plex_m2(q: int) -> WitnessCertificate:
         raise ValueError(f"construction needs odd q >= 3, got {q}")
     return _formula_certificate(
         "2plex-m2", square_descriptor("qstep", m=2, q=q),
-        lambda: _two_plex_parts(*_rodney2_cells(q)), _as_two_plex,
-    )
+        lambda: _two_plex(2 * q, *_rodney2_cells(q)))
 
 
 def build_2plex_general(m: int, q: int) -> WitnessCertificate:
@@ -424,8 +420,7 @@ def build_2plex_general(m: int, q: int) -> WitnessCertificate:
         raise ValueError(f"construction needs even m >= 4 and odd q >= 3, got ({m},{q})")
     return _formula_certificate(
         "2plex-gen", square_descriptor("qstep", m=m, q=q),
-        lambda: _two_plex_parts(*_rodney3_cells(m, q)), _as_two_plex,
-    )
+        lambda: _two_plex(m * q, *_rodney3_cells(m, q)))
 
 
 # ---------------------------------------------------------------------------
@@ -547,21 +542,12 @@ def build_qt_nt_transforms(square: LatinSquare, desc: dict | None = None) -> Wit
         notes.append("first near-transversal was completable; quasi seeded from a transversal")
         near = near_from_quasi(square, quasi)
     back = near_from_quasi(square, quasi)
-    _require_rule("qt-nt-transforms", square, (near.cells, quasi.cells, back.cells),
-                  "transform output")
-    return WitnessCertificate(
-        claim="qt-nt-transforms",
-        square=desc,
-        witness=(near, quasi, back),
-        provenance=PROVENANCE_FORMULA,
-        verdict=True,
-        notes=tuple(notes),
-    )
+    return _certificate("qt-nt-transforms", square, desc, (near, quasi, back), tuple(notes))
 
 
 # ---------------------------------------------------------------------------
-# claim rules: what a certificate of each claim must show, over cell tuples
-# or CellSets.  A builder accepts its output only if the rule passes, and
+# claim rules: what a certificate of each claim must show of its witness
+# CellSets.  A builder ships them only if the rule passes (_certificate), and
 # verify_certificate re-runs the same rule on the parsed CellSets.
 
 
@@ -570,7 +556,7 @@ def _failed(label: str, result: tuple[bool, str | None]) -> list[str]:
     return [] if ok else [f"{label}: {why}"]
 
 
-def _not_3_dominating(graph, label: str, cells: Cells) -> list[str]:
+def _not_3_dominating(graph, label: str, cells: CellSet) -> list[str]:
     try:  # a repeated or out-of-range cell is an issue the rule reports, not an error
         dom = is_k_dominating(graph, cells, 3)
     except InvalidCellSetError as exc:
@@ -578,7 +564,7 @@ def _not_3_dominating(graph, label: str, cells: Cells) -> list[str]:
     return [] if dom.verdict else [f"{label} not 3-dominating at {dom.deficient[:1]}"]
 
 
-def _partition_issues(n: int, parts: tuple[Cells, ...]) -> list[str]:
+def _partition_issues(n: int, parts: tuple[CellSet, ...]) -> list[str]:
     """Parts pairwise disjoint and together covering all n^2 cells."""
     issues = []
     seen: set[tuple[int, int]] = set()
@@ -592,7 +578,7 @@ def _partition_issues(n: int, parts: tuple[Cells, ...]) -> list[str]:
     return issues
 
 
-def _twostep_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]:
+def _twostep_issues(square: LatinSquare, parts: tuple[CellSet, ...]) -> list[str]:
     """n transversals partitioning the cells."""
     n = square.order
     issues = [] if len(parts) == n else [f"expected {n} transversals, got {len(parts)}"]
@@ -601,7 +587,7 @@ def _twostep_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]:
     return issues + _partition_issues(n, parts)
 
 
-def _domatic_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]:
+def _domatic_issues(square: LatinSquare, parts: tuple[CellSet, ...]) -> list[str]:
     """n-1 3-dominating sets partitioning the cells; domination is checked
     only on n-1 parts that partition the cells, each part in time linear in
     its size, n and the cells on the lines it misses."""
@@ -616,7 +602,7 @@ def _domatic_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]:
     return issues
 
 
-def _3ds_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]:
+def _3ds_issues(square: LatinSquare, parts: tuple[CellSet, ...]) -> list[str]:
     """One set of n+1 cells that is a quasi-transversal and 3-dominating."""
     if len(parts) != 1:
         return ["expected a single witness set"]
@@ -627,7 +613,7 @@ def _3ds_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]:
     return issues + _not_3_dominating(build_graph(square), "set", cells)
 
 
-def _two_plex_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]:
+def _two_plex_issues(square: LatinSquare, parts: tuple[CellSet, ...]) -> list[str]:
     """A 2-plex, either bare or as (quasi S, disjoint near S', S union S')."""
     if len(parts) not in (1, 3):
         return [f"expected 1 or 3 witness sets, got {len(parts)}"]
@@ -643,7 +629,7 @@ def _two_plex_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]
     return issues + _failed("2-plex check", check_kplex(square, parts[-1], 2))
 
 
-def _qt_nt_issues(square: LatinSquare, parts: tuple[Cells, ...]) -> list[str]:
+def _qt_nt_issues(square: LatinSquare, parts: tuple[CellSet, ...]) -> list[str]:
     """(near, quasi, near): the quasi extends the near, and the round trip
     back to a near-transversal recovers the first one."""
     if len(parts) != 3:

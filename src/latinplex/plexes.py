@@ -48,7 +48,7 @@ class CellSet:
     """A set of (row, column) cells of an order-n square, tagged with intent.
 
     Cells are 1-based integer pairs, stored sorted row-major; an outside or
-    repeated cell raises InvalidCellSetError, a non-integer coordinate
+    repeated cell raises InvalidCellSetError, a non-integer or bool coordinate
     TypeError.  Cardinality must match the kind: n for a transversal, n-1 near,
     n+1 quasi, n*k for a k-plex; partial-transversal and cell-set are
     unconstrained (up to n / n^2).
@@ -112,12 +112,19 @@ class CellSet:
 
 def _cells(order: int, cells) -> tuple[tuple[tuple[int, int], ...], str | None]:
     """The cells as sorted (row, column) int pairs, and their first defect: a
-    cell outside 1..order, else a repeated cell, else None.  A coordinate
-    without __index__ (a float, a string) raises TypeError.  A CellSet of
-    the order passes as it is, neither sorted nor checked again."""
+    cell outside 1..order, else a repeated cell, else None.  A bool
+    coordinate, or one without __index__ (a float, a string), raises
+    TypeError.  A CellSet of the order passes as it is, neither sorted nor
+    checked again."""
     if isinstance(cells, CellSet) and cells.square_order == order:
         return cells.cells, None
-    cs = tuple(sorted((index(r), index(c)) for r, c in cells))
+    pairs = []
+    for r, c in cells:
+        if type(r) is bool or type(c) is bool:
+            raise TypeError(f"cell ({r!r}, {c!r}) has a bool coordinate, not an integer")
+        pairs.append((index(r), index(c)))
+    pairs.sort()
+    cs = tuple(pairs)
     for r, c in cs:
         if not (1 <= r <= order and 1 <= c <= order):
             return cs, f"cell ({r},{c}) outside 1..{order}"
@@ -164,8 +171,21 @@ def check_kplex(square: LatinSquare, cells, k: int) -> tuple[bool, str | None]:
 
 def check_partial_transversal(square: LatinSquare, cells) -> tuple[bool, str | None]:
     """True iff rows, columns and symbols are pairwise distinct (any length <= n)."""
+    return _partial_scan(square, *_cells(square.order, cells))
+
+
+def check_near_transversal(square: LatinSquare, cells) -> tuple[bool, str | None]:
+    """True iff the cells form a partial transversal of length exactly n-1."""
     n = square.order
     cs, bad = _cells(n, cells)
+    if len(cs) != n - 1:
+        return False, f"near-transversal needs {n - 1} cells, got {len(cs)}"
+    return _partial_scan(square, cs, bad)
+
+
+def _partial_scan(square: LatinSquare, cs, bad: str | None) -> tuple[bool, str | None]:
+    """check_partial_transversal on cells _cells has normalised, with their defect."""
+    n = square.order
     if bad:
         return False, bad
     if len(cs) > n:
@@ -184,15 +204,6 @@ def check_partial_transversal(square: LatinSquare, cells) -> tuple[bool, str | N
         cols.add(c)
         syms.add(s)
     return True, None
-
-
-def check_near_transversal(square: LatinSquare, cells) -> tuple[bool, str | None]:
-    """True iff the cells form a partial transversal of length exactly n-1."""
-    n = square.order
-    cs, _ = _cells(n, cells)
-    if len(cs) != n - 1:
-        return False, f"near-transversal needs {n - 1} cells, got {len(cs)}"
-    return check_partial_transversal(square, cs)
 
 
 def check_quasi_transversal(square: LatinSquare, cells) -> tuple[bool, str | None]:

@@ -7,12 +7,21 @@ import random
 
 import pytest
 
-from latinplex import constructions
+from latinplex import constructions, plexes
 from latinplex.constructions import CLAIMS
-from latinplex.core import Isotopy, apply_isotopy, gen_cyclic, gen_qstep, validate
+from latinplex.core import (
+    Isotopy,
+    apply_isotopy,
+    gen_cyclic,
+    gen_qstep,
+    square_descriptor,
+    validate,
+)
 from latinplex.errors import ValidationFailureError
 from latinplex.lsgraph import build_graph, gamma_k_exact
 from latinplex.plexes import (
+    KIND_NEAR,
+    CellSet,
     _join_transversals,
     check_kplex,
     enumerate_transversals,
@@ -91,25 +100,83 @@ class TestGammaOracle:
         assert gamma_k_exact(build_graph(sq), k)[0] == brute_gamma_k(sq, k) == gamma
 
 
+def _row_major(n: int, start: int, stop: int):
+    """Cells start..stop-1 of an order-n square in row-major order: row 1 first."""
+    return tuple((i // n + 1, i % n + 1) for i in range(start, stop))
+
+
+def _repeat_first(cells):
+    """The cells with the last one replaced by the first."""
+    return (*cells[:-1], cells[0])
+
+
+#: claim -> (the formula its builder evaluates, the builder's arguments, the order)
+FORMULAS = {
+    "twostep-decomp": ("_decompose_perms", (3,), 8),
+    "3ds-q1": ("_rodney1_cells", (6,), 6),
+    "3ds-qgen": ("_case2_cells", (2, 3), 6),
+    "domatic-cyclic": ("domatic_family_cells", (6,), 6),
+    "2plex-q1": ("_rodney1_cells", (6,), 6),
+    "2plex-m2": ("_rodney2_cells", (3,), 6),
+    "2plex-gen": ("_rodney3_cells", (4, 3), 12),
+    "qt-nt-transforms": ("near_from_quasi", (square_descriptor("cyclic", n=6),), 6),
+}
+
+
+def _broken(name: str, out, n: int, case: str):
+    """Formula `name`'s output `out` with a cell of its first set repeated
+    ("repeated-cell"), or its first sets moved onto row 1 ("wrong-set")."""
+    repeat = case == "repeated-cell"
+    if name == "_decompose_perms":  # column 1 in every row
+        return [[0] * n, *out[1:]]
+    if name == "near_from_quasi":
+        return CellSet(n, _row_major(n, 0, n - 1), KIND_NEAR)
+    if name == "_case2_cells":
+        return _repeat_first(out) if repeat else _row_major(n, 0, len(out))
+    if name == "domatic_family_cells":
+        return [_repeat_first(out[0]) if repeat else _row_major(n, 0, len(out[0])), *out[1:]]
+    s, sp = out  # quasi S and near S': S is row 1 and (2, 1), S' the rest of row 2
+    return (_repeat_first(s), sp) if repeat else (_row_major(n, 0, n + 1),
+                                                  _row_major(n, n + 1, 2 * n))
+
+
 class TestFormulaRule:
     @pytest.mark.parametrize("claim,case", [
-        (claim, case) for claim in ("3ds-q1", "2plex-q1")
-        for case in ("wrong-set", "repeated-cell", "order-14")
+        *((claim, case) for claim in ("3ds-q1", "2plex-q1")
+          for case in ("wrong-set", "repeated-cell", "order-14")),
+        *((claim, case) for claim in ("3ds-qgen", "domatic-cyclic", "2plex-m2", "2plex-gen")
+          for case in ("wrong-set", "repeated-cell")),
+        ("twostep-decomp", "wrong-set"), ("qt-nt-transforms", "wrong-set"),
     ], ids=lambda v: v)
     def test_bad_formula_cells_raise(self, monkeypatch, claim, case):
         # no builder searches: formula cells failing the claim's rule are an
         # error naming the claim, never a certificate, at every order
-        n = 14 if case == "order-14" else 6
-        s, sp = constructions._rodney1_cells(n)
-        if case == "repeated-cell":
-            s = s[:-1] + s[:1]
-        else:
-            s = tuple((1, j) for j in range(1, n + 1)) + ((2, 1),)  # n+1 cells, row 1 full
-            sp = tuple((2, j) for j in range(2, n + 1))
-        monkeypatch.setattr(constructions, "_rodney1_cells", lambda order: (s, sp))
+        name, args, n = FORMULAS[claim]
+        if case == "order-14":
+            args, n = (14,), 14
+        formula = getattr(constructions, name)
+        monkeypatch.setattr(constructions, name, lambda *a: _broken(name, formula(*a), n, case))
         _, build, _ = CLAIMS[claim]
         with pytest.raises(ValidationFailureError, match=f"^{claim}: formula fails the claim's rule"):
-            build(n)
+            build(*args)
+
+    @pytest.mark.parametrize("claim,args,count", [
+        ("domatic-cyclic", (8,), 7), ("2plex-q1", (8,), 3), ("3ds-q1", (8,), 1),
+    ], ids=lambda v: v)
+    def test_each_shipped_cell_set_is_normalised_once(self, monkeypatch, claim, args, count):
+        # the builder's rule runs on the CellSets it ships, which _cells passes through
+        normalise = plexes._cells
+        normalised = []
+
+        def spy(order, cells):
+            if not (isinstance(cells, CellSet) and cells.square_order == order):
+                normalised.append(cells)
+            return normalise(order, cells)
+
+        monkeypatch.setattr(plexes, "_cells", spy)
+        _, build, _ = CLAIMS[claim]
+        cert = build(*args)
+        assert len(normalised) == len(cert.witness_list()) == count
 
 
 class TestLargeOrderStepType:

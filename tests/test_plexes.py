@@ -107,7 +107,8 @@ class TestCellSet:
 
     @pytest.mark.parametrize("cells", [
         [(1.9, 1), (2, 3)], [(1, 1), ("2", 3)], [(1, 1.0), (2, 2)],
-    ], ids=["float-row", "str-row", "integral-float-column"])
+        [(True, True), (2, 3), (3, 2)],  # read as (1, 1), a transversal of cyclic(3)
+    ], ids=["float-row", "str-row", "integral-float-column", "bool-cell"])
     def test_non_integer_coordinate_raises_type_error(self, cells):
         with pytest.raises(TypeError):
             CellSet(3, cells, KIND_CELLS)
@@ -126,10 +127,11 @@ class TestCheckers:
         check_transversal, check_near_transversal, check_partial_transversal,
         check_quasi_transversal, lambda sq, cells: check_kplex(sq, cells, 1),
     ], ids=["transversal", "near", "partial", "quasi", "kplex"])
-    def test_non_integer_coordinate_raises_type_error(self, check):
-        # truncated to (1, 1), these cells would be the main diagonal, a transversal
+    @pytest.mark.parametrize("first", [(1.5, 1), (True, True)], ids=["float", "bool"])
+    def test_non_integer_coordinate_raises_type_error(self, check, first):
+        # read as (1, 1), these cells would be the main diagonal, a transversal
         with pytest.raises(TypeError):
-            check(gen_cyclic(3), [(1.5, 1), (2, 2), (3, 3)])
+            check(gen_cyclic(3), [first, (2, 2), (3, 3)])
 
     def test_constant_symbol_diagonal_rejected(self):
         # cells (1,1),(2,3),(3,2) of the cyclic square all carry symbol 1
