@@ -145,18 +145,19 @@ def _certificate(claim: str, square: LatinSquare, desc: dict,
     return cert
 
 
-def _formula_certificate(claim: str, desc: dict, formula, notes: tuple[str, ...] = ()
+def _formula_certificate(claim: str, desc: dict, formula, notes=lambda n: ()
                          ) -> WitnessCertificate:
     """Certify `claim` on the square of `desc`, built as verify_certificate
-    builds it and refused above MAX_INPUT_ORDER before `formula()` makes a
-    cell, with the witness CellSets `formula()` returns.  A cell the
-    CellSets refuse fails the rule too."""
+    builds it and refused above MAX_INPUT_ORDER before a cell is made, with
+    the witness CellSets `formula(n)` returns and the notes `notes(n)`, n the
+    square's order.  A cell the CellSets refuse fails the rule too."""
     square = square_from_descriptor(desc)
+    n = square.order
     try:
-        witness = formula()
+        witness = formula(n)
     except InvalidCellSetError as exc:
         raise ValidationFailureError(f"{claim}: formula fails the claim's rule: {exc}") from None
-    return _certificate(claim, square, desc, witness, notes)
+    return _certificate(claim, square, desc, witness, notes(n))
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +204,14 @@ def _decompose_perms(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _twostep_certificate(square: LatinSquare, desc: dict) -> WitnessCertificate:
-    """The decomposition of a doubling-family square into n disjoint transversals.
+def _two_step_parts(n: int) -> tuple[CellSet, ...]:
+    """The n disjoint transversals of the order-n doubling square."""
+    return tuple(CellSet(n, tuple((r, c + 1) for r, c in enumerate(p, 1)), KIND_TRANSVERSAL)
+                 for p in _decompose_perms(n))
+
+
+def decompose_two_step(square: LatinSquare) -> tuple[CellSet, ...]:
+    """Full decomposition of a doubling-family square into n disjoint transversals.
 
     The doubling square of order 2^k is the table of Z_2^k, cell (i, j)
     holding symbol i XOR j, all 0-based; any other square raises
@@ -215,22 +222,13 @@ def _twostep_certificate(square: LatinSquare, desc: dict) -> WitnessCertificate:
         raise StructureMismatchError(f"order {n} is not a power of two >= 4")
     if any(s != i ^ j for i, row in enumerate(square.cells0) for j, s in enumerate(row)):
         raise StructureMismatchError(f"square is not the doubling square of order {n}")
-    parts = tuple(CellSet(n, tuple((r, c + 1) for r, c in enumerate(p, 1)), KIND_TRANSVERSAL)
-                  for p in _decompose_perms(n))
-    return _certificate("twostep-decomp", square, desc, parts,
-                        (f"tau = {n} disjoint transversals of order {n}",))
-
-
-def decompose_two_step(square: LatinSquare) -> tuple[CellSet, ...]:
-    """Full decomposition of a doubling-family square into n disjoint
-    transversals; any other square raises StructureMismatchError."""
-    k = square.order.bit_length() - 1
-    return _twostep_certificate(square, square_descriptor("twostep", k=k)).witness
+    return _two_step_parts(n)
 
 
 def construct_twostep_decomposition(k: int) -> WitnessCertificate:
-    desc = square_descriptor("twostep", k=k)
-    return _twostep_certificate(square_from_descriptor(desc), desc)
+    return _formula_certificate(
+        "twostep-decomp", square_descriptor("twostep", k=k), _two_step_parts,
+        lambda n: (f"tau = {n} disjoint transversals of order {n}",))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +277,7 @@ def build_3ds_q1(n: int) -> WitnessCertificate:
         raise ValueError(f"construction needs even n >= 4, got {n}")
     return _formula_certificate(
         "3ds-q1", square_descriptor("cyclic", n=n),
-        lambda: CellSet(n, _rodney1_cells(n)[0], KIND_QUASI))
+        lambda n: CellSet(n, _rodney1_cells(n)[0], KIND_QUASI))
 
 
 def build_3ds_qgen(m: int, q: int) -> WitnessCertificate:
@@ -288,7 +286,7 @@ def build_3ds_qgen(m: int, q: int) -> WitnessCertificate:
         raise ValueError(f"construction needs even m >= 2 and odd q >= 3, got ({m},{q})")
     return _formula_certificate(
         "3ds-qgen", square_descriptor("qstep", m=m, q=q),
-        lambda: CellSet(m * q, _case2_cells(m, q), KIND_QUASI))
+        lambda n: CellSet(n, _case2_cells(m, q), KIND_QUASI))
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +324,15 @@ def build_domatic_partition_cyclic(n: int) -> WitnessCertificate:
     """
     if n < 4 or n % 2:
         raise ValueError(f"construction needs even n >= 4, got {n}")
-    notes = (
-        "printed extra cell (1, n/2) of the last part collides with the j=n/2 part; "
-        "using (1, n), the unique cell completing the partition",
-        f"d_3 >= {n - 1} from the family; d_3 <= floor({n * n}/{n + 1}) = "
-        f"{domatic_upper_bound(n, n + 1)}; hence d_3 = {n - 1}",
-    )
     return _formula_certificate(
         "domatic-cyclic", square_descriptor("cyclic", n=n),
-        lambda: tuple(CellSet(n, p, KIND_CELLS) for p in domatic_family_cells(n)), notes)
+        lambda n: tuple(CellSet(n, p, KIND_CELLS) for p in domatic_family_cells(n)),
+        lambda n: (
+            "printed extra cell (1, n/2) of the last part collides with the j=n/2 part; "
+            "using (1, n), the unique cell completing the partition",
+            f"d_3 >= {n - 1} from the family; d_3 <= floor({n * n}/{n + 1}) = "
+            f"{domatic_upper_bound(n, n + 1)}; hence d_3 = {n - 1}",
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +400,7 @@ def build_2plex_q1(n: int) -> WitnessCertificate:
     if n < 4 or n % 2:
         raise ValueError(f"construction needs even n >= 4, got {n}")
     return _formula_certificate(
-        "2plex-q1", square_descriptor("cyclic", n=n), lambda: _two_plex(n, *_rodney1_cells(n)))
+        "2plex-q1", square_descriptor("cyclic", n=n), lambda n: _two_plex(n, *_rodney1_cells(n)))
 
 
 def build_2plex_m2(q: int) -> WitnessCertificate:
@@ -411,7 +409,7 @@ def build_2plex_m2(q: int) -> WitnessCertificate:
         raise ValueError(f"construction needs odd q >= 3, got {q}")
     return _formula_certificate(
         "2plex-m2", square_descriptor("qstep", m=2, q=q),
-        lambda: _two_plex(2 * q, *_rodney2_cells(q)))
+        lambda n: _two_plex(n, *_rodney2_cells(q)))
 
 
 def build_2plex_general(m: int, q: int) -> WitnessCertificate:
@@ -420,7 +418,7 @@ def build_2plex_general(m: int, q: int) -> WitnessCertificate:
         raise ValueError(f"construction needs even m >= 4 and odd q >= 3, got ({m},{q})")
     return _formula_certificate(
         "2plex-gen", square_descriptor("qstep", m=m, q=q),
-        lambda: _two_plex(m * q, *_rodney3_cells(m, q)))
+        lambda n: _two_plex(n, *_rodney3_cells(m, q)))
 
 
 # ---------------------------------------------------------------------------

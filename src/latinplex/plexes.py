@@ -118,11 +118,8 @@ def _cells(order: int, cells) -> tuple[tuple[tuple[int, int], ...], str | None]:
     checked again."""
     if isinstance(cells, CellSet) and cells.square_order == order:
         return cells.cells, None
-    pairs = []
-    for r, c in cells:
-        if type(r) is bool or type(c) is bool:
-            raise TypeError(f"cell ({r!r}, {c!r}) has a bool coordinate, not an integer")
-        pairs.append((index(r), index(c)))
+    # plain int coordinates, the usual case, are taken as they are
+    pairs = [(r, c) if type(r) is int is type(c) else _int_cell(r, c) for r, c in cells]
     pairs.sort()
     cs = tuple(pairs)
     for r, c in cs:
@@ -130,6 +127,13 @@ def _cells(order: int, cells) -> tuple[tuple[tuple[int, int], ...], str | None]:
             return cs, f"cell ({r},{c}) outside 1..{order}"
     dup = next((a for a, b in zip(cs, cs[1:]) if a == b), None)
     return cs, None if dup is None else f"duplicate cell {dup}"
+
+
+def _int_cell(r, c) -> tuple[int, int]:
+    """(r, c) as plain ints; a bool or a non-integer coordinate raises TypeError."""
+    if type(r) is bool or type(c) is bool:
+        raise TypeError(f"cell ({r!r}, {c!r}) has a bool coordinate, not an integer")
+    return index(r), index(c)
 
 
 def _line_counts(square: LatinSquare, cells) -> tuple[list[int], list[int], list[int]]:

@@ -125,10 +125,12 @@ FORMULAS = {
 
 def _broken(name: str, out, n: int, case: str):
     """Formula `name`'s output `out` with a cell of its first set repeated
-    ("repeated-cell"), or its first sets moved onto row 1 ("wrong-set")."""
+    ("repeated-cell") or outside the square ("outside-cell"), or its first
+    sets moved onto row 1 ("wrong-set")."""
     repeat = case == "repeated-cell"
-    if name == "_decompose_perms":  # column 1 in every row
-        return [[0] * n, *out[1:]]
+    if name == "_decompose_perms":  # a permutation repeats no cell: column n+1 in row 1,
+        # or column 1 in every row
+        return [[n, *out[0][1:]] if case == "outside-cell" else [0] * n, *out[1:]]
     if name == "near_from_quasi":
         return CellSet(n, _row_major(n, 0, n - 1), KIND_NEAR)
     if name == "_case2_cells":
@@ -146,7 +148,8 @@ class TestFormulaRule:
           for case in ("wrong-set", "repeated-cell", "order-14")),
         *((claim, case) for claim in ("3ds-qgen", "domatic-cyclic", "2plex-m2", "2plex-gen")
           for case in ("wrong-set", "repeated-cell")),
-        ("twostep-decomp", "wrong-set"), ("qt-nt-transforms", "wrong-set"),
+        ("twostep-decomp", "wrong-set"), ("twostep-decomp", "outside-cell"),
+        ("qt-nt-transforms", "wrong-set"),
     ], ids=lambda v: v)
     def test_bad_formula_cells_raise(self, monkeypatch, claim, case):
         # no builder searches: formula cells failing the claim's rule are an
@@ -162,6 +165,8 @@ class TestFormulaRule:
 
     @pytest.mark.parametrize("claim,args,count", [
         ("domatic-cyclic", (8,), 7), ("2plex-q1", (8,), 3), ("3ds-q1", (8,), 1),
+        ("twostep-decomp", (3,), 8), ("3ds-qgen", (2, 3), 1), ("2plex-m2", (3,), 3),
+        ("2plex-gen", (4, 3), 3),
     ], ids=lambda v: v)
     def test_each_shipped_cell_set_is_normalised_once(self, monkeypatch, claim, args, count):
         # the builder's rule runs on the CellSets it ships, which _cells passes through
