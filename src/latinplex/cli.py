@@ -152,7 +152,7 @@ def cmd_verify(args) -> int:
             text = fh.read()
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, a huge integer, deep nesting
         raise LatinSquareError(f"bad certificate JSON: {exc}") from None
     cert = cons.WitnessCertificate.from_json_dict(obj)
     ok, issues = cons.verify_certificate(cert)

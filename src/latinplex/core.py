@@ -374,7 +374,7 @@ def load_square_text(text: str) -> LatinSquare:
     if stripped.startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad syntax, a huge integer, deep nesting
             raise FormatError(f"bad JSON: {exc}") from None
         return square_from_json_dict(obj)
     return parse_ls(text)

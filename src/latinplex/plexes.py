@@ -423,14 +423,6 @@ def _column_orbit_maps(grid, n: int) -> list[list[int]]:
     return maps
 
 
-def _column_orbits(grid, n: int) -> tuple[list[list[int]], list[int]]:
-    """The maps of _column_orbit_maps and the least column of each orbit.  A map
-    fixing a column fixes every symbol, so it is the identity: the maps act
-    freely, and every orbit has len(maps) columns."""
-    maps = _column_orbit_maps(grid, n)
-    return maps, [c for c in range(n) if all(alpha[c] >= c for alpha in maps)]
-
-
 def _half_table(grid, n: int, rows, start: int) -> dict[int, int]:
     """Count the partial transversals over `rows` extending `start` by the
     (colmask, symmask) they use, packed as colmask | symmask << n."""
@@ -460,7 +452,10 @@ def _join_transversals(grid, n: int) -> int:
     """The orbit size times the sum, over the orbits of row-0 cells, of the
     count through the orbit's first cell: the top half-table (rows 0..h-1
     from that cell) joined with the bottom one (rows h..n-1) on complementary masks."""
-    maps, reps = _column_orbits(grid, n)
+    maps = _column_orbit_maps(grid, n)
+    # a map fixing a column fixes every symbol, so it is the identity: the maps
+    # act freely, every orbit has len(maps) columns, and reps holds the least of each
+    reps = [c for c in range(n) if all(alpha[c] >= c for alpha in maps)]
     log.debug("transversal count: column 1 orbit %d of %d, %d per-column counts",
               len(maps), n, len(reps))
     h = min(n, (n + 1) // 2 + 1)
@@ -473,6 +468,15 @@ def _join_transversals(grid, n: int) -> int:
     return len(maps) * count
 
 
+def _transversals(grid, cap: int | None = None) -> list[tuple[int, ...]]:
+    """The first `cap` transversals (every one when cap is None; else cap >=
+    1) as column tuples, in lex order: the row search over all rows."""
+    found: list[tuple[int, ...]] = []
+    _partial_search(grid, range(len(grid)),
+                    lambda path: found.append(tuple(path)) or len(found) == cap)
+    return found
+
+
 def _cols_to_cellset(order: int, cols: tuple[int, ...]) -> CellSet:
     return CellSet(order, tuple((i + 1, c + 1) for i, c in enumerate(cols)), KIND_TRANSVERSAL)
 
@@ -483,7 +487,8 @@ def enumerate_transversals(square: LatinSquare, cap: int = 10, threads: int = 1)
     A 0 is certified by a re-checked lattice obstruction when there is one,
     any other count by exhaustion: a meet-in-the-middle join per orbit of
     row-1 cells under the row-fixing autotopisms (one for a group table).
-    Witnesses come from backtracking, run only when the count is positive.
+    The witnesses are the first `cap` transversals of the row search, run
+    only when the count is positive.
     `threads` is ignored.  A negative cap raises ValueError; orders above
     MAX_EXHAUSTIVE_ORDER are refused.
     """
@@ -494,9 +499,7 @@ def enumerate_transversals(square: LatinSquare, cap: int = 10, threads: int = 1)
         raise OrderTooLargeError(f"order {n} exceeds exhaustive limit {MAX_EXHAUSTIVE_ORDER}")
     grid = square.cells0
     count = _count_transversals(grid, n)
-    found: list[tuple[int, ...]] = []
-    if count and cap:
-        _partial_search(grid, range(n), lambda path: found.append(tuple(path)) or len(found) >= cap)
+    found = _transversals(grid, cap) if count and cap else []
     witnesses = tuple(_cols_to_cellset(n, w) for w in found)
     return PlexCensus(n, KIND_TRANSVERSAL, count, witnesses, truncated=count > len(witnesses))
 
@@ -755,42 +758,28 @@ def _max_packing(what: str, n: int, members, size: int, ceiling: int,
     return best or None
 
 
-def _all_transversals(grid, n: int, maps, reps) -> list[tuple[int, ...]]:
-    """All transversals as column tuples, lex sorted: rows 1..n-1 searched
-    from row-0 cell c for each c in reps, each find mapped through every map
-    in maps, as _column_orbits gives them (they act freely, so each
-    transversal comes out once).  Only orders <= 8 come here: at most 384
-    transversals (McKay, McLeod & Wanless 2006)."""
-    found: list[tuple[int, ...]] = []
-    for c in reps:
-        _partial_search(grid, range(1, n), lambda path, c=c: found.append((c, *path)),
-                        colmask=1 << c, symmask=1 << grid[0][c])
-    log.debug("transversal collect: %d orbit representatives of %d columns, %d transversals",
-              len(reps), n, len(found) * len(maps))
-    return sorted(tuple(map(alpha.__getitem__, t)) for alpha in maps for t in found)
-
-
 def _transversal_packing(square: LatinSquare, what: str, floor: int) -> list[tuple[int, ...]]:
     """The tau family or the mate's transversals as column tuples, lex sorted,
     or [] if none beats `floor`; [] at once on a re-checked lattice
     obstruction.  With n row-fixing autotopisms (a group table or an isotope
     of one) the family is the n images of the lex-least transversal, which
     are pairwise disjoint, or [] when the row search finds none; else it is
-    the packing kernel's family over the collected list."""
+    the packing kernel's family over every transversal, as the row search
+    lists them (at most 384 at order 8: McKay, McLeod & Wanless 2006)."""
     n, grid = square.order, square.cells0
     if (labels := _obstruction(grid, 1)) is not None:
         log.debug("%s packing: 0, lattice obstruction mod %d", what, labels[0])
         return []
-    maps, reps = _column_orbits(grid, n)
+    maps = _column_orbit_maps(grid, n)
     if len(maps) == n:
-        if (first := _partial_search(grid, range(n), _stop)) is None:
+        if not (first := _transversals(grid, 1)):
             log.debug("%s packing: no transversal (%d row-fixing autotopisms)", what, n)
             return []
         log.debug("%s packing: %d images of the lex-least transversal (%d row-fixing autotopisms)",
                   what, n, n)
         # first starts at column 0 (some image does) and maps[j] sends 0 to j: lex order
-        return [tuple(map(alpha.__getitem__, first)) for alpha in maps]
-    found = _all_transversals(grid, n, maps, reps)
+        return [tuple(map(alpha.__getitem__, first[0])) for alpha in maps]
+    found = _transversals(grid)
     family = _max_packing(what, n, (map(add, range(0, n * n, n), t) for t in found), n, n, floor)
     return [found[i] for i in family or ()]
 
@@ -801,9 +790,10 @@ def max_disjoint_transversals(square: LatinSquare) -> tuple[int, tuple[CellSet, 
 
     With n row-fixing autotopisms (a group table or an isotope of one) the
     family is the n images of the lex-least transversal under them, or empty
-    when there is none.  Otherwise the packing kernel runs over the full
-    transversal list, seeded by first fit in lex order: a deterministic
-    first-optimum witness.  Orders above 8 are refused.
+    when there is none.  Otherwise the row search lists every transversal
+    and the packing kernel runs over that list, seeded by first fit in lex
+    order: a deterministic first-optimum witness.  Orders above 8 are
+    refused.
     """
     n = square.order
     if n > 8:
@@ -852,8 +842,8 @@ def extendibility_report(square: LatinSquare, partial) -> str:
     n = square.order
     if n > 8:
         raise OrderTooLargeError(f"extendibility search supports order <= 8, got {n}")
-    cs, _ = _cells(n, partial)
-    ok, why = check_partial_transversal(square, cs)
+    cs, bad = _cells(n, partial)
+    ok, why = _partial_scan(square, cs, bad)
     if not ok:
         raise InvalidPartialError(why)
     grid = square.cells0

@@ -44,6 +44,12 @@ def run_cli(args, stdin_text=None, timeout=300):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+#: JSON the parser cannot take: arrays nested past the recursion limit, and
+#: an integer past the 4,300 digits Python converts by default
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+LONG_INT = "1" + "0" * 5000
+
+
 class TestGen:
     def test_gen_cyclic_5(self, tmp_path):
         code, out, err = run_cli(["gen", "cyclic", "5"])
@@ -385,10 +391,28 @@ class TestConstruct:
         assert code == 2
         assert "even n" in err
 
-    def test_malformed_certificate_json(self):
-        code, out, err = run_cli(["verify", "--stdin"], stdin_text="{not json")
-        assert code == 1
-        assert "bad certificate JSON" in err
+    @pytest.mark.parametrize("text,why", [
+        ("{not json", "Expecting property name"),
+        (DEEP_JSON, "maximum recursion depth"),
+        (json.dumps(build_3ds_q1(4).to_json_dict()).replace('"n": 4', f'"n": {LONG_INT}'),
+         "Exceeds the limit"),
+    ], ids=["syntax", "deep", "long-int"])
+    def test_malformed_certificate_json(self, text, why):
+        code, out, err = run_cli(["verify", "--stdin"], stdin_text=text)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad certificate JSON: ") and why in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("text,why", [
+        ('{"rows": [[1,', "Expecting value"),
+        (f'{{"rows": {DEEP_JSON}}}', "maximum recursion depth"),
+        (f'{{"rows": [[{LONG_INT}]]}}', "Exceeds the limit"),
+    ], ids=["syntax", "deep", "long-int"])
+    def test_malformed_square_json(self, text, why):
+        code, out, err = run_cli(["search", "near", "--stdin"], stdin_text=text)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad JSON: ") and why in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestSweep:

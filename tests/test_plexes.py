@@ -1,4 +1,5 @@
 import gc
+import itertools
 import logging
 import math
 import random
@@ -738,23 +739,26 @@ class TestMate:
             find_orthogonal_mate(gen_cyclic(9))
 
 
-def full_row_collection(sq: LatinSquare) -> list[tuple[int, ...]]:
-    """Every transversal as a column tuple, from the row search over all
-    rows: lex order, no autotopism used."""
-    found: list[tuple[int, ...]] = []
-    plexes._partial_search(sq.cells0, range(sq.order), lambda path: found.append(tuple(path)))
-    return found
+def permutation_diagonals(sq: LatinSquare) -> list[tuple[int, ...]]:
+    """Every transversal as a column tuple, in lex order, without the row
+    search: the permutations of the columns whose cells hold n symbols."""
+    grid, n = sq.cells0, sq.order
+    return [p for p in itertools.permutations(range(n))
+            if len({grid[r][c] for r, c in enumerate(p)}) == n]
 
 
-def collect(sq: LatinSquare) -> list[tuple[int, ...]]:
-    """The collector's list, from the orbits of the square's column maps."""
-    return plexes._all_transversals(sq.cells0, sq.order, *plexes._column_orbits(sq.cells0, sq.order))
+def switched_twostep3() -> LatinSquare:
+    """twostep(3) with the intercalate at rows 1-2, columns 1-2 switched: 2
+    row-fixing autotopisms, tau = 6, no mate."""
+    rows = gen_two_step_pow2(3).rows()
+    rows[0][:2], rows[1][:2] = rows[0][1::-1], rows[1][1::-1]
+    return LatinSquare(rows)
 
 
 def packed(sq: LatinSquare, floor: int) -> list[tuple[int, ...]]:
     """The packing kernel's family over the full row list, as column tuples."""
     n = sq.order
-    found = full_row_collection(sq)
+    found = plexes._transversals(sq.cells0)
     family = plexes._max_packing("reference", n, [[r * n + c for r, c in enumerate(t)] for t in found],
                                  n, n, floor)
     return [found[i] for i in family or ()]
@@ -764,7 +768,8 @@ def lex_least_images(sq: LatinSquare) -> list[tuple[int, ...]]:
     """The lex-least transversal's images under the square's row-fixing
     autotopisms, lex sorted; [] if it has no transversal."""
     maps = plexes._column_orbit_maps(sq.cells0, sq.order)
-    return sorted(tuple(alpha[c] for c in t) for alpha in maps for t in full_row_collection(sq)[:1])
+    first = plexes._transversals(sq.cells0, 1)
+    return sorted(tuple(alpha[c] for c in t) for alpha in maps for t in first)
 
 
 def family_cols(family) -> list[tuple[int, ...]]:
@@ -781,13 +786,14 @@ def mate_from(family: list[tuple[int, ...]], n: int) -> list[list[int]] | None:
     return rows
 
 
-#: the corpus to order 9 (cyclic(1) and cyclic(2) among it; the collector
-#: serves orders <= 8, and above 9 the corpus holds the 198,144 transversals
-#: of Z_2 x Z_6, too many for the full row search), the non-group squares
-#: with orbits 2 and 1, and a transversal-free square with no lattice obstruction
-COLLECTION_CASES = corpus_up_to(9) + [
+#: the corpus to order 8 (cyclic(1) and cyclic(2) among it; the full row
+#: search serves orders <= 8, and the oracle walks n! permutations), the
+#: non-group squares with orbits 2 and 1, a transversal-free square with no
+#: lattice obstruction, and an order-8 square with 2 row-fixing autotopisms
+COLLECTION_CASES = corpus_up_to(8) + [
     ("orbit-2", non_group_square(2)), ("orbit-1", non_group_square(1)),
     ("no-transversal-6", LatinSquare(NO_TRANSVERSAL_6)),
+    ("twostep(3) switched", switched_twostep3()),
 ]
 
 
@@ -800,10 +806,12 @@ N_MAPS_CASES = corpus_up_to(8) + _with_isotopes(
 
 class TestTransversalCollection:
     @pytest.mark.parametrize("label,sq", COLLECTION_CASES, ids=[label for label, _ in COLLECTION_CASES])
-    def test_orbit_collection_equals_full_row_search(self, label, sq):
-        found = collect(sq)
-        assert found == full_row_collection(sq)
-        assert len(found) == plexes._join_transversals(sq.cells0, sq.order)
+    def test_row_search_lists_the_permutation_diagonals(self, label, sq):
+        want = permutation_diagonals(sq)
+        assert plexes._transversals(sq.cells0) == want
+        assert len(want) == plexes._join_transversals(sq.cells0, sq.order)
+        for cap in filter(None, (1, 3, len(want), len(want) + 5)):  # the lister takes cap >= 1
+            assert plexes._transversals(sq.cells0, cap) == want[:cap]
 
     @pytest.mark.parametrize("label,sq", N_MAPS_CASES, ids=[label for label, _ in N_MAPS_CASES])
     def test_n_maps_family_is_the_images_of_the_lex_least_transversal(self, label, sq):
@@ -811,7 +819,7 @@ class TestTransversalCollection:
         tau, family = max_disjoint_transversals(sq)
         cols = family_cols(family)
         assert cols == lex_least_images(sq)
-        assert len(cols) == n * len(full_row_collection(sq)[:1])
+        assert len(cols) == n * len(plexes._transversals(sq.cells0, 1))
         used = set()
         for t in family:
             assert check_transversal(sq, t)[0]
@@ -821,10 +829,11 @@ class TestTransversalCollection:
         mate = find_orthogonal_mate(sq)
         assert (mate and mate.rows()) == mate_from(cols, n)
 
-    @pytest.mark.parametrize("label,sq", [
-        ("orbit-1", non_group_square(1)), ("orbit-2", non_group_square(2)),
-        ("no-transversal-6", LatinSquare(NO_TRANSVERSAL_6))])
-    def test_squares_without_n_maps_take_the_packing_kernel(self, caplog, label, sq):
+    @pytest.mark.parametrize("label,sq,want", [
+        ("orbit-1", non_group_square(1), 4), ("orbit-2", non_group_square(2), 4),
+        ("no-transversal-6", LatinSquare(NO_TRANSVERSAL_6), 0),
+        ("twostep(3) switched", switched_twostep3(), 6)])
+    def test_squares_without_n_maps_take_the_packing_kernel(self, caplog, label, sq, want):
         n = sq.order
         assert len(plexes._column_orbit_maps(sq.cells0, n)) < n
         with caplog.at_level(logging.DEBUG, logger="latinplex"):
@@ -832,8 +841,9 @@ class TestTransversalCollection:
             mate = find_orthogonal_mate(sq)
         assert "row-fixing autotopisms" not in caplog.text
         assert "transversal packing: " in caplog.text and "mate packing: " in caplog.text
-        assert family_cols(family) == packed(sq, 0) and tau == len(family)
+        assert family_cols(family) == packed(sq, 0) and tau == len(family) == want
         assert (mate and mate.rows()) == mate_from(packed(sq, n - 1), n)
+        assert mate is None  # tau < n on every input here
 
     @pytest.mark.parametrize("search", [max_disjoint_transversals, find_orthogonal_mate],
                              ids=["tau", "mate"])
@@ -843,7 +853,6 @@ class TestTransversalCollection:
         what = "transversal" if search is max_disjoint_transversals else "mate"
         assert (f"{what} packing: 8 images of the lex-least transversal (8 row-fixing "
                 "autotopisms)") in caplog.text
-        assert "transversal collect" not in caplog.text
 
     @pytest.mark.parametrize("search", [max_disjoint_transversals, find_orthogonal_mate],
                              ids=["tau", "mate"])
@@ -856,13 +865,12 @@ class TestTransversalCollection:
         assert result == ((0, ()) if search is max_disjoint_transversals else None)
         what = "transversal" if search is max_disjoint_transversals else "mate"
         assert f"{what} packing: no transversal (6 row-fixing autotopisms)" in caplog.text
-        assert "transversal collect" not in caplog.text
 
-    def test_transversal_free_square_walks_its_orbits(self):
-        # no lattice obstruction here, so the orbit walk itself returns []
+    def test_transversal_free_square_lists_none(self):
+        # no lattice obstruction here, so the row search itself returns []
         sq = LatinSquare(NO_TRANSVERSAL_6)
         assert plexes._obstruction(sq.cells0, 1) is None
-        assert collect(sq) == []
+        assert plexes._transversals(sq.cells0) == []
 
     @pytest.mark.parametrize("label,sq", CORPUS, ids=[label for label, _ in CORPUS])
     def test_column_maps_act_freely(self, label, sq):
@@ -874,14 +882,14 @@ class TestTransversalCollection:
         assert identity in maps
         for alpha in maps:
             assert alpha == identity or all(alpha[c] != c for c in range(n))
-        reps = plexes._column_orbits(sq.cells0, n)[1]
+        reps = {min(alpha[c] for alpha in maps) for c in range(n)}  # the least column of each orbit
         assert len(reps) * len(maps) == n
 
     @pytest.mark.parametrize("search", [max_disjoint_transversals, find_orthogonal_mate],
                              ids=["tau", "mate"])
     def test_collection_leaves_no_reference_cycles(self, search):
         # twostep(3) takes the images of one transversal; the other two have
-        # fewer than n maps, so the collection and the kernel run
+        # fewer than n maps, so the full row search and the kernel run
         gc.collect()
         gc.disable()
         try:
@@ -891,23 +899,9 @@ class TestTransversalCollection:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("orbit,reps,count", [(2, 3, 32), (1, 6, 8)])
-    def test_logs_orbit_representatives_at_debug(self, caplog, orbit, reps, count):
-        with caplog.at_level(logging.DEBUG, logger="latinplex"):
-            assert len(collect(non_group_square(orbit))) == count
-        assert (f"transversal collect: {reps} orbit representatives of 6 columns, "
-                f"{count} transversals") in caplog.text
-
-    def test_group_table_logs_one_representative(self, caplog):
-        with caplog.at_level(logging.DEBUG, logger="latinplex"):
-            collect(gen_two_step_pow2(3))
-        assert "transversal collect: 1 orbit representatives of 8 columns, 384 transversals" \
-            in caplog.text
-
-    def test_obstructed_square_logs_no_collection(self, caplog):
+    def test_obstructed_square_logs_the_obstruction(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="latinplex"):
             assert max_disjoint_transversals(gen_cyclic(8)) == (0, ())
-        assert "transversal collect" not in caplog.text
         assert "transversal packing: 0, lattice obstruction mod 8" in caplog.text
 
 
@@ -954,6 +948,17 @@ class TestExtendibility:
     def test_refusal_above_8(self):
         with pytest.raises(OrderTooLargeError):
             extendibility_report(gen_cyclic(9), [])
+
+    def test_cells_are_normalised_once(self, monkeypatch):
+        normalise = plexes._cells
+        calls = []
+        monkeypatch.setattr(plexes, "_cells",
+                            lambda order, cells: calls.append(cells) or normalise(order, cells))
+        assert extendibility_report(gen_cyclic(4), [(1, 1)]) == EXTENDIBLE
+        assert len(calls) == 1
+        with pytest.raises(InvalidPartialError, match="row 1 used twice"):
+            extendibility_report(gen_cyclic(4), [(1, 2), (1, 1)])
+        assert len(calls) == 2
 
 class TestQuasiNearSearch:
     def test_quasi_below_order3_is_none(self):
