@@ -31,6 +31,7 @@ from .errors import (
     NotConstructibleError,
     StructureMismatchError,
     ValidationFailureError,
+    short_repr,
 )
 # .plexes before .lsgraph, which imports it too: compiling plexes inside lsgraph's
 # import raises the peak memory of a full import
@@ -50,7 +51,7 @@ from .plexes import (
     find_near_transversal,
     quasi_profile,
 )
-from .lsgraph import build_graph, domatic_upper_bound, is_k_dominating
+from .lsgraph import _deficiencies, _overlaps, build_graph, domatic_upper_bound
 
 #: plain (row, column) cells, 1-based
 Cells = tuple[tuple[int, int], ...]
@@ -83,15 +84,12 @@ class WitnessCertificate:
         return tuple(self.witness)
 
     def to_json_dict(self) -> dict:
-        if isinstance(self.witness, CellSet):
-            wit = self.witness.to_json_dict()
-        else:
-            wit = [w.to_json_dict() for w in self.witness]
+        wit = [w.to_json_dict() for w in self.witness_list()]
         return {
             "claim": self.claim,
             "square": self.square,
             "provenance": self.provenance,
-            "witness": wit,
+            "witness": wit[0] if isinstance(self.witness, CellSet) else wit,
             "verdict": self.verdict,
             "notes": list(self.notes),
         }
@@ -108,15 +106,9 @@ class WitnessCertificate:
             else:
                 wit = tuple(CellSet.from_json_dict(n, w) for w in raw)
             if not isinstance(obj["verdict"], bool):
-                raise TypeError(f"verdict must be a JSON boolean, got {obj['verdict']!r}")
-            cert = cls(
-                obj["claim"],
-                obj["square"],
-                wit,
-                obj["provenance"],
-                obj["verdict"],
-                tuple(obj.get("notes", ())),
-            )
+                raise TypeError(f"verdict must be a JSON boolean, got {short_repr(obj['verdict'])}")
+            cert = cls(obj["claim"], obj["square"], wit, obj["provenance"], obj["verdict"],
+                       tuple(obj.get("notes", ())))
         except (KeyError, TypeError, AttributeError, ValueError, FormatError) as exc:
             raise FormatError(f"malformed certificate: {type(exc).__name__}: {exc}") from None
         object.__setattr__(cert, "_parsed", (repr(cert.square), sq))
@@ -556,24 +548,11 @@ def _failed(label: str, result: tuple[bool, str | None]) -> list[str]:
 
 def _not_3_dominating(graph, label: str, cells: CellSet) -> list[str]:
     try:  # a repeated or out-of-range cell is an issue the rule reports, not an error
-        dom = is_k_dominating(graph, cells, 3)
+        cs = CellSet(graph.n, cells, KIND_CELLS).cells
     except InvalidCellSetError as exc:
         return [f"{label}: {exc}"]
-    return [] if dom.verdict else [f"{label} not 3-dominating at {dom.deficient[:1]}"]
-
-
-def _partition_issues(n: int, parts: tuple[CellSet, ...]) -> list[str]:
-    """Parts pairwise disjoint and together covering all n^2 cells."""
-    issues = []
-    seen: set[tuple[int, int]] = set()
-    for idx, cells in enumerate(parts):
-        overlap = seen.intersection(cells)
-        if overlap:
-            issues.append(f"part {idx + 1} overlaps earlier parts at {sorted(overlap)[:1]}")
-        seen.update(cells)
-    if len(seen) != n * n:
-        issues.append("parts do not cover the square")
-    return issues
+    first = next(_deficiencies(graph, cs, 3), None)
+    return [f"{label} not 3-dominating at {(first,)}"] if first else []
 
 
 def _twostep_issues(square: LatinSquare, parts: tuple[CellSet, ...]) -> list[str]:
@@ -582,16 +561,18 @@ def _twostep_issues(square: LatinSquare, parts: tuple[CellSet, ...]) -> list[str
     issues = [] if len(parts) == n else [f"expected {n} transversals, got {len(parts)}"]
     for idx, cells in enumerate(parts):
         issues += _failed(f"part {idx + 1}", check_transversal(square, cells))
-    return issues + _partition_issues(n, parts)
+    overlaps, held = _overlaps(parts)
+    return issues + overlaps + ([] if held == n * n else ["parts do not cover the square"])
 
 
 def _domatic_issues(square: LatinSquare, parts: tuple[CellSet, ...]) -> list[str]:
     """n-1 3-dominating sets partitioning the cells; domination is checked
-    only on n-1 parts that partition the cells, each part in time linear in
-    its size, n and the cells on the lines it misses."""
+    only on n-1 parts that partition the cells, each part's scan stopping
+    at its first deficiency."""
     n = square.order
     issues = [] if len(parts) == n - 1 else [f"expected {n - 1} parts, got {len(parts)}"]
-    issues += _partition_issues(n, parts)
+    overlaps, held = _overlaps(parts)
+    issues += overlaps + ([] if held == n * n else ["parts do not cover the square"])
     if issues:
         return issues
     graph = build_graph(square)
@@ -604,11 +585,9 @@ def _3ds_issues(square: LatinSquare, parts: tuple[CellSet, ...]) -> list[str]:
     """One set of n+1 cells that is a quasi-transversal and 3-dominating."""
     if len(parts) != 1:
         return ["expected a single witness set"]
-    n = square.order
-    (cells,) = parts
-    issues = [] if len(cells) == n + 1 else [f"expected {n + 1} cells, got {len(cells)}"]
-    issues += _failed("quasi check", check_quasi_transversal(square, cells))
-    return issues + _not_3_dominating(build_graph(square), "set", cells)
+    (cells,) = parts  # the quasi check reports a wrong size
+    return (_failed("quasi check", check_quasi_transversal(square, cells))
+            + _not_3_dominating(build_graph(square), "set", cells))
 
 
 def _two_plex_issues(square: LatinSquare, parts: tuple[CellSet, ...]) -> list[str]:
@@ -668,7 +647,7 @@ def verify_certificate(cert: WitnessCertificate) -> tuple[bool, list[str]]:
     square = (parsed[1] if parsed and parsed[0] == repr(cert.square)
               else square_from_descriptor(cert.square))
     if not isinstance(cert.claim, str) or cert.claim not in CLAIMS:
-        return False, [f"unknown claim {cert.claim!r}"]
+        return False, [f"unknown claim {short_repr(cert.claim)}"]
     rule, _, _ = CLAIMS[cert.claim]
     issues = rule(square, cert.witness_list())
     return not issues, issues

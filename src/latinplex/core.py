@@ -25,6 +25,7 @@ from .errors import (
     RowRepeatError,
     StructureMismatchError,
     SymbolOutOfRangeError,
+    short_repr,
 )
 
 MAX_EXHAUSTIVE_ORDER = 16
@@ -65,7 +66,7 @@ class LatinSquare:
                 if set(map(type, r)) != {int} or not symbols.issuperset(r):
                     for x in r:  # an int subclass such as an IntEnum member passes
                         if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= n:
-                            raise SymbolOutOfRangeError(f"entry {x!r} outside 1..{n}")
+                            raise SymbolOutOfRangeError(f"entry {short_repr(x)} outside 1..{n}")
             for i, r in enumerate(grid):
                 if len(set(r)) != n:
                     raise RowRepeatError(i + 1, _first_repeat(r))
@@ -294,7 +295,7 @@ def parse_ls(text: str) -> LatinSquare:
     try:
         n = int(lines[idx].strip())
     except ValueError:
-        raise FormatError(f"first line must be the order, got {lines[idx]!r}") from None
+        raise FormatError(f"first line must be the order, got {short_repr(lines[idx])}") from None
     if n < 1:
         raise FormatError(f"order must be positive, got {n}")
     grid = []
@@ -310,7 +311,7 @@ def parse_ls(text: str) -> LatinSquare:
         idx += 1
     for rest in lines[idx:]:
         if rest.strip():
-            raise FormatError(f"trailing garbage after row {n}: {rest!r}")
+            raise FormatError(f"trailing garbage after row {n}: {short_repr(rest)}")
     return LatinSquare(grid)
 
 
@@ -323,9 +324,9 @@ def square_from_json_dict(obj: dict) -> LatinSquare:
         raise FormatError("square JSON needs a 'rows' field")
     sq = LatinSquare(obj["rows"])
     if "order" in obj and type(obj["order"]) is not int:  # a bool is not an int here
-        raise FormatError(f"order must be a JSON integer, got {obj['order']!r}")
+        raise FormatError(f"order must be a JSON integer, got {short_repr(obj['order'])}")
     if "order" in obj and obj["order"] != sq.order:
-        raise FormatError(f"declared order {obj['order']} != grid order {sq.order}")
+        raise FormatError(f"declared order {short_repr(obj['order'])} != grid order {sq.order}")
     return sq
 
 
@@ -354,17 +355,15 @@ def square_from_descriptor(desc: dict) -> LatinSquare:
         return LatinSquare(desc["rows"])
     name = desc.get("generator")
     if not isinstance(name, str) or name not in GENERATORS:
-        raise StructureMismatchError(f"unknown square descriptor {desc!r}")
+        raise StructureMismatchError(f"unknown square descriptor {short_repr(desc)}")
     params = desc.get("params")
     if not isinstance(params, dict):
         raise FormatError(f"square generator {name!r} needs a 'params' object")
     generator, names = GENERATORS[name]
     for p in names:
         if type(params.get(p)) is not int:  # refuses bool and None as well
-            raise FormatError(
-                f"square generator {name!r} needs an integer parameter {p!r}, "
-                f"got {params.get(p)!r}"
-            )
+            raise FormatError(f"square generator {name!r} needs an integer parameter {p!r}, "
+                              f"got {short_repr(params.get(p))}")
     return generator(*(params[p] for p in names))
 
 

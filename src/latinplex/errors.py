@@ -6,6 +6,9 @@ can catch broadly.  Search engines never raise to signal nonexistence: a
 means the engine refused the input outright.
 """
 
+import reprlib
+from itertools import islice
+
 
 class LatinSquareError(Exception):
     """Base class for all latinplex errors."""
@@ -83,3 +86,29 @@ class NotConstructibleError(LatinSquareError):
 
 class FormatError(LatinSquareError):
     """Malformed .ls or JSON input."""
+
+
+class _BoundedRepr(reprlib.Repr):
+    def repr_dict(self, x, level):
+        """As reprlib's, but in insertion order, as repr prints a dict."""
+        if not x or level <= 0:
+            return "{...}" if x else "{}"
+        pieces = [f"{self.repr1(key, level - 1)}: {self.repr1(value, level - 1)}"
+                  for key, value in islice(x.items(), self.maxdict)]
+        return "{" + ", ".join(pieces + ["..."] * (len(x) > self.maxdict)) + "}"
+
+
+_bounded = _BoundedRepr()
+_bounded.maxlevel = 4
+_bounded.maxlist = _bounded.maxtuple = _bounded.maxdict = 8
+_bounded.maxstring = _bounded.maxother = 80
+MAX_ECHO = 200
+
+
+def short_repr(value) -> str:
+    """repr(value), bounded, for error messages that quote untrusted input.
+    Strings up to 78 characters, containers up to 8 items and 4 levels deep,
+    and integers up to 40 digits print exactly as repr prints them; longer
+    ones are cut, and the result never exceeds MAX_ECHO characters."""
+    text = _bounded.repr(value)
+    return text if len(text) <= MAX_ECHO else text[:MAX_ECHO - 3] + "..."

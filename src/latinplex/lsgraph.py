@@ -132,13 +132,19 @@ def is_k_dominating(graph: LatinSquareGraph, cells, k: int) -> DominationCertifi
     one O(n^2) table once a symbol line is low.
     """
     cs = CellSet(graph.n, cells, KIND_CELLS).cells
+    deficient = tuple(_deficiencies(graph, cs, k))
+    return DominationCertificate(k, None, cs, not deficient, deficient)
+
+
+def _deficiencies(graph: LatinSquareGraph, cs, k: int):
+    """is_k_dominating's scan of the checked cells cs, yielding each deficiency
+    as it is found: a caller that needs only the first stops the scan there."""
     in_set = set(cs)
     rows, cols, syms = _line_counts(graph.square, cs)
     low = (k - 1) // 3
     n = graph.n
     low_cols = [j for j in range(n) if cols[j + 1] <= low]
     low_syms = [s for s in range(n) if syms[s + 1] <= low]
-    deficient = []
     for i, row in enumerate(graph.square.cells0):
         if rows[i + 1] <= low:
             js = range(n)
@@ -149,8 +155,7 @@ def is_k_dominating(graph: LatinSquareGraph, cells, k: int) -> DominationCertifi
         for j in js:
             cnt = rows[i + 1] + cols[j + 1] + syms[row[j] + 1]
             if cnt < k and (i + 1, j + 1) not in in_set:
-                deficient.append((i + 1, j + 1, cnt))
-    return DominationCertificate(k, None, cs, not deficient, tuple(deficient))
+                yield i + 1, j + 1, cnt
 
 
 def induced_degrees(square: LatinSquare, cells) -> dict[tuple[int, int], int]:
@@ -352,33 +357,33 @@ def verify_domatic_partition(graph: LatinSquareGraph, parts, k: int) -> DomaticR
     is_partition reports whether the parts exactly partition it (any
     disjoint family of kDS extends to a k-domatic partition of the same
     size, so d_k >= number of parts either way).  Each part's cells are taken
-    as by is_k_dominating (InvalidCellSetError, TypeError); a cell in two
-    parts is a failure.
+    as by is_k_dominating (InvalidCellSetError, TypeError).  The failures,
+    parts numbered from 1, name each part that meets an earlier one, then
+    the first deficiency of each part that does not k-dominate.
     """
     norm = [CellSet(graph.n, p, KIND_CELLS) for p in parts]
-    failures: list[str] = []
-    seen: dict[tuple[int, int], int] = {}
-    for idx, p in enumerate(norm):
-        for cell in p:
-            if cell in seen:
-                failures.append(f"cell {cell} appears in parts {seen[cell]} and {idx}")
-            seen[cell] = idx
-    covered = len(seen) == graph.num_vertices and not failures
-    for idx, p in enumerate(norm):
-        cert = is_k_dominating(graph, p, k)
-        if not cert.verdict:
-            failures.append(
-                f"part {idx} is not {k}-dominating (first deficiency {cert.deficient[0]})"
-            )
+    failures, held = _overlaps(norm)
+    covered = held == graph.num_vertices and not failures
+    for idx, p in enumerate(norm, 1):
+        first = next(_deficiencies(graph, p.cells, k), None)
+        if first:
+            failures.append(f"part {idx} is not {k}-dominating (first deficiency {first})")
     verdict = not failures
-    return DomaticReport(
-        k,
-        tuple(p.cells for p in norm),
-        verdict,
-        covered,
-        len(norm) if verdict else 0,
-        tuple(failures),
-    )
+    return DomaticReport(k, tuple(p.cells for p in norm), verdict, covered,
+                         len(norm) if verdict else 0, tuple(failures))
+
+
+def _overlaps(parts) -> tuple[list[str], int]:
+    """One issue for each part that meets an earlier one, parts numbered from
+    1, and how many cells the parts hold: whether they are disjoint and cover."""
+    issues = []
+    seen: set[tuple[int, int]] = set()
+    for idx, cells in enumerate(parts, 1):
+        overlap = seen.intersection(cells)
+        if overlap:
+            issues.append(f"part {idx} overlaps earlier parts at {sorted(overlap)[:1]}")
+        seen.update(cells)
+    return issues, len(seen)
 
 
 def domatic_upper_bound(n: int, gamma_k: int) -> int:
@@ -397,10 +402,7 @@ def has_mate_coloring(square: LatinSquare) -> tuple[bool, dict[tuple[int, int], 
     mate = find_orthogonal_mate(square)
     if mate is None:
         return False, None
-    coloring = {
-        (i, j): mate.symbol(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-    }
-    return True, coloring
+    return True, {(i, j): mate.symbol(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -429,21 +431,11 @@ def scan_3ds_sets(square: LatinSquare, size: int):
     graph = build_graph(square)
     adj = graph.adj
     N = graph.num_vertices
-    total = 0
-    quasi_count = 0
+    total = quasi_count = 0
     examples: list[tuple[tuple[int, int], ...]] = []
     for comb in itertools.combinations(range(N), size):
-        mask = 0
-        for v in comb:
-            mask |= 1 << v
-        ok = True
-        for v in range(N):
-            if (mask >> v) & 1:
-                continue
-            if bin(adj[v] & mask).count("1") < 3:
-                ok = False
-                break
-        if not ok:
+        mask = sum(1 << v for v in comb)
+        if any(not mask >> v & 1 and (adj[v] & mask).bit_count() < 3 for v in range(N)):
             continue
         total += 1
         cells = tuple(graph.cell_of(v) for v in comb)

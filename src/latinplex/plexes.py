@@ -27,6 +27,7 @@ from .errors import (
     InvalidPlexError,
     LatinSquareError,
     OrderTooLargeError,
+    short_repr,
 )
 
 log = logging.getLogger(__name__)
@@ -64,7 +65,7 @@ class CellSet:
         cells, bad = _cells(n, self.cells)
         object.__setattr__(self, "cells", cells)
         if self.kind not in _KINDS:
-            raise InvalidCellSetError(f"unknown kind {self.kind!r}")
+            raise InvalidCellSetError(f"unknown kind {short_repr(self.kind)}")
         if bad:
             raise InvalidCellSetError(bad)
         m = len(cells)
@@ -106,7 +107,7 @@ class CellSet:
             cells.append((r, c))
         k = obj.get("k")
         if k is not None and type(k) is not int:
-            raise FormatError(f"k must be a JSON integer, got {k!r}")
+            raise FormatError(f"k must be a JSON integer, got {short_repr(k)}")
         return cls(order, cells, obj["kind"], k)
 
 
@@ -124,7 +125,7 @@ def _cells(order: int, cells) -> tuple[tuple[tuple[int, int], ...], str | None]:
     cs = tuple(pairs)
     for r, c in cs:
         if not (1 <= r <= order and 1 <= c <= order):
-            return cs, f"cell ({r},{c}) outside 1..{order}"
+            return cs, f"cell ({short_repr(r)},{short_repr(c)}) outside 1..{order}"
     dup = next((a for a, b in zip(cs, cs[1:]) if a == b), None)
     return cs, None if dup is None else f"duplicate cell {dup}"
 

@@ -89,6 +89,33 @@ def conjugate(square: LatinSquare, perm: tuple[int, int, int]) -> LatinSquare:
     return LatinSquare(rows)
 
 
+def skewed_partition(n: int, shape: str) -> list[list[tuple[int, int]]]:
+    """n-1 disjoint parts covering the order-n square, skewed in size: n-2
+    single cells (shape "cells") or n-2 single rows (shape "rows"), then one
+    part with every other cell.  Each small part misses most lines, so it has
+    of the order of n^2 deficiencies; the last part 3-dominates."""
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    size = 1 if shape == "cells" else n
+    cut = (n - 2) * size
+    return [cells[at:at + size] for at in range(0, cut, size)] + [cells[cut:]]
+
+
+def spy_deficiencies(monkeypatch, module) -> list[int]:
+    """Replace module._deficiencies by a wrapper of lsgraph's; the list
+    returned holds, per scan started, how many deficiencies were drawn."""
+    from latinplex import lsgraph
+    real, drawn = lsgraph._deficiencies, []
+
+    def spy(graph, cs, k):
+        drawn.append(0)
+        for deficiency in real(graph, cs, k):
+            drawn[-1] += 1
+            yield deficiency
+
+    monkeypatch.setattr(module, "_deficiencies", spy)
+    return drawn
+
+
 def corpus_up_to(max_order: int):
     return [(label, sq) for label, sq in CORPUS if sq.order <= max_order]
 

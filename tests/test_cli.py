@@ -48,6 +48,8 @@ def run_cli(args, stdin_text=None, timeout=300):
 #: an integer past the 4,300 digits Python converts by default
 DEEP_JSON = "[" * 200_000 + "]" * 200_000
 LONG_INT = "1" + "0" * 5000
+#: arrays nested 500 deep, which the parser still takes
+DEEP_500 = "[" * 500 + "1" + "]" * 500
 
 
 class TestGen:
@@ -316,6 +318,39 @@ class TestVerify:
         path.write_text(json.dumps(cert))
         assert main(["verify", str(path)]) == 2
         assert "exceeds the input limit" in capsys.readouterr().err
+
+
+class TestBoundedEcho:
+    """Messages that quote a square's or a certificate's content quote a
+    bounded prefix of it: one short line, the exit code of the defect."""
+
+    @pytest.mark.parametrize("entry", ["a" * 100_000, json.loads(DEEP_500)],
+                             ids=["long-string", "deep-list"])
+    def test_entry(self, entry):
+        text = json.dumps({"rows": [[1, entry], [2, 1]]})
+        code, out, err = run_cli(["search", "near", "--stdin"], stdin_text=text)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: entry ") and err.endswith(" outside 1..2\n")
+        assert err.count("\n") == 1 and len(err) < 300 and "Traceback" not in err
+
+    def test_unknown_generator_params(self):
+        cert = build_3ds_q1(4).to_json_dict()
+        cert["square"] = {"generator": "nope", "params": {"n": [0] * 100_000}}
+        code, out, err = run_cli(["verify", "--stdin"], stdin_text=json.dumps(cert))
+        assert (code, out) == (1, "")
+        assert err == ("error: unknown square descriptor "
+                       "{'generator': 'nope', 'params': {'n': [0, 0, 0, 0, 0, 0, 0, 0, ...]}}\n")
+
+    def test_unknown_claim(self):
+        cert = build_3ds_q1(4).to_json_dict()
+        cert["claim"] = "a" * 100_000
+        code, out, err = run_cli(["verify", "--stdin", "--format", "json"],
+                                 stdin_text=json.dumps(cert))
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert payload["claim"] == cert["claim"]  # the payload's data, kept whole
+        (issue,) = payload["issues"]
+        assert issue.startswith("unknown claim 'aaa") and len(issue) < 300
 
 
 class TestConstruct:

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from latinplex import constructions
 from latinplex.constructions import (
     BASE4_DECOMPOSITION,
     CLAIMS,
@@ -48,6 +49,8 @@ from latinplex.plexes import (
     find_quasi_transversal,
     quasi_profile,
 )
+
+from conftest import skewed_partition, spy_deficiencies
 
 
 class TestTwoStepDecomposition:
@@ -536,6 +539,32 @@ class TestCertificates:
         ok, issues = verify_certificate(WitnessCertificate.from_json_dict(obj))
         assert not ok
         assert issues == ["parts do not cover the square"]
+
+    @pytest.mark.parametrize("shape, first, rest", [
+        ("cells", (1, 2, 1), (1, 1, 1)),
+        ("rows", (2, 1, 2), (1, 1, 2)),
+    ])
+    def test_skewed_domatic_parts_draw_one_deficiency_each(self, shape, first, rest,
+                                                           monkeypatch):
+        # n-1 disjoint parts that cover the square, all but the last far too
+        # small: each part's scan stops at its first deficiency
+        obj = build_domatic_partition_cyclic(8).to_json_dict()
+        obj["witness"] = [{"kind": "cell-set", "cells": [list(c) for c in part]}
+                          for part in skewed_partition(8, shape)]
+        drawn = spy_deficiencies(monkeypatch, constructions)
+        ok, issues = verify_certificate(WitnessCertificate.from_json_dict(obj))
+        assert not ok
+        assert issues == [f"part 1 not 3-dominating at {(first,)}"] + [
+            f"part {idx} not 3-dominating at {(rest,)}" for idx in range(2, 7)]
+        assert drawn == [1] * 6 + [0]
+
+    def test_3ds_size_reported_once(self, monkeypatch):
+        obj = build_3ds_q1(8).to_json_dict()
+        obj["witness"] = {"kind": "cell-set", "cells": obj["witness"]["cells"][:8]}
+        drawn = spy_deficiencies(monkeypatch, constructions)
+        assert verify_certificate(WitnessCertificate.from_json_dict(obj)) == (False, [
+            "quasi check: expected 9 cells, got 8", "set not 3-dominating at ((1, 8, 2),)"])
+        assert drawn == [1]
 
     @pytest.mark.parametrize("build, tamper, issues", [
         pytest.param(lambda: build_3ds_q1(6), lambda obj: obj.update(witness=[obj["witness"]] * 2),

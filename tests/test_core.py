@@ -30,6 +30,7 @@ from latinplex.errors import (
     RowRepeatError,
     SymbolOutOfRangeError,
 )
+from latinplex.errors import MAX_ECHO, short_repr
 
 from conftest import CORPUS, corpus_up_to
 from oracles import three_loop_cells0
@@ -374,3 +375,35 @@ class TestSerialization:
         sq = gen_cyclic(4)
         assert load_square_text(format_ls(sq)) == sq
         assert load_square_text(json.dumps(square_to_json_dict(sq))) == sq
+
+
+def nested(depth: int):
+    value = 1
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+class TestShortRepr:
+    @pytest.mark.parametrize("value", [
+        None, True, 2.5, -7, 10 ** 39, "", "x" * 78, "tab\tquote'", [], [1, [2, [3]]],
+        (1,), list(range(8)), {}, {"params": {"n": 4}, "generator": "cyclic"}, nested(4),
+    ])
+    def test_short_values_print_as_repr(self, value):
+        assert short_repr(value) == repr(value)
+
+    @pytest.mark.parametrize("value, expected", [
+        ("a" * 100_000, "'" + "a" * 37 + "..." + "a" * 38 + "'"),
+        (list(range(100_000)), "[0, 1, 2, 3, 4, 5, 6, 7, ...]"),
+        (nested(500), "[[[[[...]]]]]"),
+        ({"generator": "nope", "params": {"n": [0] * 100_000}},
+         "{'generator': 'nope', 'params': {'n': [0, 0, 0, 0, 0, 0, 0, 0, ...]}}"),
+        (10 ** 100, "1" + "0" * 17 + "..." + "0" * 19),
+    ], ids=["string", "list", "nesting", "dict", "int"])
+    def test_long_values_are_cut(self, value, expected):
+        assert short_repr(value) == expected
+
+    def test_wide_nesting_stays_within_the_cap(self):
+        value = [[[["x" * 100] * 8] * 8] * 8] * 8
+        text = short_repr(value)
+        assert len(text) == MAX_ECHO and text.endswith("...")

@@ -1,10 +1,12 @@
 """The package namespace loads its submodules on first use, and a CLI
 process imports only the modules its subcommand runs."""
 
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +189,10 @@ class TestImportFootprint:
         assert {"latinplex.core", "latinplex.plexes"} <= loaded
         for module in ("latinplex.lsgraph", "latinplex.constructions"):
             assert (module in loaded) == heavy, (module, sorted(loaded))
+
+
+@pytest.mark.parametrize("path", sorted(Path(latinplex.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_sources_parse_as_python_3_10(path):
+    # pyproject.toml declares requires-python >= 3.10: no newer syntax may slip in
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

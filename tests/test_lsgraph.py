@@ -53,7 +53,14 @@ from latinplex.plexes import (
 )
 from latinplex.constructions import domatic_family_cells
 
-from conftest import NO_TRANSVERSAL_6, conjugate, corpus_up_to, non_group_square
+from conftest import (
+    NO_TRANSVERSAL_6,
+    conjugate,
+    corpus_up_to,
+    non_group_square,
+    skewed_partition,
+    spy_deficiencies,
+)
 from oracles import brute_is_k_dominating, neighbors_of
 
 
@@ -527,6 +534,28 @@ class TestDomaticVerification:
     def test_bad_cells_rejected(self, parts, message):
         with pytest.raises(InvalidCellSetError, match=message):
             verify_domatic_partition(build_graph(gen_cyclic(4)), parts, 3)
+
+    def test_failures_number_parts_from_one(self):
+        g = build_graph(gen_cyclic(4))
+        report = verify_domatic_partition(g, [[(1, 1), (2, 2)], [(2, 2), (1, 1), (3, 3)],
+                                              [(3, 3)]], 3)
+        assert not report.verdict and not report.is_partition
+        assert report.failures == (
+            "part 2 overlaps earlier parts at [(1, 1)]",
+            "part 3 overlaps earlier parts at [(3, 3)]",
+            "part 1 is not 3-dominating (first deficiency (1, 2, 2))",
+            "part 2 is not 3-dominating (first deficiency (1, 2, 2))",
+            "part 3 is not 3-dominating (first deficiency (1, 1, 1))",
+        )
+
+    @pytest.mark.parametrize("shape, first", [("cells", (1, 1, 1)), ("rows", (1, 1, 2))])
+    def test_skewed_partition_draws_one_deficiency_per_part(self, shape, first, monkeypatch):
+        drawn = spy_deficiencies(monkeypatch, lsgraph)
+        report = verify_domatic_partition(build_graph(gen_cyclic(8)), skewed_partition(8, shape), 3)
+        assert report.is_partition and not report.verdict
+        assert len(report.failures) == 6
+        assert report.failures[-1] == f"part 6 is not 3-dominating (first deficiency {first})"
+        assert drawn == [1] * 6 + [0]
 
     def test_partial_family_flagged(self):
         sq = gen_two_step_pow2(2)
