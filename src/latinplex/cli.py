@@ -13,6 +13,7 @@ import sys
 
 from .core import (
     GENERATORS,
+    SWEEP_GENERATORS,
     LatinSquare,
     format_ls,
     load_square_text,
@@ -21,17 +22,7 @@ from .core import (
     square_to_json_dict,
 )
 from .errors import FormatError, LatinSquareError, OrderTooLargeError, OrderTooSmallError
-from .plexes import (
-    SWEEP_GENERATORS,
-    CellSet,
-    conjecture_sweep,
-    enumerate_transversals,
-    find_kplex,
-    find_near_transversal,
-    find_orthogonal_mate,
-    find_quasi_transversal,
-    max_disjoint_transversals,
-)
+from .errors import short_repr
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -84,7 +75,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _witness_payload(kind: str, witness: CellSet | None) -> dict:
+def _witness_payload(kind: str, witness) -> dict:
     return {
         "kind": kind,
         "found": witness is not None,
@@ -93,30 +84,31 @@ def _witness_payload(kind: str, witness: CellSet | None) -> dict:
 
 
 def cmd_search(args) -> int:
+    from . import plexes
     square = _load_square(args)
     n = square.order
     if args.what == "transversal":
         if args.cap < 0:
             raise ValueError(f"--cap must be at least 0, got {args.cap}")
-        census = enumerate_transversals(square, cap=0 if args.count else args.cap)
+        census = plexes.enumerate_transversals(square, cap=0 if args.count else args.cap)
         if args.format == "json":
             _emit_json(census.to_json_dict(), args.out)
         else:
             _emit(f"transversals of order-{n} square: {census.count}\n", args.out)
         return EXIT_OK if census.count else EXIT_NOT_FOUND
     if args.what == "near":
-        w = find_near_transversal(square)
+        w = plexes.find_near_transversal(square)
         payload = _witness_payload("near-transversal", w)
     elif args.what == "quasi":
-        w = find_quasi_transversal(square)
+        w = plexes.find_quasi_transversal(square)
         payload = _witness_payload("quasi-transversal", w)
     elif args.what == "kplex":
         if not 1 <= args.k <= n:
             raise ValueError(f"k must be in 1..{n}")
-        w = find_kplex(square, args.k)
+        w = plexes.find_kplex(square, args.k)
         payload = _witness_payload(f"{args.k}-plex", w)
     elif args.what == "mate":
-        mate = find_orthogonal_mate(square)
+        mate = plexes.find_orthogonal_mate(square)
         payload = {
             "kind": "orthogonal-mate",
             "found": mate is not None,
@@ -124,7 +116,7 @@ def cmd_search(args) -> int:
         }
         w = mate
     else:  # tau
-        tau, family = max_disjoint_transversals(square)
+        tau, family = plexes.max_disjoint_transversals(square)
         payload = {
             "kind": "tau",
             "tau": tau,
@@ -161,7 +153,8 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         _emit_json(payload, args.out)
     else:
-        lines = [f"{cert.claim}: {'accepted' if accepted else 'REJECTED'}"]
+        claim = cert.claim if cert.claim in CLAIM_NAMES else short_repr(cert.claim)
+        lines = [f"{claim}: {'accepted' if accepted else 'REJECTED'}"]
         lines += [f"  - {i}" for i in issues]
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if accepted else EXIT_INVALID
@@ -186,6 +179,7 @@ def _require(args, name: str):
 
 
 def cmd_sweep(args) -> int:
+    from .plexes import conjecture_sweep
     report = conjecture_sweep(
         min_order=args.min_order,
         max_order=args.max_order,

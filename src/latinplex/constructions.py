@@ -16,10 +16,9 @@ instead, with the discrepancy recorded on the certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .core import (
     GENERATORS,
+    Frozen,
     LatinSquare,
     square_descriptor,
     square_from_descriptor,
@@ -59,8 +58,7 @@ Cells = tuple[tuple[int, int], ...]
 PROVENANCE_FORMULA = "paper-formula"
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(Frozen):
     """A claim, its witness cells, where they came from, and the verdict.
 
     Certificates are self-contained: the square descriptor is either a
@@ -75,8 +73,7 @@ class WitnessCertificate:
     verdict: bool
     notes: tuple[str, ...] = ()
     #: (repr of the square descriptor, the square from_json_dict built from it)
-    _parsed: tuple[str, LatinSquare] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    _parsed: tuple[str, LatinSquare] | None = None
 
     def witness_list(self) -> tuple[CellSet, ...]:
         if isinstance(self.witness, CellSet):

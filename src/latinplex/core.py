@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 
 from .errors import (
     ColumnRepeatError,
@@ -33,6 +32,58 @@ MAX_EXHAUSTIVE_ORDER = 16
 #: largest order a generator builds or LatinSquare accepts (the
 #: constructions and validators are exercised to order 256)
 MAX_INPUT_ORDER = 1024
+
+
+class Frozen:
+    """Base of the package's immutable value types.  The fields are the
+    annotated names of the class and its bases, in order, less ``_private``
+    ones; the constructor binds them by position or keyword, a class
+    attribute being the default, then calls ``__post_init__``.  Instances
+    compare (within one class), hash and print by their fields, and refuse
+    assignment and deletion."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        inherited = getattr(cls, "_fields", ())
+        cls._fields = inherited + tuple(name for name in cls.__annotations__
+                                        if not name.startswith("_") and name not in inherited)
+        cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = dict(zip(names, args), **kwargs)
+        given = len(values)  # fewer than passed: too many, or a field given twice
+        if given < len(names):
+            values = {**self._defaults, **values}
+        if given != len(args) + len(kwargs) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(names)}), "
+                            f"got {len(args)} by position and {sorted(kwargs)} by keyword")
+        vars(self).update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the bound fields; a subclass raises on a bad value."""
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class LatinSquare:
@@ -120,8 +171,7 @@ def validate(grid) -> LatinSquare:
     return LatinSquare(grid)
 
 
-@dataclass(frozen=True)
-class StepTypeSpec:
+class StepTypeSpec(Frozen):
     """Parameters of a q-step-type layout: m block-rows of q-by-q blocks."""
 
     m: int
@@ -227,8 +277,7 @@ def is_qstep_type(square: LatinSquare, spec: StepTypeSpec) -> tuple[bool, str | 
     return True, None
 
 
-@dataclass(frozen=True)
-class Isotopy:
+class Isotopy(Frozen):
     """Row, column and symbol permutations of 1..n, stored as image tuples."""
 
     f: tuple[int, ...]
@@ -336,6 +385,9 @@ GENERATORS = {
     "qstep": (gen_qstep, ("m", "q")),
     "twostep": (gen_two_step_pow2, ("k",)),
 }
+
+#: the square families of plexes.conjecture_sweep, by name
+SWEEP_GENERATORS = ("cyclic", "qstep", "isotopes")
 
 
 def square_descriptor(generator: str, **params) -> dict:

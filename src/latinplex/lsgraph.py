@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
 from functools import cached_property
 
-from .core import MAX_EXHAUSTIVE_ORDER, LatinSquare
+from .core import MAX_EXHAUSTIVE_ORDER, Frozen, LatinSquare
 from .errors import DimensionMismatchError, OrderTooLargeError
 from .plexes import (
     KIND_CELLS,
@@ -104,8 +103,7 @@ def build_graph(square: LatinSquare) -> LatinSquareGraph:
     return LatinSquareGraph(square)
 
 
-@dataclass(frozen=True)
-class DominationCertificate:
+class DominationCertificate(Frozen):
     """Verdict of a (k or (ell,k)) domination check with per-vertex deficiencies.
 
     `deficient` lists (i, j, count): for vertices outside the set, count is
@@ -311,8 +309,7 @@ def gamma_k_exact(graph: LatinSquareGraph, k: int) -> tuple[int, tuple[tuple[int
 # equivalences
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Frozen):
     """Independent evaluations of the three transversal-equivalent statements."""
 
     is_3ds_of_size_n: bool
@@ -338,8 +335,7 @@ def transversal_equivalence_check(square: LatinSquare, cells) -> EquivalenceRepo
     return EquivalenceReport(three_ds, ids13, trans)
 
 
-@dataclass(frozen=True)
-class DomaticReport:
+class DomaticReport(Frozen):
     """Result of verifying a family of disjoint k-dominating sets."""
 
     k: int
@@ -409,8 +405,7 @@ def has_mate_coloring(square: LatinSquare) -> tuple[bool, dict[tuple[int, int], 
 # quasi-transversal <-> 3DS correspondence
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(Frozen):
     """Forward check plus (small orders) the exhaustive converse scan."""
 
     is_quasi: bool

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass
 from itertools import zip_longest
 from operator import add, index, le
 
-from .core import MAX_EXHAUSTIVE_ORDER, LatinSquare
+from .core import MAX_EXHAUSTIVE_ORDER, SWEEP_GENERATORS, Frozen, LatinSquare
 from .errors import (
     FormatError,
     InvalidCellSetError,
@@ -44,8 +43,7 @@ KIND_CELLS = "cell-set"  # unconstrained cardinality; used for domination sets
 _KINDS = (KIND_TRANSVERSAL, KIND_PARTIAL, KIND_NEAR, KIND_QUASI, KIND_KPLEX, KIND_CELLS)
 
 
-@dataclass(frozen=True)
-class CellSet:
+class CellSet(Frozen):
     """A set of (row, column) cells of an order-n square, tagged with intent.
 
     Cells are 1-based integer pairs, stored sorted row-major; an outside or
@@ -60,28 +58,28 @@ class CellSet:
     kind: str
     k: int | None = None
 
-    def __post_init__(self):
-        n = self.square_order
-        cells, bad = _cells(n, self.cells)
-        object.__setattr__(self, "cells", cells)
-        if self.kind not in _KINDS:
-            raise InvalidCellSetError(f"unknown kind {short_repr(self.kind)}")
+    def __init__(self, square_order: int, cells, kind: str, k: int | None = None):
+        n = square_order
+        cells, bad = _cells(n, cells)
+        if kind not in _KINDS:
+            raise InvalidCellSetError(f"unknown kind {short_repr(kind)}")
         if bad:
             raise InvalidCellSetError(bad)
         m = len(cells)
-        if self.kind == KIND_TRANSVERSAL and m != n:
+        if kind == KIND_TRANSVERSAL and m != n:
             raise InvalidCellSetError(f"transversal needs {n} cells, got {m}")
-        if self.kind == KIND_NEAR and m != n - 1:
+        if kind == KIND_NEAR and m != n - 1:
             raise InvalidCellSetError(f"near-transversal needs {n - 1} cells, got {m}")
-        if self.kind == KIND_QUASI and m != n + 1:
+        if kind == KIND_QUASI and m != n + 1:
             raise InvalidCellSetError(f"quasi-transversal needs {n + 1} cells, got {m}")
-        if self.kind == KIND_KPLEX:
-            if self.k is None or not 0 <= self.k <= n:
+        if kind == KIND_KPLEX:
+            if k is None or not 0 <= k <= n:
                 raise InvalidCellSetError(f"k-plex needs 0 <= k <= {n}")
-            if m != n * self.k:
-                raise InvalidCellSetError(f"{self.k}-plex needs {n * self.k} cells, got {m}")
-        if self.kind == KIND_PARTIAL and m > n:
+            if m != n * k:
+                raise InvalidCellSetError(f"{k}-plex needs {n * k} cells, got {m}")
+        if kind == KIND_PARTIAL and m > n:
             raise InvalidCellSetError(f"partial transversal cannot exceed {n} cells")
+        vars(self).update(square_order=n, cells=cells, kind=kind, k=k)
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -388,8 +386,7 @@ def _chosen_cells(chosen) -> tuple[tuple[int, int], ...]:
 # transversal enumeration
 
 
-@dataclass(frozen=True)
-class PlexCensus:
+class PlexCensus(Frozen):
     """Exact count of an enumeration plus a capped list of witnesses."""
 
     square_order: int
@@ -1005,8 +1002,7 @@ def _all_quasis(square: LatinSquare) -> list[tuple[tuple[int, ...], ...]]:
 # conjecture sweep
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Frozen):
     """Existence flags for one square of the sweep."""
 
     label: str
@@ -1029,8 +1025,7 @@ class SweepRow:
         return out
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Frozen):
     rows: tuple[SweepRow, ...]
     counterexample: SweepRow | None = None
 
@@ -1040,10 +1035,6 @@ class SweepReport:
             None if self.counterexample is None else self.counterexample.to_json_dict()
         )
         return out
-
-
-#: the square families sweep_squares knows, by name
-SWEEP_GENERATORS = ("cyclic", "qstep", "isotopes")
 
 
 def sweep_squares(min_order: int, max_order: int, generators, isotopes: int, seed: int):

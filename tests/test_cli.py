@@ -352,6 +352,20 @@ class TestBoundedEcho:
         (issue,) = payload["issues"]
         assert issue.startswith("unknown claim 'aaa") and len(issue) < 300
 
+    def test_unknown_claim_text_header(self):
+        cert = build_3ds_q1(4).to_json_dict()
+        cert["claim"] = "a" * 100_000
+        code, out, err = run_cli(["verify", "--stdin"], stdin_text=json.dumps(cert))
+        assert (code, err) == (1, "")
+        header, issue = out.splitlines()
+        assert header.startswith("'aaa") and header.endswith("a': REJECTED")
+        assert "..." in header
+        assert len(header) < 300 and issue.startswith("  - unknown claim 'aaa")
+
+    def test_known_claim_text_header_unquoted(self):
+        cert = json.dumps(build_3ds_q1(4).to_json_dict())
+        assert run_cli(["verify", "--stdin"], stdin_text=cert) == (0, "3ds-q1: accepted\n", "")
+
 
 class TestConstruct:
     def test_domatic_cyclic_10(self):

@@ -147,7 +147,8 @@ options:
         assert capsys.readouterr().out == text
 
 
-#: run the CLI as `python -m` does, then report the latinplex modules it loaded
+#: run the CLI as `python -m` does, then report the latinplex modules it
+#: loaded and which of the standard modules it has no use for
 FOOTPRINT = """if True:
     import json, runpy, sys
     report, sys.argv = sys.argv[1], ["latinplex", *sys.argv[2:]]
@@ -155,8 +156,13 @@ FOOTPRINT = """if True:
         runpy.run_module("latinplex.cli", run_name="__main__", alter_sys=True)
     finally:
         with open(report, "w") as fh:
-            json.dump(sorted(m for m in sys.modules if m.startswith("latinplex.")), fh)
+            json.dump(sorted(m for m in sys.modules if m.startswith("latinplex.")
+                             or m in ("dataclasses", "inspect", "logging")), fh)
 """
+
+LIGHT = {"latinplex.core", "latinplex.errors"}
+SEARCH = LIGHT | {"latinplex.plexes", "logging"}
+HEAVY = SEARCH | {"latinplex.lsgraph", "latinplex.constructions"}
 
 
 class TestImportFootprint:
@@ -169,13 +175,16 @@ class TestImportFootprint:
                         encoding="utf-8")
         return {"square": str(square), "cert": str(cert)}
 
-    @pytest.mark.parametrize("argv,heavy", [
-        (["gen", "cyclic", "7"], False),
-        (["search", "near", "{square}"], False),
-        (["construct", "3ds-q1", "--n", "10"], True),
-        (["verify", "{cert}"], True),
-    ], ids=["gen", "search-near", "construct", "verify"])
-    def test_subcommand_loads_only_its_modules(self, argv, heavy, files, tmp_path):
+    @pytest.mark.parametrize("argv,expected", [
+        (["gen", "cyclic", "7"], LIGHT),
+        (["search", "near", "{square}"], SEARCH),
+        (["sweep", "--max-order", "4"], SEARCH),
+        (["construct", "3ds-q1", "--n", "10"], HEAVY),
+        (["verify", "{cert}"], HEAVY),
+    ], ids=["gen", "search-near", "sweep", "construct", "verify"])
+    def test_subcommand_loads_only_its_modules(self, argv, expected, files, tmp_path):
+        # no subcommand loads dataclasses or inspect, and gen neither the
+        # search engines nor logging
         argv = [a.format(**files) for a in argv]
         report = tmp_path / "modules.json"
         traced = run_python(FOOTPRINT, str(report), *argv)
@@ -185,10 +194,7 @@ class TestImportFootprint:
         assert (traced.returncode, traced.stdout, traced.stderr) == (
             normal.returncode, normal.stdout, normal.stderr)
         assert normal.returncode == 0, normal.stderr
-        loaded = set(json.loads(report.read_text(encoding="utf-8")))
-        assert {"latinplex.core", "latinplex.plexes"} <= loaded
-        for module in ("latinplex.lsgraph", "latinplex.constructions"):
-            assert (module in loaded) == heavy, (module, sorted(loaded))
+        assert set(json.loads(report.read_text(encoding="utf-8"))) == expected
 
 
 @pytest.mark.parametrize("path", sorted(Path(latinplex.__file__).parent.glob("*.py")),
