@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cons.add_argument("--q", type=int)
     p_cons.add_argument("--k", type=int)
     p_cons.add_argument("--gen", choices=tuple(GENERATORS), default="cyclic")
-    _add_common(p_cons)
+    p_cons.add_argument("--out", default=None, help="write output to this path")  # JSON only
     p_cons.set_defaults(func=cmd_construct)
 
     p_sweep = sub.add_parser("sweep", help="test the three existence conjectures")

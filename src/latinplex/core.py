@@ -1,11 +1,12 @@
 """Latin squares: representation, validation, generators, and transforms.
 
 Symbols are 1..n at every interface; storage is 0-based.  Every type here
-is immutable after construction, so concurrent read-only use is safe.  All
-exhaustive search engines elsewhere in the package cap the order at
-MAX_EXHAUSTIVE_ORDER so cell sets fit fixed-width bitmasks; the generators
-and LatinSquare refuse orders above MAX_INPUT_ORDER, so neither a short
-descriptor nor a parsed grid can ask for millions of cells.
+is immutable after construction, so concurrent read-only use is safe.
+MAX_EXHAUSTIVE_ORDER, 16, is the ceiling of the transversal counter, the
+near-transversal search and the graph's adjacency masks; the other search
+engines stop lower, down to order 5.  The generators and LatinSquare refuse
+orders above MAX_INPUT_ORDER, so neither a short descriptor nor a parsed
+grid can ask for millions of cells.
 """
 
 from __future__ import annotations

@@ -300,6 +300,7 @@ def gamma_k_exact(graph: LatinSquareGraph, k: int) -> tuple[int, tuple[tuple[int
         orbit = _cell_orbits(graph.square.cells0, n)
         orbits = len(set(orbit))
         rec(0, 0, full, 0, k * N)
+    del rec  # rec refers to itself: free its state now, not at the next full collection
     log.debug("gamma_%d: %d nodes, stopped at size %d, lower bound %d, %d root orbit%s",
               k, nodes, best_size, lower, orbits, "" if orbits == 1 else "s")
     return best_size, tuple(sorted(graph.cell_of(v) for v in range(N) if (best_mask >> v) & 1))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import random
 from itertools import zip_longest
-from operator import add, index, le
+from operator import add, index, itemgetter, le
 
 from .core import MAX_EXHAUSTIVE_ORDER, SWEEP_GENERATORS, Frozen, LatinSquare
 from .errors import (
@@ -34,13 +34,12 @@ log = logging.getLogger(__name__)
 logging.getLogger(__package__).addHandler(logging.NullHandler())
 
 KIND_TRANSVERSAL = "transversal"
-KIND_PARTIAL = "partial-transversal"
 KIND_NEAR = "near-transversal"
 KIND_QUASI = "quasi-transversal"
 KIND_KPLEX = "k-plex"
 KIND_CELLS = "cell-set"  # unconstrained cardinality; used for domination sets
 
-_KINDS = (KIND_TRANSVERSAL, KIND_PARTIAL, KIND_NEAR, KIND_QUASI, KIND_KPLEX, KIND_CELLS)
+_KINDS = (KIND_TRANSVERSAL, KIND_NEAR, KIND_QUASI, KIND_KPLEX, KIND_CELLS)
 
 
 class CellSet(Frozen):
@@ -49,8 +48,7 @@ class CellSet(Frozen):
     Cells are 1-based integer pairs, stored sorted row-major; an outside or
     repeated cell raises InvalidCellSetError, a non-integer or bool coordinate
     TypeError.  Cardinality must match the kind: n for a transversal, n-1 near,
-    n+1 quasi, n*k for a k-plex; partial-transversal and cell-set are
-    unconstrained (up to n / n^2).
+    n+1 quasi, n*k for a k-plex; a cell-set takes any number.
     """
 
     square_order: int
@@ -77,8 +75,6 @@ class CellSet(Frozen):
                 raise InvalidCellSetError(f"k-plex needs 0 <= k <= {n}")
             if m != n * k:
                 raise InvalidCellSetError(f"{k}-plex needs {n * k} cells, got {m}")
-        if kind == KIND_PARTIAL and m > n:
-            raise InvalidCellSetError(f"partial transversal cannot exceed {n} cells")
         vars(self).update(square_order=n, cells=cells, kind=kind, k=k)
 
     def __len__(self) -> int:
@@ -148,101 +144,86 @@ def _line_counts(square: LatinSquare, cells) -> tuple[list[int], list[int], list
     return rows, cols, syms
 
 
+def _line_issue(square: LatinSquare, cells, size: int | None, hi: int, cover: bool = False):
+    """(the cells as _cells normalises them, their _line_counts or None, and
+    why they are not `size` cells meeting no line more than hi times and,
+    with cover, every line, or None).  A size of None takes any size.
+
+    The first kind of line out of bounds (rows, then columns, then symbols)
+    is named as "{kind} {i} occurs {count} times": its line met more than hi
+    times that row-major cell order reaches first, else its lowest line not
+    met.  Only the side of the bound that the callers' sizes make
+    sufficient is tested: with cover, that index 0 holds the one zero count;
+    else that every cell lies on lines met exactly hi times, which is at most
+    hi when hi is 1 or the size is n*hi.
+    """
+    cs, bad = _cells(square.order, cells)
+    if not bad and size is not None and len(cs) != size:
+        bad = f"expected {size} cells, got {len(cs)}"
+    if bad:
+        return cs, None, bad
+    counts = _line_counts(square, cs)
+    for j, cnt in enumerate(counts):
+        if cnt.count(0) == 1 if cover else cnt.count(hi) * hi == len(cs):
+            continue
+        grid = square.cells0
+        met = map(itemgetter(j), cs) if j < 2 else (grid[r - 1][c - 1] + 1 for r, c in cs)
+        i = next((i for i in met if cnt[i] > hi), None) or cnt.index(0, 1)
+        return cs, counts, f"{('row', 'column', 'symbol')[j]} {i} occurs {cnt[i]} times"
+    return cs, counts, None
+
+
 def check_transversal(square: LatinSquare, cells) -> tuple[bool, str | None]:
     """True iff the cells cover every row, column and symbol exactly once."""
     return check_kplex(square, cells, 1)
 
 
 def check_kplex(square: LatinSquare, cells, k: int) -> tuple[bool, str | None]:
-    """True iff every row, column and symbol occurs exactly k times."""
-    n = square.order
-    cs, bad = _cells(n, cells)
-    if bad:
-        return False, bad
-    if len(cs) != n * k:
-        return False, f"expected {n * k} cells for a {k}-plex of order {n}, got {len(cs)}"
-    rows, cols, syms = _line_counts(square, cs)
-    for i in range(1, n + 1):
-        if rows[i] != k:
-            return False, f"row {i} occurs {rows[i]} times, expected {k}"
-        if cols[i] != k:
-            return False, f"column {i} occurs {cols[i]} times, expected {k}"
-        if syms[i] != k:
-            return False, f"symbol {i} occurs {syms[i]} times, expected {k}"
-    return True, None
+    """True iff every row, column and symbol occurs exactly k times: n*k
+    cells, none of whose lines is met more than k times."""
+    why = _line_issue(square, cells, square.order * k, k)[2]
+    return why is None, why
 
 
 def check_partial_transversal(square: LatinSquare, cells) -> tuple[bool, str | None]:
-    """True iff rows, columns and symbols are pairwise distinct (any length <= n)."""
-    return _partial_scan(square, *_cells(square.order, cells))
+    """True iff no row, column or symbol is met twice (so at most n cells)."""
+    why = _line_issue(square, cells, None, 1)[2]
+    return why is None, why
 
 
 def check_near_transversal(square: LatinSquare, cells) -> tuple[bool, str | None]:
     """True iff the cells form a partial transversal of length exactly n-1."""
-    n = square.order
-    cs, bad = _cells(n, cells)
-    if len(cs) != n - 1:
-        return False, f"near-transversal needs {n - 1} cells, got {len(cs)}"
-    return _partial_scan(square, cs, bad)
-
-
-def _partial_scan(square: LatinSquare, cs, bad: str | None) -> tuple[bool, str | None]:
-    """check_partial_transversal on cells _cells has normalised, with their defect."""
-    n = square.order
-    if bad:
-        return False, bad
-    if len(cs) > n:
-        return False, f"{len(cs)} cells exceed order {n}"
-    grid = square.cells0
-    rows, cols, syms = set(), set(), set()
-    for r, c in cs:
-        s = grid[r - 1][c - 1] + 1
-        if r in rows:
-            return False, f"row {r} used twice"
-        if c in cols:
-            return False, f"column {c} used twice"
-        if s in syms:
-            return False, f"symbol {s} used twice"
-        rows.add(r)
-        cols.add(c)
-        syms.add(s)
-    return True, None
+    why = _line_issue(square, cells, square.order - 1, 1)[2]
+    return why is None, why
 
 
 def check_quasi_transversal(square: LatinSquare, cells) -> tuple[bool, str | None]:
     """True iff n+1 cells double exactly one row, one column and one symbol.
 
-    All n symbols appear (n-1 once, one twice); likewise rows and columns.
+    All n symbols appear (n-1 once, one twice); likewise rows and columns:
+    n+1 cells that meet every line meet exactly one line of each kind twice.
     For order < 3 the notion is treated as vacuous and the check fails with
     a diagnosis rather than an error.
     """
+    why = _quasi_issue(square, cells)[2]
+    return why is None, why
+
+
+def _quasi_issue(square: LatinSquare, cells):
+    """_line_issue for a quasi-transversal, vacuous below order 3; a line met
+    3 times or more is named before the line its kind leaves empty."""
     n = square.order
     if n < 3:
-        return False, "quasi-transversal is vacuous below order 3"
-    cs, bad = _cells(n, cells)
-    if bad:
-        return False, bad
-    if len(cs) != n + 1:
-        return False, f"expected {n + 1} cells, got {len(cs)}"
-    grid = square.cells0
-    line_of = (lambda r, c: r, lambda r, c: c, lambda r, c: grid[r - 1][c - 1] + 1)
-    # n+1 cells on n lines of a kind: unless a line is empty, one is doubled
-    for name, cnt, line in zip(("row", "column", "symbol"), _line_counts(square, cs), line_of):
-        if 0 in cnt[1:]:
-            over = next((line(r, c) for r, c in cs if cnt[line(r, c)] > 2), None)
-            if over is not None:
-                return False, f"{name} {over} occurs {cnt[over]} times"
-            return False, f"{name} {cnt.index(0, 1)} does not occur"
-    return True, None
+        return (), None, "quasi-transversal is vacuous below order 3"
+    return _line_issue(square, cells, n + 1, 2, cover=True)
 
 
 def quasi_profile(square: LatinSquare, cells) -> tuple[int, int, int]:
     """(doubled row, doubled column, doubled symbol) of a valid quasi-transversal."""
-    cs, _ = _cells(square.order, cells)
-    ok, why = check_quasi_transversal(square, cs)
-    if not ok:
+    _, counts, why = _quasi_issue(square, cells)
+    if why:
         raise InvalidCellSetError(f"not a quasi-transversal: {why}")
-    return tuple(cnt.index(2, 1) for cnt in _line_counts(square, cs))
+    return tuple(cnt.index(2, 1) for cnt in counts)
 
 
 # ---------------------------------------------------------------------------
@@ -840,9 +821,8 @@ def extendibility_report(square: LatinSquare, partial) -> str:
     n = square.order
     if n > 8:
         raise OrderTooLargeError(f"extendibility search supports order <= 8, got {n}")
-    cs, bad = _cells(n, partial)
-    ok, why = _partial_scan(square, cs, bad)
-    if not ok:
+    cs, _, why = _line_issue(square, partial, None, 1)
+    if why:
         raise InvalidPartialError(why)
     grid = square.cells0
     used_rows = {r - 1 for r, _ in cs}

@@ -424,6 +424,12 @@ class TestConstruct:
         assert code == 2 and out == ""
         assert "unrecognized arguments: --seed 1" in err
 
+    def test_format_is_not_a_construct_option(self):
+        # construct always writes the certificate's JSON
+        code, out, err = run_cli(["construct", "3ds-q1", "--n", "4", "--format", "json"])
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --format json" in err
+
     def test_missing_param_errors(self):
         for args, message in [
             (["construct", "3ds-q1"], "claim '3ds-q1' needs --n"),

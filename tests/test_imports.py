@@ -121,8 +121,7 @@ options:
 """),
         ("construct", """\
 usage: latinplex construct [-h] [--n N] [--m M] [--q Q] [--k K]
-                           [--gen {cyclic,qstep,twostep}]
-                           [--format {text,json}] [--out OUT]
+                           [--gen {cyclic,qstep,twostep}] [--out OUT]
                            {twostep-decomp,3ds-q1,3ds-qgen,domatic-cyclic,2plex-q1,2plex-m2,2plex-gen,qt-nt-transforms}
 
 positional arguments:
@@ -135,7 +134,6 @@ options:
   --q Q
   --k K
   --gen {cyclic,qstep,twostep}
-  --format {text,json}
   --out OUT             write output to this path
 """),
     ])

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import logging
 import random
@@ -338,6 +339,18 @@ class TestGammaExact:
     def test_cyclic3_gamma3_is_3(self):
         g = build_graph(gen_cyclic(3))
         assert gamma_k_exact(g, 3)[0] == 3
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_search_leaves_no_reference_cycles(self, k):
+        # the recursive search closure left in a cycle lives until a full collection
+        g = build_graph(gen_cyclic(5))
+        gc.collect()
+        gc.disable()
+        try:
+            gamma_k_exact(g, k)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_lower_bound_formula(self):
         assert gamma_k_lower_bound(4, 3) == 4  # ceil(48/12)

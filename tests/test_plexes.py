@@ -956,7 +956,7 @@ class TestExtendibility:
                             lambda order, cells: calls.append(cells) or normalise(order, cells))
         assert extendibility_report(gen_cyclic(4), [(1, 1)]) == EXTENDIBLE
         assert len(calls) == 1
-        with pytest.raises(InvalidPartialError, match="row 1 used twice"):
+        with pytest.raises(InvalidPartialError, match="row 1 occurs 2 times"):
             extendibility_report(gen_cyclic(4), [(1, 2), (1, 1)])
         assert len(calls) == 2
 
