@@ -15,12 +15,14 @@ _PUBLIC = {
         "Isotopy", "LatinSquare", "StepTypeSpec", "apply_isotopy", "format_ls", "gen_cyclic",
         "gen_qstep", "gen_two_step_pow2", "is_qstep_type", "parse_ls", "validate",
     ),
+    "cellsets": (
+        "CellSet", "check_kplex", "check_near_transversal", "check_quasi_transversal",
+        "check_transversal",
+    ),
     "plexes": (
-        "CellSet", "PlexCensus", "check_kplex", "check_near_transversal",
-        "check_quasi_transversal", "check_transversal", "complement_plex", "conjecture_sweep",
-        "enumerate_transversals", "extendibility_report", "find_kplex", "find_near_transversal",
-        "find_orthogonal_mate", "find_quasi_transversal", "max_disjoint_quasi_transversals",
-        "max_disjoint_transversals",
+        "PlexCensus", "complement_plex", "conjecture_sweep", "enumerate_transversals",
+        "extendibility_report", "find_kplex", "find_near_transversal", "find_orthogonal_mate",
+        "find_quasi_transversal", "max_disjoint_quasi_transversals", "max_disjoint_transversals",
     ),
     "lsgraph": (
         "DominationCertificate", "LatinSquareGraph", "build_graph", "gamma_k_exact",

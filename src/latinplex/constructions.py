@@ -32,23 +32,10 @@ from .errors import (
     ValidationFailureError,
     short_repr,
 )
-# .plexes before .lsgraph, which imports it too: compiling plexes inside lsgraph's
-# import raises the peak memory of a full import
-from .plexes import (
-    KIND_CELLS,
-    KIND_KPLEX,
-    KIND_NEAR,
-    KIND_QUASI,
-    KIND_TRANSVERSAL,
-    CellSet,
-    _cells,
-    _line_counts,
-    check_kplex,
-    check_near_transversal,
-    check_quasi_transversal,
+from .cellsets import (
+    KIND_CELLS, KIND_KPLEX, KIND_NEAR, KIND_QUASI, KIND_TRANSVERSAL, CellSet, _line_counts,
+    _line_issue, _profiled_quasi, check_kplex, check_near_transversal, check_quasi_transversal,
     check_transversal,
-    find_near_transversal,
-    quasi_profile,
 )
 from .lsgraph import _deficiencies, _overlaps, build_graph, domatic_upper_bound
 
@@ -419,9 +406,8 @@ def quasi_from_transversal(square: LatinSquare, transversal) -> CellSet:
     its row, column and symbol exactly once, so the least one is taken.
     That cell is (1, 1), or (1, 2) when the transversal holds (1, 1)."""
     n = square.order
-    cells, _ = _cells(n, transversal)
-    ok, why = check_transversal(square, cells)
-    if not ok:
+    cells, _, why = _line_issue(square, transversal, n, 1)
+    if why:
         raise NotConstructibleError(f"input is not a transversal: {why}")
     extra = (1, 2) if (1, 1) in cells else (1, 1)
     candidate = tuple(sorted(cells + (extra,)))
@@ -442,21 +428,20 @@ def near_from_quasi(square: LatinSquare, quasi) -> CellSet:
     NotConstructible with a diagnosis.
     """
     n = square.order
-    cells, _ = _cells(n, quasi)
-    _, _, ds = quasi_profile(square, cells)
+    cells, (_, _, ds) = _profiled_quasi(square, quasi)
     grid = square.cells0
-    kept = tuple(c for c in cells if grid[c[0] - 1][c[1] - 1] + 1 != ds)
-    ok, why = check_near_transversal(square, kept)
+    near = CellSet(n, [c for c in cells if grid[c[0] - 1][c[1] - 1] + 1 != ds], KIND_NEAR)
+    ok, why = check_near_transversal(square, near)
     if not ok:
         raise NotConstructibleError(
             f"doubled-symbol pair does not meet the doubled row/column: {why}"
         )
-    return CellSet(n, kept, KIND_NEAR)
+    return near
 
 
-def _missing_parts(square: LatinSquare, near) -> tuple[int, int, int]:
-    """(missing row, missing column, missing symbol) of a near-transversal."""
-    return tuple(cnt.index(0, 1) for cnt in _line_counts(square, near))
+def _missing_parts(counts) -> tuple[int, int, int]:
+    """(missing row, missing column, missing symbol) of a near-transversal's _line_counts."""
+    return tuple(cnt.index(0, 1) for cnt in counts)
 
 
 def quasi_from_near(square: LatinSquare, near) -> CellSet:
@@ -466,11 +451,10 @@ def quasi_from_near(square: LatinSquare, near) -> CellSet:
     n = square.order
     if n < 3:
         raise NotConstructibleError("quasi-transversal is vacuous below order 3")
-    cells, _ = _cells(n, near)
-    ok, why = check_near_transversal(square, cells)
-    if not ok:
+    cells, counts, why = _line_issue(square, near, n - 1, 1)
+    if why:
         raise NotConstructibleError(f"input is not a near-transversal: {why}")
-    mr, mc, ms = _missing_parts(square, cells)
+    mr, mc, ms = _missing_parts(counts)
     grid = square.cells0
     row_cell = (mr, next(j for j in range(1, n + 1) if grid[mr - 1][j - 1] + 1 == ms))
     col_cell = (next(i for i in range(1, n + 1) if grid[i - 1][mc - 1] + 1 == ms), mc)
@@ -479,11 +463,11 @@ def quasi_from_near(square: LatinSquare, near) -> CellSet:
             f"near-transversal is completable at this cell {row_cell}; "
             "adding it once yields a transversal, not a quasi-transversal"
         )
-    out = tuple(sorted(set(cells) | {row_cell, col_cell}))
-    ok, why = check_quasi_transversal(square, out)
+    quasi = CellSet(n, cells + (row_cell, col_cell), KIND_QUASI)
+    ok, why = check_quasi_transversal(square, quasi)
     if not ok:
         raise ValidationFailureError(f"extension failed the quasi checker: {why}")
-    return CellSet(n, out, KIND_QUASI)
+    return quasi
 
 
 def transversal_in_quasi(square: LatinSquare, quasi) -> CellSet | None:
@@ -495,15 +479,14 @@ def transversal_in_quasi(square: LatinSquare, quasi) -> CellSet | None:
     that cell is the transversal; without such a cell there is none.
     """
     n = square.order
-    cells, _ = _cells(n, quasi)
-    dr, dc, ds = quasi_profile(square, cells)
+    cells, (dr, dc, ds) = _profiled_quasi(square, quasi)
     if (dr, dc) not in cells or square.symbol(dr, dc) != ds:
         return None
-    kept = tuple(c for c in cells if c != (dr, dc))
+    kept = CellSet(n, [c for c in cells if c != (dr, dc)], KIND_TRANSVERSAL)
     ok, why = check_transversal(square, kept)
     if not ok:
         raise ValidationFailureError(f"quasi minus {(dr, dc)} failed the transversal checker: {why}")
-    return CellSet(n, kept, KIND_TRANSVERSAL)
+    return kept
 
 
 def build_qt_nt_transforms(square: LatinSquare, desc: dict | None = None) -> WitnessCertificate:
@@ -516,6 +499,8 @@ def build_qt_nt_transforms(square: LatinSquare, desc: dict | None = None) -> Wit
         raise ValueError(f"qt-nt-transforms needs order >= 3, got {square.order}")
     if desc is None:
         desc = {"rows": square.rows()}
+    from .plexes import find_near_transversal
+
     near = find_near_transversal(square)
     if near is None:
         raise NoWitnessFoundError("square has no near-transversal to transform")
@@ -524,7 +509,7 @@ def build_qt_nt_transforms(square: LatinSquare, desc: dict | None = None) -> Wit
         quasi = quasi_from_near(square, near)
     except NotConstructibleError:
         # completable near: seed the quasi from its completion, a transversal
-        mr, mc, _ = _missing_parts(square, near.cells)
+        mr, mc, _ = _missing_parts(_line_counts(square, near))
         quasi = quasi_from_transversal(square, near.cells + ((mr, mc),))
         notes.append("first near-transversal was completable; quasi seeded from a transversal")
         near = near_from_quasi(square, quasi)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 from .errors import (
     ColumnRepeatError,
@@ -85,6 +86,20 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LazyLogger:
+    """logging.getLogger(name), looked up once the application has imported
+    logging: a debug line before that is dropped, as no handler exists yet."""
+
+    def __init__(self, name: str):
+        self.name, self._logger = name, None
+
+    def debug(self, msg: str, *args) -> None:
+        if self._logger is None and "logging" in sys.modules:
+            self._logger = sys.modules["logging"].getLogger(self.name)
+        if self._logger is not None:
+            self._logger.debug(msg, *args, stacklevel=2)  # the record names the caller
 
 
 class LatinSquare:

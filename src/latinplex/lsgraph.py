@@ -10,23 +10,14 @@ from the set's count on each line.
 from __future__ import annotations
 
 import itertools
-import logging
 from functools import cached_property
 
-from .core import MAX_EXHAUSTIVE_ORDER, Frozen, LatinSquare
+from .cellsets import (KIND_CELLS, CellSet, _cells, _line_counts, check_quasi_transversal,
+                       check_transversal)
+from .core import MAX_EXHAUSTIVE_ORDER, Frozen, LatinSquare, LazyLogger
 from .errors import DimensionMismatchError, OrderTooLargeError
-from .plexes import (
-    KIND_CELLS,
-    CellSet,
-    _cells,
-    _column_orbit_maps,
-    _line_counts,
-    check_quasi_transversal,
-    check_transversal,
-    find_orthogonal_mate,
-)
 
-log = logging.getLogger(__name__)
+log = LazyLogger(__name__)
 
 
 class LatinSquareGraph:
@@ -170,9 +161,10 @@ def is_lk_independent_dominating(
     graph: LatinSquareGraph, cells, ell: int, k: int
 ) -> DominationCertificate:
     """k-dominating with induced maximum degree at most ell-1."""
-    base = is_k_dominating(graph, cells, k)
+    cs = CellSet(graph.n, cells, KIND_CELLS)
+    base = is_k_dominating(graph, cs, k)
     deficient = list(base.deficient)
-    for (r, c), d in sorted(induced_degrees(graph.square, base.cells).items()):
+    for (r, c), d in sorted(induced_degrees(graph.square, cs).items()):
         if d > ell - 1:
             deficient.append((r, c, d))
     return DominationCertificate(k, ell, base.cells, not deficient, tuple(deficient))
@@ -198,6 +190,8 @@ def _cell_orbits(grid, n: int) -> list[int]:
     so every orbit has |R|*|C| cells.  On a group table, or any isotope of
     one, both act transitively and every orbit is all n^2 cells.
     """
+    from .plexes import _column_orbit_maps
+
     betas = _column_orbit_maps(grid, n)
     alphas = _column_orbit_maps(list(zip(*grid)), n)
     cols = [sum(1 << beta[j] for beta in betas) for j in range(n)]
@@ -330,6 +324,7 @@ def transversal_equivalence_check(square: LatinSquare, cells) -> EquivalenceRepo
     if len(cs) != n:
         raise DimensionMismatchError(f"expected {n} cells, got {len(cs)}")
     graph = build_graph(square)
+    cs = CellSet(n, cs, KIND_CELLS)  # one CellSet, which the three checks take as it is
     three_ds = is_k_dominating(graph, cs, 3).verdict
     ids13 = is_lk_independent_dominating(graph, cs, 1, 3).verdict
     trans = check_transversal(square, cs)[0]
@@ -395,6 +390,8 @@ def has_mate_coloring(square: LatinSquare) -> tuple[bool, dict[tuple[int, int], 
     when the square decomposes into n disjoint transversals, i.e. when an
     orthogonal mate exists, whose symbol classes are the color classes.
     """
+    from .plexes import find_orthogonal_mate
+
     n = square.order
     mate = find_orthogonal_mate(square)
     if mate is None:
@@ -454,6 +451,7 @@ def quasi_3ds_correspondence(square: LatinSquare, cells) -> CorrespondenceReport
     if len(cs) != n + 1:
         raise DimensionMismatchError(f"expected {n + 1} cells, got {len(cs)}")
     graph = build_graph(square)
+    cs = CellSet(n, cs, KIND_CELLS)
     is_quasi = check_quasi_transversal(square, cs)[0]
     is_3ds = is_k_dominating(graph, cs, 3).verdict
     forward_ok = (not is_quasi) or is_3ds

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from latinplex import constructions
+from latinplex import cellsets, constructions, lsgraph
 from latinplex.constructions import (
     BASE4_DECOMPOSITION,
     CLAIMS,
@@ -37,8 +37,14 @@ from latinplex.errors import (
     StructureMismatchError,
     SymbolOutOfRangeError,
 )
-from latinplex.lsgraph import build_graph, gamma_k_exact, is_k_dominating
+from latinplex.lsgraph import (
+    build_graph,
+    gamma_k_exact,
+    is_k_dominating,
+    transversal_equivalence_check,
+)
 from latinplex.plexes import (
+    CellSet,
     check_kplex,
     check_near_transversal,
     check_quasi_transversal,
@@ -434,6 +440,35 @@ class TestTransforms:
         sq = gen_cyclic(2)
         with pytest.raises(NotConstructibleError):
             quasi_from_near(sq, find_near_transversal(sq))
+
+    def test_each_cell_set_is_normalised_once(self, monkeypatch):
+        # a transform normalises its input once and each CellSet it builds
+        # once, and runs its checks on that CellSet, which _cells passes
+        # through; transversal_equivalence_check reads the input's size before
+        # its cells are checked, then builds one CellSet for all three checks
+        sq4, sq5 = gen_cyclic(4), gen_cyclic(5)
+        near4 = find_near_transversal(sq4)
+        quasi4 = quasi_from_near(sq4, near4)
+        trans5 = find_kplex(sq5, 1)
+        quasi5 = quasi_from_transversal(sq5, trans5)
+        normalise, normalised = cellsets._cells, []
+
+        def spy(order, cells):
+            if not (isinstance(cells, CellSet) and cells.square_order == order):
+                normalised.append(cells)
+            return normalise(order, cells)
+
+        monkeypatch.setattr(cellsets, "_cells", spy)
+        monkeypatch.setattr(lsgraph, "_cells", spy)
+        for transform, sq, cells, count in [
+            (quasi_from_near, sq4, near4, 1), (quasi_from_near, sq4, near4.cells, 2),
+            (near_from_quasi, sq4, quasi4, 1), (near_from_quasi, sq4, quasi4.cells, 2),
+            (transversal_in_quasi, sq5, quasi5.cells, 2), (transversal_in_quasi, sq4, quasi4, 0),
+            (transversal_equivalence_check, sq5, trans5.cells, 2),
+        ]:
+            normalised.clear()
+            transform(sq, cells)
+            assert len(normalised) == count, (transform.__name__, cells)
 
     def test_transforms_certificate(self):
         cert = build_qt_nt_transforms(gen_cyclic(4))

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from latinplex import constructions, plexes
+from latinplex import cellsets, constructions
 from latinplex.constructions import CLAIMS
 from latinplex.core import (
     Isotopy,
@@ -170,7 +170,7 @@ class TestFormulaRule:
     ], ids=lambda v: v)
     def test_each_shipped_cell_set_is_normalised_once(self, monkeypatch, claim, args, count):
         # the builder's rule runs on the CellSets it ships, which _cells passes through
-        normalise = plexes._cells
+        normalise = cellsets._cells
         normalised = []
 
         def spy(order, cells):
@@ -178,7 +178,7 @@ class TestFormulaRule:
                 normalised.append(cells)
             return normalise(order, cells)
 
-        monkeypatch.setattr(plexes, "_cells", spy)
+        monkeypatch.setattr(cellsets, "_cells", spy)
         _, build, _ = CLAIMS[claim]
         cert = build(*args)
         assert len(normalised) == len(cert.witness_list()) == count

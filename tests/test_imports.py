@@ -4,6 +4,7 @@ process imports only the modules its subcommand runs."""
 import ast
 import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,12 +23,14 @@ PUBLIC = {
         "Isotopy", "LatinSquare", "StepTypeSpec", "apply_isotopy", "format_ls", "gen_cyclic",
         "gen_qstep", "gen_two_step_pow2", "is_qstep_type", "parse_ls", "validate",
     ],
+    "cellsets": [
+        "CellSet", "check_kplex", "check_near_transversal", "check_quasi_transversal",
+        "check_transversal",
+    ],
     "plexes": [
-        "CellSet", "PlexCensus", "check_kplex", "check_near_transversal",
-        "check_quasi_transversal", "check_transversal", "complement_plex", "conjecture_sweep",
-        "enumerate_transversals", "extendibility_report", "find_kplex", "find_near_transversal",
-        "find_orthogonal_mate", "find_quasi_transversal", "max_disjoint_quasi_transversals",
-        "max_disjoint_transversals",
+        "PlexCensus", "complement_plex", "conjecture_sweep", "enumerate_transversals",
+        "extendibility_report", "find_kplex", "find_near_transversal", "find_orthogonal_mate",
+        "find_quasi_transversal", "max_disjoint_quasi_transversals", "max_disjoint_transversals",
     ],
     "lsgraph": [
         "DominationCertificate", "LatinSquareGraph", "build_graph", "gamma_k_exact",
@@ -80,7 +83,8 @@ class TestPackageSurface:
             kplex = latinplex.find_kplex
             handlers = [type(h).__name__ for h in logging.getLogger("latinplex").handlers]
             modules = {m: getattr(latinplex, m) is sys.modules["latinplex." + m]
-                       for m in ("core", "plexes", "lsgraph", "constructions", "errors")}
+                       for m in ("core", "cellsets", "plexes", "lsgraph", "constructions",
+                                 "errors")}
             print(json.dumps({"loaded": loaded, "kplex": kplex is latinplex.plexes.find_kplex,
                               "handlers": handlers, "modules": modules}))
         """
@@ -88,8 +92,51 @@ class TestPackageSurface:
         assert proc.returncode == 0, proc.stderr
         got = json.loads(proc.stdout)
         assert got["loaded"] == ["latinplex"]
-        assert got["kplex"] and got["handlers"] == ["NullHandler"]
+        assert got["kplex"] and got["handlers"] == []
         assert all(got["modules"].values()), got["modules"]
+
+    def test_checker_loads_no_search_engine(self):
+        code = """if True:
+            import json, sys
+            import latinplex
+            ok = latinplex.check_transversal(latinplex.gen_cyclic(3), [(1, 1), (2, 2), (3, 3)])
+            print(json.dumps([ok, sorted(m for m in sys.modules if m.startswith("latinplex"))]))
+        """
+        proc = run_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            [True, None], ["latinplex", "latinplex.cellsets", "latinplex.core", "latinplex.errors"]]
+
+
+class TestLazyLogger:
+    def test_searches_never_load_logging(self):
+        code = """if True:
+            import sys
+            from latinplex.core import gen_cyclic
+            from latinplex.lsgraph import build_graph, gamma_k_exact
+            from latinplex.plexes import find_kplex
+            assert find_kplex(gen_cyclic(5), 3) is not None
+            assert gamma_k_exact(build_graph(gen_cyclic(4)), 2)[0] == 4
+            print("logging" in sys.modules)
+        """
+        proc = run_python(code)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+    def test_handler_attached_after_import_receives_debug_lines(self):
+        # lines logged before the application imports logging have no handler to reach
+        code = """if True:
+            from latinplex.core import gen_cyclic
+            from latinplex.plexes import find_kplex
+            find_kplex(gen_cyclic(4), 3)
+            import logging
+            logging.basicConfig(level=logging.DEBUG,
+                                format="%(name)s %(levelname)s %(funcName)s: %(message)s")
+            find_kplex(gen_cyclic(5), 3)
+        """
+        proc = run_python(code)
+        assert proc.returncode == 0, proc.stderr
+        assert re.fullmatch(r"latinplex\.plexes DEBUG find_kplex: 3-plex search: \d+ nodes\n",
+                            proc.stderr), proc.stderr
 
 
 class TestSingleSource:
@@ -159,8 +206,8 @@ FOOTPRINT = """if True:
 """
 
 LIGHT = {"latinplex.core", "latinplex.errors"}
-SEARCH = LIGHT | {"latinplex.plexes", "logging"}
-HEAVY = SEARCH | {"latinplex.lsgraph", "latinplex.constructions"}
+SEARCH = LIGHT | {"latinplex.cellsets", "latinplex.plexes"}
+CHECK = LIGHT | {"latinplex.cellsets", "latinplex.lsgraph", "latinplex.constructions"}
 
 
 class TestImportFootprint:
@@ -177,12 +224,13 @@ class TestImportFootprint:
         (["gen", "cyclic", "7"], LIGHT),
         (["search", "near", "{square}"], SEARCH),
         (["sweep", "--max-order", "4"], SEARCH),
-        (["construct", "3ds-q1", "--n", "10"], HEAVY),
-        (["verify", "{cert}"], HEAVY),
-    ], ids=["gen", "search-near", "sweep", "construct", "verify"])
+        (["construct", "3ds-q1", "--n", "10"], CHECK),
+        (["construct", "qt-nt-transforms", "--n", "5"], CHECK | SEARCH),
+        (["verify", "{cert}"], CHECK),
+    ], ids=["gen", "search-near", "sweep", "construct", "construct-search", "verify"])
     def test_subcommand_loads_only_its_modules(self, argv, expected, files, tmp_path):
-        # no subcommand loads dataclasses or inspect, and gen neither the
-        # search engines nor logging
+        # no subcommand loads dataclasses, inspect or logging; only one that
+        # searches loads the search engines
         argv = [a.format(**files) for a in argv]
         report = tmp_path / "modules.json"
         traced = run_python(FOOTPRINT, str(report), *argv)

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from latinplex import lsgraph, plexes
+from latinplex import cellsets, lsgraph
 from latinplex.core import (
     Isotopy,
     LatinSquare,
@@ -256,9 +256,9 @@ class TestDomination:
         sq = gen_cyclic(6)
         g = build_graph(sq)
         cs = CellSet(6, ((4, 5), (1, 1), (2, 3)), KIND_CELLS)
-        assert plexes._cells(6, cs) == (cs.cells, None)
-        assert plexes._cells(6, cs)[0] is cs.cells
-        normalise = plexes._cells
+        assert cellsets._cells(6, cs) == (cs.cells, None)
+        assert cellsets._cells(6, cs)[0] is cs.cells
+        normalise = cellsets._cells
         passed = []
 
         def spy(order, cells):
@@ -267,7 +267,7 @@ class TestDomination:
                 passed.append(out[0] is cs.cells)
             return out
 
-        monkeypatch.setattr(plexes, "_cells", spy)
+        monkeypatch.setattr(cellsets, "_cells", spy)
         for check in (check_transversal, check_partial_transversal, check_near_transversal,
                       check_quasi_transversal, lambda sq, cells: check_kplex(sq, cells, 1)):
             check(sq, cs)

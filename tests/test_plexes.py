@@ -51,7 +51,7 @@ from latinplex.plexes import (
     quasi_profile,
     sweep_squares,
 )
-from latinplex import plexes
+from latinplex import cellsets, plexes
 from latinplex.plexes import _counted_search, _labels_hold, _obstruction
 
 from conftest import (
@@ -950,9 +950,9 @@ class TestExtendibility:
             extendibility_report(gen_cyclic(9), [])
 
     def test_cells_are_normalised_once(self, monkeypatch):
-        normalise = plexes._cells
+        normalise = cellsets._cells
         calls = []
-        monkeypatch.setattr(plexes, "_cells",
+        monkeypatch.setattr(cellsets, "_cells",
                             lambda order, cells: calls.append(cells) or normalise(order, cells))
         assert extendibility_report(gen_cyclic(4), [(1, 1)]) == EXTENDIBLE
         assert len(calls) == 1
