@@ -406,15 +406,18 @@ def quasi_from_transversal(square: LatinSquare, transversal) -> CellSet:
     its row, column and symbol exactly once, so the least one is taken.
     That cell is (1, 1), or (1, 2) when the transversal holds (1, 1)."""
     n = square.order
+    if n < 3:
+        raise NotConstructibleError("no extension cell yields a quasi-transversal: "
+                                    "quasi-transversal is vacuous below order 3")
     cells, _, why = _line_issue(square, transversal, n, 1)
     if why:
         raise NotConstructibleError(f"input is not a transversal: {why}")
     extra = (1, 2) if (1, 1) in cells else (1, 1)
-    candidate = tuple(sorted(cells + (extra,)))
-    ok, why = check_quasi_transversal(square, candidate)
+    quasi = CellSet(n, cells + (extra,), KIND_QUASI)
+    ok, why = check_quasi_transversal(square, quasi)
     if not ok:
         raise NotConstructibleError(f"no extension cell yields a quasi-transversal: {why}")
-    return CellSet(n, candidate, KIND_QUASI)
+    return quasi
 
 
 def near_from_quasi(square: LatinSquare, quasi) -> CellSet:

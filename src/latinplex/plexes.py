@@ -99,6 +99,60 @@ def _supplies(grid) -> list[list[int]]:
     return sups
 
 
+def _matchable(n: int, need, sup, open_: int) -> bool:
+    """Hall's condition for a whole prefix: True iff some set of the edges
+    (c, x), x an open bit of sup[c], meets every column c exactly need[c]
+    times and every symbol line x exactly need[x] times (a b-matching of the
+    column-symbol graph).  A completion of the counted search's prefix is
+    one, as a (column, symbol) pair lies in one row.  One augmenting path
+    per unit of column need, depth first on bitmasks, no symbol past its
+    need; the columns' and the symbols' needs have one total, so filling
+    every column fills every symbol.  A column that finds no path can never
+    be filled (the lines its paths reach cut the flow below the total need),
+    so the first such answers False."""
+    got = [0] * 2 * n  # got[c]: the symbols matched to column c; got[x]: the columns of symbol x
+    room = open_ >> n << n  # the symbols matched fewer than need[x] times
+    seen = 0  # the columns and symbols this path search has reached
+
+    def augment(c: int) -> bool:
+        """Match column c once more: to an unmatched open symbol with need
+        left, or to a full one that one of its columns gives up for another."""
+        nonlocal room, seen
+        seen |= 1 << c
+        free = sup[c] & open_ & ~got[c] & ~seen
+        if avail := free & room:
+            y = avail & -avail
+            x = y.bit_length() - 1
+            got[c] |= y
+            got[x] |= 1 << c
+            if got[x].bit_count() == need[x]:
+                room ^= y
+            return True
+        seen |= free
+        while free:
+            y = free & -free
+            free ^= y
+            x = y.bit_length() - 1
+            while movers := got[x] & ~seen:
+                d = (movers & -movers).bit_length() - 1
+                if augment(d):  # d took another symbol: it lets x go to c
+                    got[d] ^= y
+                    got[c] |= y
+                    got[x] ^= 1 << d | 1 << c
+                    return True
+        return False
+
+    try:
+        for c in range(n):
+            for _ in range(need[c]):
+                seen = 0
+                if not augment(c):
+                    return False
+        return True
+    finally:
+        del augment  # augment refers to itself: free its state now, not at the next full collection
+
+
 def _counted_search(grid, k: int, max_checks: int | None = None, give_up=None
                     ) -> tuple[list[tuple[int, ...]] | None, int]:
     """The first choice of k cells per row that uses every column and symbol
@@ -112,7 +166,11 @@ def _counted_search(grid, k: int, max_checks: int | None = None, give_up=None
     Returns chosen (chosen[r] the columns of row r) or None, and the nodes
     (rows entered) visited.  After max_checks supply checks (one per full
     combination: the search's work) it calls give_up() once and raises
-    _OutOfChecks if that returns a true value, else it goes on."""
+    _OutOfChecks if that returns a true value, else it goes on with the
+    matching lookahead: a combination that passes the supply check must
+    also pass _matchable, all lines' needs at once.  That cuts only dead
+    prefixes, so the branching order and the first leaf stay the same; with
+    max_checks None it never runs."""
     n = len(grid)
     sups = _supplies(grid)
     need = [k] * 2 * n
@@ -120,11 +178,12 @@ def _counted_search(grid, k: int, max_checks: int | None = None, give_up=None
     path: list[int] = []
     nodes = 1
     checks = 0
+    lookahead = False
 
     def rec(row: int, start: int, left: int) -> bool:
         """Take `left` more cells of row `row` from column `start` on, then
         the rows below."""
-        nonlocal nodes, checks, open_
+        nonlocal nodes, checks, open_, lookahead
         rest = n - row - 1
         grow, sup = grid[row], sups[row + 1]
         for c in range(start, n - left + 1):
@@ -139,13 +198,18 @@ def _counted_search(grid, k: int, max_checks: int | None = None, give_up=None
                     if rec(row, c + 1, left - 1):
                         return True
                 else:
-                    if checks == max_checks and (why := give_up()):
-                        raise _OutOfChecks(nodes, why)
+                    if checks == max_checks:
+                        if why := give_up():
+                            raise _OutOfChecks(nodes, why)
+                        log.debug("%d-plex search: no nonexistence proof after %d checks, "
+                                  "matching lookahead on", k, checks)
+                        lookahead = True
                     checks += 1
                     # rows fill the lowest columns first, so the highest lines
                     # fail most: test them first
                     if all(map(le, reversed(need),
-                               map(int.bit_count, map(open_.__and__, reversed(sup))))):
+                               map(int.bit_count, map(open_.__and__, reversed(sup))))) and (
+                            not lookahead or _matchable(n, need, sup, open_)):
                         nodes += 1
                         if not rest or rec(row + 1, 0, k):  # the last row done: a k-plex
                             return True
@@ -293,7 +357,8 @@ def enumerate_transversals(square: LatinSquare, cap: int = 10, threads: int = 1)
 
 
 #: supply checks a k-plex search runs before it asks the lattice test (k >= 2)
-#: or the transversal count (k = 1)
+#: or the transversal count (k = 1); without a proof it then turns on the
+#: matching lookahead, too dear for the many searches that end sooner
 _LATTICE_AFTER_CHECKS = 1 << 8
 
 
@@ -404,7 +469,11 @@ def find_kplex(square: LatinSquare, k: int) -> CellSet | None:
     asks for a proof that none exists: for k >= 2 _obstruction, and it stops
     with None only on labels that pass the O(n^2) re-check; for k = 1 the
     transversal count (that lattice test, else the join), and it stops with
-    None only on a count of 0.  Otherwise it goes on to the end.
+    None only on a count of 0.  Otherwise it goes on to the end with the
+    matching lookahead: a row's combination must also leave the needs of all
+    columns and symbols at once coverable by the later rows' cells, a
+    b-matching of the column-symbol graph (_matchable).  Every completion is
+    one, so it too cuts only dead branches.
     """
     n = square.order
     if n > 12:

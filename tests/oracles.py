@@ -236,6 +236,23 @@ def brute_first_kplex(square, k: int):
     return None
 
 
+def brute_b_matching(needs, edges) -> bool:
+    """True iff some subset of `edges` (pairs of vertex names) meets every
+    vertex v exactly needs[v] times (0 for a vertex not in needs): every
+    subset of half the total need is tried."""
+    size, odd = divmod(sum(needs.values()), 2)
+    if odd:
+        return False
+    for pick in itertools.combinations(edges, size):
+        degree = dict.fromkeys(needs, 0)
+        for edge in pick:
+            for v in edge:
+                degree[v] = degree.get(v, 0) + 1
+        if degree == needs:
+            return True
+    return False
+
+
 def labels_obstruct(square, k: int, m: int, labels) -> bool:
     """True iff the row, column and symbol labels (three lists indexed from
     0) sum to 0 mod m on every cell while k times the sum of all labels does

@@ -321,6 +321,14 @@ class TestTransforms:
                 assert quasi.cells == tuple(sorted(t.cells + (least,))), label
                 assert check_quasi_transversal(sq, quasi)[0], label
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_quasi_from_transversal_refused_below_order3(self, n):
+        # the order is refused before the input is checked: order 2 has no transversal
+        sq = gen_cyclic(n)
+        with pytest.raises(NotConstructibleError, match="^no extension cell yields a "
+                           "quasi-transversal: quasi-transversal is vacuous below order 3$"):
+            quasi_from_transversal(sq, find_kplex(sq, 1) or ((1, 1), (2, 2)))
+
     def test_round_trip_on_cyclic4(self):
         # quasi_from_near always yields the interlocking shape, so the
         # round trip recovers the exact starting cells
@@ -464,6 +472,7 @@ class TestTransforms:
             (quasi_from_near, sq4, near4, 1), (quasi_from_near, sq4, near4.cells, 2),
             (near_from_quasi, sq4, quasi4, 1), (near_from_quasi, sq4, quasi4.cells, 2),
             (transversal_in_quasi, sq5, quasi5.cells, 2), (transversal_in_quasi, sq4, quasi4, 0),
+            (quasi_from_transversal, sq5, trans5, 1), (quasi_from_transversal, sq5, trans5.cells, 2),
             (transversal_equivalence_check, sq5, trans5.cells, 2),
         ]:
             normalised.clear()

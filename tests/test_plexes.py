@@ -64,6 +64,7 @@ from conftest import (
 )
 from oracles import (
     all_quasi_cellsets,
+    brute_b_matching,
     brute_first_kplex,
     brute_first_near,
     brute_labelling_count,
@@ -489,6 +490,78 @@ class TestKPlexSearch:
     def test_bad_k(self):
         with pytest.raises(InvalidPlexError):
             find_kplex(gen_cyclic(4), 5)
+
+
+def _matching_instances(count: int, seed: int):
+    """Seeded column-symbol graphs of orders 1-4 as _matchable takes them,
+    (n, need, sup, open_), with equal column and symbol need totals."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        sup = [0] * 2 * n
+        for c, s in itertools.product(range(n), repeat=2):
+            if rng.random() < 0.6:
+                sup[c] |= 1 << n + s
+                sup[n + s] |= 1 << c
+        need = [rng.randint(0, 2) for _ in range(n)] + [0] * n
+        for _ in range(sum(need)):
+            need[n + rng.randrange(n)] += 1
+        yield n, need, sup, sum(1 << x for x, left in enumerate(need) if left)
+
+
+#: the lex-least 2-plex of qstep(2,6), as the search found it before the matching lookahead
+QSTEP_2_6_TWO_PLEX = (
+    (1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (3, 4), (4, 7), (4, 8), (5, 7), (5, 8), (6, 9), (6, 10),
+    (7, 3), (7, 4), (8, 5), (8, 6), (9, 5), (9, 6), (10, 9), (10, 10), (11, 11), (11, 12),
+    (12, 11), (12, 12))
+#: q-step squares of orders 10-12; the 2-plex searches of the first two run past the proof stage
+STAGED_TWO_PLEX = [(f"qstep({m},{q})", gen_qstep(m, q)) for m, q in ((2, 5), (3, 4), (4, 3))]
+
+
+class TestMatchingLookahead:
+    """The b-matching test _counted_search adds once its proof stage fails."""
+
+    def test_matcher_agrees_with_brute_force(self):
+        answers = []
+        for n, need, sup, open_ in _matching_instances(300, 37):
+            edges = [(c, x) for c in range(n) for x in range(n, 2 * n) if sup[c] >> x & 1]
+            want = brute_b_matching(dict(enumerate(need)), edges)
+            assert plexes._matchable(n, need, sup, open_) == want, (n, need, sup)
+            answers.append(want)
+        assert 50 < sum(answers) < 250  # feasible and infeasible instances alike
+
+    def test_matcher_moves_a_matched_column(self):
+        # column 0 takes symbol 0 first; column 1 can only have it if 0 moves to symbol 1
+        n, sup = 2, [0b1100, 0b0100, 0b0011, 0b0001]
+        assert plexes._matchable(n, [1, 1, 1, 1], sup, 0b1111)
+        assert not plexes._matchable(n, [1, 1, 0, 2], sup, 0b1011)
+
+    @pytest.mark.parametrize("label,sq", corpus_up_to(7) + STAGED_TWO_PLEX,
+                             ids=[label for label, _ in corpus_up_to(7) + STAGED_TWO_PLEX])
+    def test_staged_search_equals_unstaged(self, label, sq):
+        # find_kplex, and the kernel with the lookahead on from its first
+        # check, return the unstaged search's leaf for every k
+        grid = sq.cells0
+        for k in range(1, sq.order + 1) if sq.order <= 7 else (2,):
+            chosen = _counted_search(grid, k)[0]
+            want = None if chosen is None else plexes._chosen_cells(chosen)
+            assert _cells(find_kplex(sq, k)) == want, k
+            assert _counted_search(grid, k, 0, lambda: None)[0] == chosen, k
+
+    def test_unstaged_search_never_matches(self, monkeypatch):
+        monkeypatch.setattr(plexes, "_matchable", None)
+        assert _counted_search(gen_qstep(2, 5).cells0, 2)[1] == 1560
+
+    def test_qstep_2_6_two_plex_is_pinned(self):
+        assert find_kplex(gen_qstep(2, 6), 2).cells == QSTEP_2_6_TWO_PLEX
+
+    def test_lookahead_logs_and_cuts_at_debug(self, caplog):
+        # a lookahead that always answers yes leaves the 1,560 nodes of the unstaged search
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            assert find_kplex(gen_qstep(2, 5), 2) is not None
+        assert caplog.messages == [
+            "2-plex search: no nonexistence proof after 256 checks, matching lookahead on",
+            "2-plex search: 68 nodes"]
 
 
 class TestLatticeObstruction:
