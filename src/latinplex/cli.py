@@ -163,7 +163,10 @@ def cmd_verify(args) -> int:
 def cmd_construct(args) -> int:
     from . import constructions as cons
     _, build, names = cons.CLAIMS[args.claim]
-    cert = build(*(_require(args, name) for name in names))
+    try:
+        cert = build(*(_require(args, name) for name in names))
+    except OrderTooSmallError as exc:  # an option below its generator's range
+        raise ValueError(str(exc)) from None
     _emit_json(cert.to_json_dict(), args.out)
     return EXIT_OK
 

@@ -78,11 +78,6 @@ def _partial_search(grid, rows, visit, skips: int = 0, colmask: int = 0,
     return path[:] if found else None
 
 
-class _OutOfChecks(Exception):
-    """A counted search gave up after max_checks supply checks (args: nodes
-    visited, what give_up returned)."""
-
-
 def _supplies(grid) -> list[list[int]]:
     """sups[r][x]: the symbols (bits n + s) of column x, or the columns of
     symbol x - n, in rows r..n-1; sups[n] is all 0."""
@@ -153,7 +148,7 @@ def _matchable(n: int, need, sup, open_: int) -> bool:
         del augment  # augment refers to itself: free its state now, not at the next full collection
 
 
-def _counted_search(grid, k: int, max_checks: int | None = None, give_up=None
+def _counted_search(grid, k: int, max_checks: int | None = None
                     ) -> tuple[list[tuple[int, ...]] | None, int]:
     """The first choice of k cells per row that uses every column and symbol
     exactly k times, rows in order, each through the combinations of its
@@ -165,12 +160,12 @@ def _counted_search(grid, k: int, max_checks: int | None = None, give_up=None
     needs (need above the rows left), as the check fails on all of them.
     Returns chosen (chosen[r] the columns of row r) or None, and the nodes
     (rows entered) visited.  After max_checks supply checks (one per full
-    combination: the search's work) it calls give_up() once and raises
-    _OutOfChecks if that returns a true value, else it goes on with the
+    combination: the search's work) it asks _obstruction(grid, k) once and
+    returns None on labels, a re-checked proof; else it goes on with the
     matching lookahead: a combination that passes the supply check must
     also pass _matchable, all lines' needs at once.  That cuts only dead
     prefixes, so the branching order and the first leaf stay the same; with
-    max_checks None it never runs."""
+    max_checks None neither runs."""
     n = len(grid)
     sups = _supplies(grid)
     need = [k] * 2 * n
@@ -179,11 +174,12 @@ def _counted_search(grid, k: int, max_checks: int | None = None, give_up=None
     nodes = 1
     checks = 0
     lookahead = False
+    proof = None
 
     def rec(row: int, start: int, left: int) -> bool:
         """Take `left` more cells of row `row` from column `start` on, then
-        the rows below."""
-        nonlocal nodes, checks, open_, lookahead
+        the rows below; True once a k-plex or a proof stops the search."""
+        nonlocal nodes, checks, open_, lookahead, proof
         rest = n - row - 1
         grow, sup = grid[row], sups[row + 1]
         for c in range(start, n - left + 1):
@@ -199,8 +195,10 @@ def _counted_search(grid, k: int, max_checks: int | None = None, give_up=None
                         return True
                 else:
                     if checks == max_checks:
-                        if why := give_up():
-                            raise _OutOfChecks(nodes, why)
+                        if proof := _obstruction(grid, k):
+                            log.debug("%d-plex search: lattice obstruction mod %d after %d nodes",
+                                      k, proof[0], nodes)
+                            return True
                         log.debug("%d-plex search: no nonexistence proof after %d checks, "
                                   "matching lookahead on", k, checks)
                         lookahead = True
@@ -222,7 +220,7 @@ def _counted_search(grid, k: int, max_checks: int | None = None, give_up=None
         return False
 
     try:
-        found = rec(0, 0, k)
+        found = rec(0, 0, k) and not proof
     finally:
         del rec  # rec refers to itself: free its state now, not at the next full collection
     return ([tuple(path[r:r + k]) for r in range(0, n * k, k)] if found else None), nodes
@@ -287,15 +285,6 @@ def _half_table(grid, n: int, rows, start: int) -> dict[int, int]:
     return table
 
 
-def _count_transversals(grid, n: int) -> int:
-    """0 on a re-checked lattice obstruction (k = 1), else _join_transversals."""
-    labels = _obstruction(grid, 1)
-    if labels is not None:
-        log.debug("transversal count: 0, lattice obstruction mod %d", labels[0])
-        return 0
-    return _join_transversals(grid, n)
-
-
 def _join_transversals(grid, n: int) -> int:
     """The orbit size times the sum, over the orbits of row-0 cells, of the
     count through the orbit's first cell: the top half-table (rows 0..h-1
@@ -346,7 +335,9 @@ def enumerate_transversals(square: LatinSquare, cap: int = 10, threads: int = 1)
     if n > MAX_EXHAUSTIVE_ORDER:
         raise OrderTooLargeError(f"order {n} exceeds exhaustive limit {MAX_EXHAUSTIVE_ORDER}")
     grid = square.cells0
-    count = _count_transversals(grid, n)
+    if (labels := _obstruction(grid, 1)) is not None:
+        log.debug("transversal count: 0, lattice obstruction mod %d", labels[0])
+    count = 0 if labels else _join_transversals(grid, n)
     found = _transversals(grid, cap) if count and cap else []
     witnesses = tuple(_cols_to_cellset(n, w) for w in found)
     return PlexCensus(n, KIND_TRANSVERSAL, count, witnesses, truncated=count > len(witnesses))
@@ -356,9 +347,9 @@ def enumerate_transversals(square: LatinSquare, cap: int = 10, threads: int = 1)
 # k-plex search
 
 
-#: supply checks a k-plex search runs before it asks the lattice test (k >= 2)
-#: or the transversal count (k = 1); without a proof it then turns on the
-#: matching lookahead, too dear for the many searches that end sooner
+#: supply checks a k-plex search runs before it asks the lattice test; without
+#: a proof it then turns on the matching lookahead, both too dear for the many
+#: searches that end sooner
 _LATTICE_AFTER_CHECKS = 1 << 8
 
 
@@ -466,34 +457,20 @@ def find_kplex(square: LatinSquare, k: int) -> CellSet | None:
     line is short too, one popcount of its suffix mask per line.  Pruning
     only removes provably dead branches, so the first solution stays the lex
     least.  A search still running after _LATTICE_AFTER_CHECKS supply checks
-    asks for a proof that none exists: for k >= 2 _obstruction, and it stops
-    with None only on labels that pass the O(n^2) re-check; for k = 1 the
-    transversal count (that lattice test, else the join), and it stops with
-    None only on a count of 0.  Otherwise it goes on to the end with the
-    matching lookahead: a row's combination must also leave the needs of all
-    columns and symbols at once coverable by the later rows' cells, a
-    b-matching of the column-symbol graph (_matchable).  Every completion is
-    one, so it too cuts only dead branches.
+    asks _obstruction for a proof that none exists, the same for every k, and
+    stops with None only on labels that pass the O(n^2) re-check.  Otherwise
+    it goes on to the end with the matching lookahead: a row's combination
+    must also leave the needs of all columns and symbols at once coverable
+    by the later rows' cells, a b-matching of the column-symbol graph
+    (_matchable).  Every completion is one, so it too cuts only dead
+    branches, and an exhausted search is the proof.
     """
     n = square.order
     if n > 12:
         raise OrderTooLargeError(f"k-plex engine is exhaustive only up to order 12, got {n}")
     if not 1 <= k <= n:
         raise InvalidPlexError(f"k must be in 1..{n}")
-    grid = square.cells0
-    give_up = ((lambda: not _count_transversals(grid, n)) if k == 1
-               else (lambda: _obstruction(grid, k)))
-    try:
-        chosen, nodes = _counted_search(grid, k, _LATTICE_AFTER_CHECKS, give_up)
-    except _OutOfChecks as out:
-        nodes, proof = out.args
-        log.debug("%d-plex search: %d nodes", k, nodes)
-        if k == 1:
-            log.debug("1-plex search: transversal count 0 after %d nodes", nodes)
-        else:
-            log.debug("%d-plex search: lattice obstruction mod %d after %d nodes",
-                      k, proof[0], nodes)
-        return None
+    chosen, nodes = _counted_search(square.cells0, k, _LATTICE_AFTER_CHECKS)
     log.debug("%d-plex search: %d nodes", k, nodes)
     if chosen is None:
         return None

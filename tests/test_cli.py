@@ -412,6 +412,19 @@ class TestConstruct:
         code, out, err = run_cli(["construct", "qt-nt-transforms", "--n", n])
         assert code == 2 and out == "", err
 
+    @pytest.mark.parametrize("args", [
+        ["twostep-decomp", "--k", "1"],
+        ["twostep-decomp", "--k", "-3"],
+        ["qt-nt-transforms", "--n", "0"],
+        ["qt-nt-transforms", "--gen", "qstep", "--m", "0", "--q", "3"],
+        ["qt-nt-transforms", "--gen", "twostep", "--k", "1"],
+    ], ids=["twostep-k1", "twostep-k-3", "cyclic-n0", "qstep-m0", "gen-twostep-k1"])
+    def test_option_below_generator_range_is_usage_error(self, args, capsys):
+        # as under gen; the same value in a certificate descriptor exits 1
+        assert main(["construct", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error: ")
+
     def test_claim_parameters_are_construct_options(self):
         # cmd_construct reads each parameter a claim names from the parsed
         # arguments; "square" is assembled from --gen and its options

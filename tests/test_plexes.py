@@ -320,13 +320,12 @@ class TestEnumeration:
     @pytest.mark.parametrize("orbit", [2, 1])
     def test_non_group_squares_count_several_orbits(self, orbit):
         # no group table: column 1 has a proper orbit, so several orbits are counted
-        from latinplex.plexes import _column_orbit_maps, _count_transversals
+        from latinplex.plexes import _column_orbit_maps
 
         sq = non_group_square(orbit)
         assert len(_column_orbit_maps(sq.cells0, 6)) == orbit
-        count = _count_transversals(sq.cells0, 6)
+        count = enumerate_transversals(sq, cap=0).count
         assert count == backtrack_count(sq.cells0, 6) == permutation_diagonal_count(sq)
-        assert enumerate_transversals(sq, cap=0).count == count
 
     def test_cyclic_13_published_count(self):
         # OEIS A006717: transversals of the cyclic square of order 13
@@ -399,6 +398,11 @@ NO_TRANSVERSAL_10 = [[1, 2, 7, 4, 5, 6, 3, 8, 9, 10], [2, 7, 4, 5, 6, 3, 8, 9, 1
                      [5, 6, 10, 8, 9, 7, 1, 2, 3, 4], [6, 3, 8, 9, 10, 1, 2, 7, 4, 5],
                      [3, 8, 9, 10, 1, 2, 7, 4, 5, 6], [8, 9, 3, 1, 2, 10, 4, 5, 6, 7],
                      [9, 10, 1, 2, 3, 4, 5, 6, 7, 8], [7, 1, 2, 3, 4, 5, 6, 10, 8, 9]]
+#: a Jacobson-Matthews random square of order 9 (seed 91): no lattice labels,
+#: and its transversal search runs past the proof stage before it finds one
+JM_9_91 = [[4, 3, 2, 7, 1, 9, 5, 6, 8], [6, 7, 3, 8, 9, 1, 4, 5, 2], [1, 8, 5, 3, 7, 2, 6, 4, 9],
+           [3, 9, 7, 2, 4, 6, 1, 8, 5], [9, 2, 6, 4, 5, 8, 3, 1, 7], [2, 5, 8, 6, 3, 4, 9, 7, 1],
+           [8, 1, 4, 5, 6, 7, 2, 9, 3], [5, 4, 1, 9, 8, 3, 7, 2, 6], [7, 6, 9, 1, 2, 5, 8, 3, 4]]
 
 
 def _spy_on_join(monkeypatch) -> list[int]:
@@ -449,34 +453,52 @@ class TestKPlexSearch:
         assert plex.cells[0] == (1, 1)
 
     def test_cyclic12_transversal_not_found(self):
-        # even cyclic order: no transversal; the search runs out of supply
-        # checks, and the count's lattice test proves the 0
+        # even cyclic order: no transversal; the search reaches the proof
+        # stage, and the lattice test proves the None
         assert find_kplex(gen_cyclic(12), 1) is None
 
-    def test_transversal_search_out_of_checks_asks_the_join(self, monkeypatch, caplog):
+    def test_transversal_search_logs_the_stage_at_debug(self, monkeypatch, caplog):
+        # the path of the benchmark's k = 1 witness searches: the stage, then labels
+        joins = _spy_on_join(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            assert find_kplex(gen_cyclic(8), 1) is None
+        assert caplog.messages == ["1-plex search: lattice obstruction mod 8 after 117 nodes",
+                                   "1-plex search: 117 nodes"]
+        assert joins == []
+
+    def test_transversal_search_stops_at_the_stage_on_labels(self, monkeypatch, caplog):
+        sq = LatinSquare(NO_TRANSVERSAL_10)
+        monkeypatch.setattr(plexes, "_obstruction", lambda grid, k: (2, [0] * 10, [0] * 10, [1] * 10))
+        with caplog.at_level(logging.DEBUG, logger="latinplex"):
+            assert find_kplex(sq, 1) is None
+        assert "1-plex search: lattice obstruction mod 2 after 153 nodes" in caplog.messages
+
+    def test_transversal_search_without_labels_goes_on_with_the_lookahead(self, monkeypatch,
+                                                                          caplog):
+        # no labels and no transversal: the exhausted search is the proof; the
+        # node count pins the lookahead's cut
         sq = LatinSquare(NO_TRANSVERSAL_10)
         assert _obstruction(sq.cells0, 1) is None
-        with pytest.raises(plexes._OutOfChecks) as out:
-            _counted_search(sq.cells0, 1, 256, lambda: True)
-        assert out.value.args[0] == 153  # nodes visited when it gave up
         joins = _spy_on_join(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="latinplex"):
             assert find_kplex(sq, 1) is None
-        assert joins == [10]
-        assert "1-plex search: transversal count 0 after 153 nodes" in caplog.text
+        assert joins == []
+        assert caplog.messages == [
+            "1-plex search: no nonexistence proof after 256 checks, matching lookahead on",
+            "1-plex search: 22360 nodes"]
 
     def test_transversal_search_exhausted_within_checks(self, monkeypatch):
         sq = LatinSquare(NO_TRANSVERSAL_6)
         assert all(_obstruction(sq.cells0, k) is None for k in range(1, 7))
-        chosen, nodes = _counted_search(sq.cells0, 1, 256, lambda: True)
+        chosen, nodes = _counted_search(sq.cells0, 1, 256)
         assert chosen is None and nodes == 75
         joins = _spy_on_join(monkeypatch)
         assert find_kplex(sq, 1) is None
         assert joins == []
         assert permutation_diagonal_count(sq) == 0
 
-    @pytest.mark.parametrize("sq", [gen_cyclic(11), gen_qstep(2, 6)],
-                             ids=["cyclic(11)", "qstep(2,6)"])
+    @pytest.mark.parametrize("sq", [gen_cyclic(11), gen_qstep(2, 6), LatinSquare(JM_9_91)],
+                             ids=["cyclic(11)", "qstep(2,6)", "jm(9,91)"])
     def test_found_transversal_needs_no_join(self, monkeypatch, sq):
         least = enumerate_transversals(sq, cap=1).witnesses[0]
         joins = _spy_on_join(monkeypatch)
@@ -538,7 +560,7 @@ class TestMatchingLookahead:
 
     @pytest.mark.parametrize("label,sq", corpus_up_to(7) + STAGED_TWO_PLEX,
                              ids=[label for label, _ in corpus_up_to(7) + STAGED_TWO_PLEX])
-    def test_staged_search_equals_unstaged(self, label, sq):
+    def test_staged_search_equals_unstaged(self, monkeypatch, label, sq):
         # find_kplex, and the kernel with the lookahead on from its first
         # check, return the unstaged search's leaf for every k
         grid = sq.cells0
@@ -546,10 +568,13 @@ class TestMatchingLookahead:
             chosen = _counted_search(grid, k)[0]
             want = None if chosen is None else plexes._chosen_cells(chosen)
             assert _cells(find_kplex(sq, k)) == want, k
-            assert _counted_search(grid, k, 0, lambda: None)[0] == chosen, k
+            with monkeypatch.context() as m:
+                m.setattr(plexes, "_obstruction", lambda grid, k: None)
+                assert _counted_search(grid, k, 0)[0] == chosen, k
 
     def test_unstaged_search_never_matches(self, monkeypatch):
         monkeypatch.setattr(plexes, "_matchable", None)
+        monkeypatch.setattr(plexes, "_obstruction", None)
         assert _counted_search(gen_qstep(2, 5).cells0, 2)[1] == 1560
 
     def test_qstep_2_6_two_plex_is_pinned(self):
